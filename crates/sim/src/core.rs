@@ -605,10 +605,13 @@ impl Core {
         )
     }
 
-    /// Whether the core can make progress this cycle without any new
-    /// message from the memory system (used by idle skip-ahead; errs
-    /// toward `true`).
-    pub fn has_internal_work(&self) -> bool {
+    /// Whether [`Core::tick`] would change any state this cycle without a
+    /// new message from the memory system: the event-driven scheduler's
+    /// per-core elision test. Unsent stores count only when the send head
+    /// can send now: it carries its data, or the load it copies from has
+    /// completed. A head waiting on a load in flight is woken by that
+    /// load's `LoadDone` instead.
+    pub(crate) fn can_act(&self) -> bool {
         if self.finished {
             return false;
         }
@@ -618,8 +621,12 @@ impl Core {
         if self.undone_ff > 0 && self.mem_drained() && self.loads.is_empty() {
             return true; // fence/flush completion pending
         }
-        if self.sb.len() > self.sb_sent_prefix {
-            return true; // unsent stores (sent entries form a prefix)
+        if let Some(head) = self.sb.get(self.sb_sent_prefix) {
+            let resolved = head.data.is_some()
+                || head.from.is_some_and(|(load, _)| self.load_vals.contains_key(&load));
+            if resolved {
+                return true; // the send head can go (sent entries form a prefix)
+            }
         }
         if self.clwbs.iter().any(|c| !c.sent) {
             return true;
@@ -636,6 +643,18 @@ impl Core {
             return true; // can fetch a new uop
         }
         false
+    }
+
+    /// Whether any store-buffer entry has not been sent to the L1 yet.
+    pub(crate) fn has_unsent_stores(&self) -> bool {
+        self.sb.len() > self.sb_sent_prefix
+    }
+
+    /// [`Core::can_act`], or some store is unsent even though its data
+    /// is not ready. Gates the whole-machine idle skip-ahead, which must
+    /// not jump while this holds.
+    pub fn has_internal_work(&self) -> bool {
+        self.can_act() || self.has_unsent_stores()
     }
 
     fn try_dispatch(
@@ -838,8 +857,8 @@ impl Core {
     }
 
     /// Batched accounting for `k` executed cycles during which the core
-    /// was provably frozen: no deliverable inbox message, no internal
-    /// work ([`Core::has_internal_work`] false) and no timer due
+    /// was provably frozen: no deliverable inbox message, nothing it can
+    /// do on its own ([`Core::can_act`] false) and no timer due
     /// ([`Core::next_event`] in the future). Under those conditions
     /// [`Core::tick`] retires nothing and changes no state, so its only
     /// effect is `k` identical [`Core::account`] calls — replicated here
@@ -937,7 +956,7 @@ impl Core {
             return Some(StallReason::Frontend);
         }
         // Unreachable for a frozen core: dispatch could fetch a new uop,
-        // so has_internal_work() would have been true.
+        // so can_act() would have been true.
         debug_assert!(false, "idle_dispatch_stall on a dispatch-capable core");
         Some(StallReason::Frontend)
     }

@@ -84,8 +84,15 @@ impl Ddr5Channel {
         (b.next_cas <= now, b.open_row == Some(row))
     }
 
-    pub(crate) fn refresh_due(&self, now: Cycle) -> bool {
-        self.refresh.due(now)
+    /// First cycle at which the addressed bank is ready: the inverse of
+    /// `probe(..).0`.
+    pub(crate) fn bank_ready_at(&self, addr: PhysAddr) -> Cycle {
+        self.banks[self.bank_row(addr).0].next_cas
+    }
+
+    /// First cycle at which [`DramModel::bus_ready`] holds.
+    pub(crate) fn bus_ready_at(&self) -> Cycle {
+        self.bus_free.saturating_sub(self.cfg.t_cl)
     }
 
     pub(crate) fn refresh_next(&self) -> Cycle {

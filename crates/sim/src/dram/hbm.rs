@@ -75,8 +75,17 @@ impl HbmChannel {
         (b.next_cas <= now, b.open_row == Some(row))
     }
 
-    pub(crate) fn refresh_due(&self, now: Cycle) -> bool {
-        self.refresh.due(now)
+    /// First cycle at which the addressed bank is ready: the inverse of
+    /// `probe(..).0`.
+    pub(crate) fn bank_ready_at(&self, addr: PhysAddr) -> Cycle {
+        let (pc, bank, _) = self.locate(addr);
+        self.pcs[pc].banks[bank].next_cas
+    }
+
+    /// First cycle at which [`DramModel::bus_ready`] holds: the earliest
+    /// any pseudo-channel bus can take another column command.
+    pub(crate) fn bus_ready_at(&self) -> Cycle {
+        self.pcs.iter().map(|pc| pc.bus_free.saturating_sub(self.cfg.t_cl)).min().unwrap_or(0)
     }
 
     pub(crate) fn refresh_next(&self) -> Cycle {

@@ -174,6 +174,20 @@ impl DramBackend {
         each_backend!(self, d => d.bus_ready(now))
     }
 
+    /// First cycle at which `probe(now, addr).0` holds, given the current
+    /// channel state (its exact inverse: false before, true from then on).
+    #[inline]
+    pub fn bank_ready_at(&self, addr: PhysAddr) -> Cycle {
+        each_backend!(self, d => d.bank_ready_at(addr))
+    }
+
+    /// First cycle at which [`Self::bus_ready`] holds, given the current
+    /// channel state (its exact inverse).
+    #[inline]
+    pub fn bus_ready_at(&self) -> Cycle {
+        each_backend!(self, d => d.bus_ready_at())
+    }
+
     #[inline]
     pub fn access(&mut self, now: Cycle, addr: PhysAddr) -> (Cycle, RowOutcome) {
         each_backend!(self, d => d.access(now, addr))
@@ -199,19 +213,9 @@ impl DramBackend {
         each_backend!(self, d => d.bank_of(addr))
     }
 
-    /// Whether a refresh window has opened that [`Self::sync`] has not yet
-    /// applied — i.e. whether `sync(now)` would change channel state. Used
-    /// by the event-driven scheduler: an otherwise-idle controller must
-    /// still tick to apply elapsed windows at the same cycle the per-tick
-    /// scheduler would.
-    #[inline]
-    pub fn refresh_due(&self, now: Cycle) -> bool {
-        each_backend!(self, d => d.refresh_due(now))
-    }
-
-    /// First cycle at which [`Self::refresh_due`] will turn true
-    /// ([`Cycle::MAX`] when refresh is disabled) — wake-up hint for the
-    /// event-driven scheduler's cached controller readiness.
+    /// First cycle at which a refresh window opens that [`Self::sync`] has
+    /// not yet applied ([`Cycle::MAX`] when refresh is disabled) — wake-up
+    /// hint for the event-driven scheduler's cached controller readiness.
     #[inline]
     pub fn refresh_next(&self) -> Cycle {
         each_backend!(self, d => d.refresh_next())
@@ -295,15 +299,9 @@ impl RefreshTimer {
         Some(end)
     }
 
-    /// Whether a window has opened by `now` that has not been popped yet
-    /// (i.e. whether `pop_due(now)` would return `Some`).
-    pub(crate) fn due(&self, now: Cycle) -> bool {
-        self.t_refi != 0 && now >= self.next
-    }
-
     /// Cycle at which the next unapplied window opens — the first `now`
-    /// for which [`Self::due`] turns true ([`Cycle::MAX`] when refresh is
-    /// disabled). Scheduling hint for the event-driven tick loop.
+    /// for which [`Self::pop_due`] returns a window ([`Cycle::MAX`] when
+    /// refresh is disabled). Scheduling hint for the event-driven tick loop.
     pub(crate) fn next_due(&self) -> Cycle {
         if self.t_refi == 0 {
             Cycle::MAX

@@ -208,35 +208,19 @@ impl MemCtrl {
         hint
     }
 
-    /// Whether ticking this controller at `now` could change any state:
-    /// the event-driven scheduler's per-component readiness check. Input
-    /// deliverability is the caller's side of the predicate (the input
-    /// queue lives in the interconnect), and engine background work is
-    /// covered by [`CopyEngine::needs_tick`]. Pending refresh windows
-    /// count as work so `sync` applies them — and the trace layer stamps
-    /// them — at the same cycle a per-tick scheduler would.
-    pub fn has_pending_work(&self, now: Cycle) -> bool {
-        !self.retry_q.is_empty()
-            || !self.engine_fwd.is_empty()
-            || !self.rpq.is_empty()
-            || !self.wpq.is_empty()
-            || self.inflight.iter().any(|f| f.done <= now)
-            || self.dram.refresh_due(now)
-    }
-
-    /// Cached-readiness form of [`Self::has_pending_work`]: `None` means
+    /// The event-driven scheduler's cached readiness verdict: `None` means
     /// the controller has immediate work and must tick every cycle;
-    /// `Some(wake)` means it has nothing to do before cycle `wake` (the
-    /// earliest in-flight completion or refresh window, [`Cycle::MAX`] if
-    /// neither is pending). Valid until the controller next ticks — all
-    /// controller state mutates only inside [`Self::tick`], and input
-    /// arrival is the caller's side of the predicate.
+    /// `Some(wake)` means ticking before cycle `wake` changes nothing
+    /// except the drain-mode hysteresis, which [`Self::replay_elided`]
+    /// restores. `wake` is the earliest of an in-flight completion, a
+    /// refresh window, and the first cycle a queued request can issue
+    /// ([`Cycle::MAX`] if none is pending). Valid until the controller
+    /// next ticks — all controller state mutates only inside
+    /// [`Self::tick`]. Input arrival is the caller's side of the predicate
+    /// (the input queue lives in the interconnect), and engine background
+    /// work is covered by [`CopyEngine::needs_tick`].
     pub fn readiness(&self) -> Option<Cycle> {
-        if !self.retry_q.is_empty()
-            || !self.engine_fwd.is_empty()
-            || !self.rpq.is_empty()
-            || !self.wpq.is_empty()
-        {
+        if !self.retry_q.is_empty() || !self.engine_fwd.is_empty() {
             return None;
         }
         let wake = self
@@ -244,7 +228,41 @@ impl MemCtrl {
             .iter()
             .map(|f| f.done)
             .fold(self.dram.refresh_next(), Cycle::min);
-        Some(wake)
+        Some(self.next_issue().map_or(wake, |at| wake.min(at)))
+    }
+
+    /// First cycle at which `schedule_dram` can issue a queued request:
+    /// the command bus must be ready and so must the bank of at least one
+    /// RPQ or WPQ entry (both predicates only turn true as time passes),
+    /// and no injected stall may be pending. `None` with both queues empty.
+    fn next_issue(&self) -> Option<Cycle> {
+        let bus = self.dram.bus_ready_at();
+        let mut bank: Option<Cycle> = None;
+        for addr in self.rpq.iter().map(|e| e.addr).chain(self.wpq.iter().map(|e| e.addr)) {
+            let at = self.dram.bank_ready_at(addr);
+            bank = Some(bank.map_or(at, |b| b.min(at)));
+            if at <= bus {
+                break; // the bus is the binding constraint
+            }
+        }
+        let at = bank?.max(bus);
+        Some(self.fault.as_ref().map_or(at, |f| at.max(f.stall_until)))
+    }
+
+    /// Apply what the executed cycles this controller was elided for
+    /// would have done to its state; call before [`Self::tick`] when it
+    /// was elided at least once since it last ticked, the last time at
+    /// `last_elided`. The event-driven schedule runs a controller holding
+    /// queued requests on every executed cycle, and each such cycle past
+    /// an injected stall re-ran the drain-mode hysteresis on unchanged
+    /// queues. The hysteresis is idempotent on fixed queues, so one
+    /// application stands for all of them.
+    pub fn replay_elided(&mut self, last_elided: Cycle) {
+        let queued = !self.rpq.is_empty() || !self.wpq.is_empty();
+        let stalled = self.fault.as_ref().is_some_and(|f| last_elided < f.stall_until);
+        if queued && !stalled {
+            self.update_drain_mode();
+        }
     }
 
     /// Current WPQ occupancy as (len, capacity).
@@ -587,18 +605,7 @@ impl MemCtrl {
         if self.fault.as_ref().is_some_and(|f| now < f.stall_until) {
             return;
         }
-        // Update drain mode hysteresis.
-        let occ = self.wpq.len() as f64 / self.cfg.wpq_cap as f64;
-        if (occ >= self.cfg.wpq_drain_hi || self.rpq.is_empty())
-            && !self.wpq.is_empty() {
-                self.draining = true;
-            }
-        if occ <= self.cfg.wpq_drain_lo && !self.rpq.is_empty() {
-            self.draining = false;
-        }
-        if self.wpq.is_empty() {
-            self.draining = false;
-        }
+        self.update_drain_mode();
 
         // Issue while the channel can accept column commands (the data bus
         // may be booked ahead; see DramModel::bus_ready), bounded per
@@ -616,6 +623,23 @@ impl MemCtrl {
                     break;
                 }
             }
+        }
+    }
+
+    /// Drain-mode hysteresis: start draining writes at the high
+    /// watermark or when no read waits, stop at the low watermark. Its
+    /// result depends on the previous mode, so every cycle that runs the
+    /// scheduler must apply it (see [`Self::replay_elided`]).
+    fn update_drain_mode(&mut self) {
+        let occ = self.wpq.len() as f64 / self.cfg.wpq_cap as f64;
+        if (occ >= self.cfg.wpq_drain_hi || self.rpq.is_empty()) && !self.wpq.is_empty() {
+            self.draining = true;
+        }
+        if occ <= self.cfg.wpq_drain_lo && !self.rpq.is_empty() {
+            self.draining = false;
+        }
+        if self.wpq.is_empty() {
+            self.draining = false;
         }
     }
 
@@ -766,18 +790,19 @@ mod tests {
     use crate::packet::Node;
 
     fn mk() -> (MemCtrl, DelayQueue<Packet>, SparseMem, NullEngine) {
-        let dram = crate::dram::Ddr4Channel::new(
-            DramConfig {
-                banks: 4,
-                row_bytes: 1024,
-                t_rcd: 5,
-                t_rp: 5,
-                t_cl: 5,
-                t_burst: 2,
-                ..DramConfig::default()
-            },
-            1,
-        );
+        mk_with(DramConfig {
+            banks: 4,
+            row_bytes: 1024,
+            t_rcd: 5,
+            t_rp: 5,
+            t_cl: 5,
+            t_burst: 2,
+            ..DramConfig::default()
+        })
+    }
+
+    fn mk_with(dram: DramConfig) -> (MemCtrl, DelayQueue<Packet>, SparseMem, NullEngine) {
+        let dram = crate::dram::Ddr4Channel::new(dram, 1);
         let mc = MemCtrl::new(0, McConfig::default(), dram.into());
         (mc, DelayQueue::new(0), SparseMem::new(), NullEngine)
     }
@@ -971,6 +996,134 @@ mod tests {
         assert!(mc.idle());
         assert_eq!(mc.stats.malformed_packets, 1);
         assert!(mc.audit_reports()[0].contains("unexpected command"), "{:?}", mc.audit_reports());
+    }
+
+    /// Everything a controller run emits, in order: each tick's DRAM issue
+    /// counts (when they changed) and every response packet, stamped with
+    /// its cycle.
+    #[derive(Debug, Default, PartialEq)]
+    struct Log {
+        issues: Vec<(Cycle, u64, u64)>,
+        resps: Vec<(Cycle, u64, PhysAddr, Option<LineData>)>,
+    }
+
+    fn tick_logged(
+        mc: &mut MemCtrl,
+        now: Cycle,
+        input: &mut DelayQueue<Packet>,
+        mem: &mut SparseMem,
+        log: &mut Log,
+    ) {
+        let before = (mc.stats.reads, mc.stats.writes);
+        let mut out = Vec::new();
+        mc.tick(now, input, &mut NullEngine, mem, &mut out);
+        if (mc.stats.reads, mc.stats.writes) != before {
+            log.issues.push((now, mc.stats.reads, mc.stats.writes));
+        }
+        log.resps.extend(out.into_iter().map(|(p, _)| (now, p.id, p.addr, p.data)));
+    }
+
+    /// Bursts of up to four packets a cycle at random lines (some shared,
+    /// so WPQ forwarding fires too), separated by quiet gaps. Write-heavy
+    /// phases fill the WPQ past its high watermark; read-heavy ones let it
+    /// drain below the low one.
+    fn random_traffic(seed: u64, cycles: Cycle) -> Vec<(Cycle, Packet)> {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sched = Vec::new();
+        let mut now = 0;
+        while now < cycles {
+            let write_pct = if (now / 800) % 2 == 0 { 90 } else { 35 };
+            for i in 0..rng.random_range(1..25u64) {
+                let addr = PhysAddr(rng.random_range(0..256u64) * 64);
+                let pkt = if rng.random_range(0..100u32) < write_pct {
+                    Packet::write(addr, LineData::splat(now as u8), Node::Mc(0))
+                } else {
+                    Packet::read(addr, Node::Mc(0))
+                };
+                sched.push((now + i / 4, pkt));
+            }
+            now += rng.random_range(30..150u64);
+        }
+        sched
+    }
+
+    #[test]
+    fn elided_controller_matches_one_ticked_every_cycle() {
+        // A twin driven only at its `readiness` wake cycles, at cycles with
+        // deliverable input, and (as the event-driven scheduler does) with
+        // the elided cycles replayed before it next ticks, must issue and
+        // respond exactly like a controller ticked every cycle.
+        // The state the replay restores (read queue just emptied, writes
+        // between the watermarks, new reads arriving while the twin
+        // sleeps) is rare per run, so many short runs are checked; every
+        // third one adds injected stalls.
+        const DRAIN: Cycle = 3_000;
+        let stalls =
+            FaultPlan { seed: 5, mc_stall_rate: 0.05, mc_stall_cycles: 25, ..FaultPlan::none() };
+        for seed in 1..=24 {
+            let plan = if seed % 3 == 0 { stalls.clone() } else { FaultPlan::none() };
+            let horizon = 3_000;
+            let traffic = random_traffic(seed, horizon);
+            // Slow bursts and a refresh window every 700 cycles leave the
+            // twin idle stretches to sleep through.
+            let dram = DramConfig {
+                banks: 4,
+                row_bytes: 1024,
+                t_rcd: 10,
+                t_rp: 10,
+                t_cl: 10,
+                t_burst: 4,
+                t_refi: 700,
+                t_rfc: 40,
+                ..DramConfig::default()
+            };
+            let (mut every, mut every_in, mut every_mem, _) = mk_with(dram.clone());
+            let (mut twin, mut twin_in, mut twin_mem, _) = mk_with(dram);
+            every.set_fault_plan(&plan);
+            twin.set_fault_plan(&plan);
+            let (mut every_log, mut twin_log) = (Log::default(), Log::default());
+            let (mut wpq_peak, mut wpq_low_after_peak) = (0, usize::MAX);
+            let mut next = traffic.iter().peekable();
+            let mut wake = Some(0);
+            let mut last_elided = None;
+            let mut woken = 0;
+            for now in 0..horizon + DRAIN {
+                while let Some((_, pkt)) = next.next_if(|(at, _)| *at == now) {
+                    every_in.push(now, pkt.clone());
+                    twin_in.push(now, pkt.clone());
+                }
+                tick_logged(&mut every, now, &mut every_in, &mut every_mem, &mut every_log);
+                let wpq = every.wpq_occupancy().0;
+                wpq_peak = wpq_peak.max(wpq);
+                if wpq_peak as f64 >= every.cfg.wpq_drain_hi * every.cfg.wpq_cap as f64 {
+                    wpq_low_after_peak = wpq_low_after_peak.min(wpq);
+                }
+                if wake.is_none_or(|w| w <= now) || twin_in.peek(now).is_some() {
+                    if let Some(last) = last_elided.take() {
+                        twin.replay_elided(last);
+                    }
+                    tick_logged(&mut twin, now, &mut twin_in, &mut twin_mem, &mut twin_log);
+                    wake = twin.readiness();
+                    woken += 1;
+                } else {
+                    last_elided = Some(now);
+                }
+            }
+            let cap = every.cfg.wpq_cap as f64;
+            let high = wpq_peak as f64 >= every.cfg.wpq_drain_hi * cap;
+            assert!(high, "seed {seed}: WPQ peaked at {wpq_peak}, below the high watermark");
+            assert!(
+                (wpq_low_after_peak as f64) <= every.cfg.wpq_drain_lo * cap,
+                "seed {seed}: WPQ never drained below the low watermark"
+            );
+            let asleep = woken < (horizon + DRAIN) / 2;
+            assert!(asleep, "seed {seed}: the twin must sleep ({woken} ticks)");
+            assert!(every.idle() && twin.idle(), "seed {seed}: traffic must drain");
+            assert_eq!(every_log.issues, twin_log.issues, "seed {seed}: issue order diverged");
+            assert_eq!(every_log.resps, twin_log.resps, "seed {seed}: responses diverged");
+            assert_eq!(every.stats, twin.stats, "seed {seed}: McStats diverged");
+        }
     }
 
     #[test]

@@ -219,6 +219,27 @@ impl McStats {
     }
 }
 
+/// What the run loop paid to simulate the machine: always-on counters
+/// of executed and skipped cycles and of phase executions per layer.
+/// They describe the scheduler, not the simulated machine, so they differ
+/// between [`crate::SchedMode`]s that produce identical machine statistics.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SchedStats {
+    /// Cycles the run loop executed (at least one phase considered).
+    pub executed_cycles: u64,
+    /// Cycles jumped over by whole-machine idle skip-ahead.
+    /// `executed_cycles + skipped_cycles` equals [`RunStats::cycles`].
+    pub skipped_cycles: u64,
+    /// Core phase executions, summed over cores.
+    pub core_execs: u64,
+    /// L1 phase executions, summed over L1s.
+    pub l1_execs: u64,
+    /// LLC phase executions.
+    pub llc_execs: u64,
+    /// Memory-controller phase executions, summed over controllers.
+    pub mc_execs: u64,
+}
+
 /// Statistics of one full run.
 #[derive(Clone, Default, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunStats {
@@ -230,6 +251,8 @@ pub struct RunStats {
     pub mcs: Vec<McStats>,
     /// Engine counters (name → value), e.g. CTT inserts, bounces, drains.
     pub engine: BTreeMap<String, u64>,
+    /// Scheduler counters: the simulator's cost, not the machine's.
+    pub sched: SchedStats,
 }
 
 impl RunStats {
@@ -273,7 +296,18 @@ impl RunStats {
 
 impl fmt::Display for RunStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "cycles: {}", self.cycles)?;
+        let s = &self.sched;
+        writeln!(
+            f,
+            "cycles: {} (executed={} skipped={}; execs core={} l1={} llc={} mc={})",
+            self.cycles,
+            s.executed_cycles,
+            s.skipped_cycles,
+            s.core_execs,
+            s.l1_execs,
+            s.llc_execs,
+            s.mc_execs
+        )?;
         for (i, c) in self.cores.iter().enumerate() {
             writeln!(
                 f,
@@ -387,6 +421,28 @@ mod tests {
     fn display_is_nonempty() {
         let rs = RunStats::default();
         assert!(!format!("{rs}").is_empty());
+    }
+
+    #[test]
+    fn display_reports_scheduler_counters_on_the_summary_line() {
+        let rs = RunStats {
+            cycles: 10,
+            sched: SchedStats {
+                executed_cycles: 7,
+                skipped_cycles: 3,
+                core_execs: 5,
+                l1_execs: 4,
+                llc_execs: 2,
+                mc_execs: 6,
+            },
+            ..RunStats::default()
+        };
+        let s = format!("{rs}");
+        let first = s.lines().next().expect("summary line");
+        assert_eq!(
+            first,
+            "cycles: 10 (executed=7 skipped=3; execs core=5 l1=4 llc=2 mc=6)"
+        );
     }
 
     #[test]

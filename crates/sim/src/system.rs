@@ -13,7 +13,7 @@ use crate::link::DelayQueue;
 use crate::mc::MemCtrl;
 use crate::packet::LazyDesc;
 use crate::program::Program;
-use crate::stats::RunStats;
+use crate::stats::{RunStats, SchedStats};
 use crate::addr::{lines_of, PhysAddr};
 use crate::Cycle;
 
@@ -99,13 +99,18 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// How the run loop advances simulated time. All three modes execute the
-/// same architectural events at the same cycles; they differ only in how
-/// much per-cycle work is provably elidable.
+/// How the run loop advances simulated time. [`SchedMode::Conservative`]
+/// and [`SchedMode::EventDriven`] execute the same cycles and produce
+/// identical statistics; they differ only in how much per-cycle work is
+/// elided. [`SchedMode::TickByTick`] is the reference, and the two
+/// skipping modes currently depart from it in two known ways (DESIGN.md
+/// §2.10): cycles jumped by whole-machine skip-ahead are missing from
+/// per-core cycle accounting, and a skip may jump over the LLC's deferred
+/// retries, which shifts timing by a few cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
     /// Execute every component on every cycle, never skipping ahead.
-    /// Slowest; useful for debugging the schedulers themselves.
+    /// Slowest; the reference the other modes are checked against.
     TickByTick,
     /// Execute every component on every *executed* cycle, jumping over
     /// cycles only when the whole machine is provably idle (the legacy
@@ -162,10 +167,25 @@ pub struct System {
     /// Cached per-core readiness, recomputed after each execution of the
     /// core's phase. `Active` is the safe reset value (never elides).
     core_ready: Vec<Readiness>,
+    /// [`Core::has_internal_work`] at core `i`'s last execution: the
+    /// whole-machine skip gate. Looser than `core_ready` (a store waiting
+    /// on a load in flight blocks skipping but not elision), which keeps
+    /// the set of executed cycles independent of how precisely components
+    /// are elided.
+    core_blocks_skip: Vec<bool>,
+    /// L1 `i` refused its core's head request (MSHRs full) when it last
+    /// ran; until an LLC message can free an MSHR, retrying is a no-op.
+    l1_refused: Vec<bool>,
     /// Cached per-controller readiness (never `Finished`); engine
     /// background work is probed fresh each cycle via `needs_tick`, since
     /// engine state is shared across controllers.
     mc_ready: Vec<Readiness>,
+    /// Last executed cycle at which controller `i` was elided since it
+    /// last ran (replayed by [`MemCtrl::replay_elided`] before it next
+    /// runs).
+    mc_last_elided: Vec<Option<Cycle>>,
+    /// Always-on scheduler counters, reported in [`RunStats::sched`].
+    sched_stats: SchedStats,
     /// Per-phase output buffers, reused across cycles so the hot loop
     /// allocates nothing once capacities have warmed up.
     scratch_core: CoreOut,
@@ -261,7 +281,11 @@ impl System {
             idle_pending: vec![0; n],
             idle_first: vec![0; n],
             core_ready: vec![Readiness::Active; n],
+            core_blocks_skip: vec![true; n],
+            l1_refused: vec![false; n],
             mc_ready: vec![Readiness::Active; cfg.channels],
+            mc_last_elided: vec![None; cfg.channels],
+            sched_stats: SchedStats::default(),
             scratch_core: CoreOut::default(),
             scratch_l1: L1Out::default(),
             scratch_llc: LlcOut::default(),
@@ -305,15 +329,15 @@ impl System {
         &self.cfg
     }
 
-    /// Disable idle skip-ahead (for debugging; results are identical).
-    /// `false` selects [`SchedMode::TickByTick`]; `true` restores the
-    /// default [`SchedMode::EventDriven`].
+    /// Disable idle skip-ahead (for debugging; see [`SchedMode`] for how
+    /// the modes agree). `false` selects [`SchedMode::TickByTick`]; `true`
+    /// restores the default [`SchedMode::EventDriven`].
     pub fn set_fast_forward(&mut self, on: bool) {
         self.sched = if on { SchedMode::EventDriven } else { SchedMode::TickByTick };
     }
 
-    /// Select the run-loop scheduler (see [`SchedMode`]). All modes
-    /// produce identical architectural results.
+    /// Select the run-loop scheduler (see [`SchedMode`] for how the modes
+    /// agree).
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
         self.sched = mode;
     }
@@ -370,7 +394,7 @@ impl System {
             self.phase_core(now, i);
         }
         for i in 0..self.l1s.len() {
-            self.phase_l1(now, i);
+            let _ = self.phase_l1(now, i);
         }
         self.phase_llc(now);
         for i in 0..self.mcs.len() {
@@ -408,19 +432,25 @@ impl System {
             self.flush_idle_core(i);
             self.phase_core(now, i);
             let c = &self.cores[i];
+            let act = c.can_act();
             self.core_ready[i] = if c.finished() {
                 Readiness::Finished
-            } else if c.has_internal_work() {
+            } else if act {
                 Readiness::Active
             } else {
                 Readiness::WakeAt(c.next_event().unwrap_or(Cycle::MAX))
             };
+            self.core_blocks_skip[i] = act || c.has_unsent_stores();
         }
 
-        // 2. L1s are purely message-driven: no input, no work.
+        // 2. L1s are purely message-driven: no input, no work. A refused
+        //    core request blocks its queue until an LLC message (a fill)
+        //    frees an MSHR, so only LLC input wakes a refused L1.
         for i in 0..self.l1s.len() {
-            if self.llc_to_l1[i].peek(now).is_some() || self.core_to_l1[i].peek(now).is_some() {
-                self.phase_l1(now, i);
+            if self.llc_to_l1[i].peek(now).is_some()
+                || (!self.l1_refused[i] && self.core_to_l1[i].peek(now).is_some())
+            {
+                self.l1_refused[i] = self.phase_l1(now, i);
             }
         }
 
@@ -433,14 +463,16 @@ impl System {
             self.phase_llc(now);
         }
 
-        // 4. MCs: deliverable input, queued/in-flight work, a due refresh
-        //    window, or engine background work. The cached readiness covers
-        //    controller-internal state (valid until the controller next
-        //    ticks); `needs_tick` is probed fresh every cycle because the
-        //    engine's state is shared and another controller's phase may
-        //    have changed it. Refresh windows count as work so `sync`
-        //    applies them (and stats/trace see them) at exactly the cycles
-        //    the full tick would.
+        // 4. MCs: deliverable input, a due completion, refresh window or
+        //    request issue, or engine background work. The cached
+        //    readiness covers controller-internal state (valid until the
+        //    controller next ticks); `needs_tick` is probed fresh every
+        //    cycle because the engine's state is shared and another
+        //    controller's phase may have changed it. Refresh windows count
+        //    as work so `sync` applies them (and stats/trace see them) at
+        //    exactly the cycles the full tick would. Blocked input still
+        //    wakes the controller through the peek, so its input-stall
+        //    count stays exact.
         for i in 0..self.mcs.len() {
             let ready = match self.mc_ready[i] {
                 Readiness::Active => true,
@@ -453,6 +485,8 @@ impl System {
                     None => Readiness::Active,
                     Some(w) => Readiness::WakeAt(w),
                 };
+            } else {
+                self.mc_last_elided[i] = Some(now);
             }
         }
 
@@ -461,6 +495,7 @@ impl System {
 
     /// Phase 1 for core `i`: consume L1 responses, then advance.
     fn phase_core(&mut self, now: Cycle, i: usize) {
+        self.sched_stats.core_execs += 1;
         while let Some(msg) = self.l1_to_core[i].pop(now) {
             self.cores[i].handle_l1(now, msg);
         }
@@ -473,18 +508,24 @@ impl System {
     }
 
     /// Phase 2 for L1 `i`: consume LLC messages, then core requests (with
-    /// flow control), producing core responses and LLC requests.
-    fn phase_l1(&mut self, now: Cycle, i: usize) {
+    /// flow control), producing core responses and LLC requests. Returns
+    /// whether the L1 refused the core's head request (MSHRs full).
+    /// Refusal has no effect on simulated state, so the same request is
+    /// refused again until an LLC message frees an MSHR.
+    fn phase_l1(&mut self, now: Cycle, i: usize) -> bool {
+        self.sched_stats.l1_execs += 1;
         let mut out = std::mem::take(&mut self.scratch_l1);
         while let Some(msg) = self.llc_to_l1[i].pop(now) {
             self.l1s[i].handle_llc(now, msg, &mut out);
         }
+        let mut refused = false;
         for _ in 0..8 {
             let Some(msg) = self.core_to_l1[i].peek(now) else { break };
             let msg = msg.clone();
             if self.l1s[i].handle_core(now, &msg, &mut out) {
                 let _ = self.core_to_l1[i].pop(now);
             } else {
+                refused = true;
                 break;
             }
         }
@@ -502,11 +543,13 @@ impl System {
             }
         }
         self.scratch_l1 = out;
+        refused
     }
 
     /// Phase 3: LLC replays deferred work, consumes L1 requests (performing
     /// the MCLAZY snoop where needed), consumes memory responses.
     fn phase_llc(&mut self, now: Cycle) {
+        self.sched_stats.llc_execs += 1;
         let mut out = std::mem::take(&mut self.scratch_llc);
         // Responses first: they are always accepted and unblock MSHRs.
         for i in 0..self.l1_to_llc_resp.len() {
@@ -526,6 +569,8 @@ impl System {
                         .iter()
                         .collect();
                     Self::snoop_mclazy(&mut self.l1s, &mut self.llc, &queues, desc, &mut out);
+                    // The snoop mutates L1s outside their own phase.
+                    self.l1_refused.fill(false);
                 }
                 let msg = self.l1_to_llc[i].peek(now).expect("still there").clone();
                 if self.llc.handle_l1(now, msg, &mut out) {
@@ -549,6 +594,10 @@ impl System {
 
     /// Phase 4 for memory controller `i`.
     fn phase_mc(&mut self, now: Cycle, i: usize) {
+        self.sched_stats.mc_execs += 1;
+        if let Some(last) = self.mc_last_elided[i].take() {
+            self.mcs[i].replay_elided(last);
+        }
         let mut out = std::mem::take(&mut self.scratch_mc);
         // Split-borrow: temporarily take the input queue.
         let mut input = std::mem::replace(&mut self.bus.to_mc[i], DelayQueue::new(0));
@@ -576,6 +625,7 @@ impl System {
         #[cfg(feature = "trace")]
         self.trace_sample(now);
 
+        self.sched_stats.executed_cycles += 1;
         self.now += 1;
     }
 
@@ -600,6 +650,8 @@ impl System {
     /// (manual ticks, run entry after external setters).
     fn reset_readiness(&mut self) {
         self.core_ready.fill(Readiness::Active);
+        self.core_blocks_skip.fill(true);
+        self.l1_refused.fill(false);
         self.mc_ready.fill(Readiness::Active);
     }
 
@@ -861,15 +913,12 @@ impl System {
                 // events, and those events are all in the future. The cheap
                 // all-cores-inactive gate runs first so configurations that
                 // cannot skip (an active core) never pay for the link scan.
-                // Under the event-driven scheduler the cached verdicts give
-                // the same answer in O(cores): a core is `Active` exactly
-                // when it had internal work at its last execution, and that
-                // cannot change while it is elided.
+                // Under the event-driven scheduler the cached flags give the
+                // same answer in O(cores): `has_internal_work` at a core's
+                // last execution cannot change while it is elided.
                 let cores_inactive = match self.sched {
                     SchedMode::TickByTick => false,
-                    SchedMode::EventDriven => {
-                        self.core_ready.iter().all(|r| *r != Readiness::Active)
-                    }
+                    SchedMode::EventDriven => self.core_blocks_skip.iter().all(|b| !b),
                     SchedMode::Conservative => self
                         .cores
                         .iter()
@@ -897,7 +946,8 @@ impl System {
                                 });
                             }
                         }
-                        self.now = target.max(self.now);
+                        self.sched_stats.skipped_cycles += target - self.now;
+                        self.now = target;
                     }
                 }
             }
@@ -1158,6 +1208,7 @@ impl System {
             llc: self.llc.stats.clone(),
             mcs: self.mcs.iter().map(|m| m.stats.clone()).collect(),
             engine: self.engine.counters().into_iter().collect(),
+            sched: self.sched_stats,
         }
     }
 }

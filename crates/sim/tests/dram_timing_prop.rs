@@ -8,7 +8,10 @@
 //!   completions on the same bus (same pseudo-channel, for HBM) are
 //!   spaced at least `tBURST` apart;
 //! * **monotonicity** — issuing the same request *later* from the same
-//!   channel state never yields an *earlier* completion.
+//!   channel state never yields an *earlier* completion;
+//! * **exact ready times** — `bank_ready_at` and `bus_ready_at`, the wake
+//!   times the event-driven scheduler sleeps a controller until, are the
+//!   first cycles at which `probe(..).0` and `bus_ready` hold.
 
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::config::{DramConfig, MemTech};
@@ -124,6 +127,35 @@ fn check_monotonic<M: DramModel + Clone>(
     Ok(())
 }
 
+/// After a random warm-up, the bank- and bus-ready cycles a backend
+/// reports must be exact: each predicate is false at every earlier cycle
+/// and true at the reported one.
+fn check_ready_at(
+    cfg: &DramConfig,
+    warmup: &[(u64, u64)],
+    line: u64,
+) -> Result<(), TestCaseError> {
+    let mut dram = mcs_sim::dram::build(cfg, 2);
+    let mut now = 0u64;
+    for &(gap, l) in warmup {
+        now += gap;
+        dram.sync(now);
+        let _ = dram.access(now, PhysAddr(l * 64));
+    }
+    let addr = PhysAddr(line * 64);
+    let bank_at = dram.bank_ready_at(addr);
+    for t in 0..bank_at {
+        prop_assert!(!dram.probe(t, addr).0, "bank ready at {t}, before reported {bank_at}");
+    }
+    prop_assert!(dram.probe(bank_at, addr).0, "bank not ready at reported {bank_at}");
+    let bus_at = dram.bus_ready_at();
+    for t in 0..bus_at {
+        prop_assert!(!dram.bus_ready(t), "bus ready at {t}, before reported {bus_at}");
+    }
+    prop_assert!(dram.bus_ready(bus_at), "bus not ready at reported {bus_at}");
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn ddr4_stream_timing(stream in stream_strategy()) {
@@ -153,6 +185,13 @@ proptest! {
     #[test]
     fn hbm_monotonic(warmup in stream_strategy(), line in 0u64..512, delay in 0u64..500) {
         check_monotonic(HbmChannel::new(hbm_cfg(), 2), &warmup, line, delay)?;
+    }
+
+    #[test]
+    fn ready_at_is_exact_on_every_backend(warmup in stream_strategy(), line in 0u64..512) {
+        for cfg in [ddr4_cfg(), ddr5_cfg(), hbm_cfg()] {
+            check_ready_at(&cfg, &warmup, line)?;
+        }
     }
 
     #[test]
