@@ -1,47 +1,18 @@
 //! Memory-technology sensitivity sweep: re-runs the Fig. 10 copy-latency
 //! microbenchmark and the Fig. 12 sequential destination-access experiment
-//! on every [`MemTech`] backend (DDR4, DDR5, HBM2), with refresh enabled —
+//! on every [`MemTech`] (DDR4, DDR5, HBM2), with refresh enabled —
 //! the robustness question the single hardcoded DDR4 model could not ask.
 //!
 //! Emits `results/sweep_memtech_fig10.tsv` and
 //! `results/sweep_memtech_fig12.tsv`. Pass `--smoke` for a seconds-long CI
 //! variant (small sizes, all three backends, same code paths).
 
-use mcs_bench::{f3, fmt_size, marker0, ns, BenchOpts, Job, Table};
+use mcs_bench::figs::{memtech_cfg, memtech_fig10_job, memtech_fig10_row, memtech_mech};
+use mcs_bench::{f3, marker0, ns, BenchOpts, Job, Table};
 use mcs_sim::alloc::AddrSpace;
-use mcs_sim::config::{MemTech, SystemConfig};
-use mcs_sim::stats::RunStats;
-use mcs_workloads::micro::{copy_latency, seq_access};
-use mcs_workloads::CopyMech;
+use mcs_sim::config::MemTech;
+use mcs_workloads::micro::seq_access;
 use mcsquare::McSquareConfig;
-
-/// One simulated configuration point of either sweep.
-#[derive(Clone)]
-struct Point {
-    tech: MemTech,
-    mcsquare: bool,
-}
-
-fn mech_of(p: &Point) -> CopyMech {
-    if p.mcsquare {
-        CopyMech::McSquare { threshold: 0 }
-    } else {
-        CopyMech::Native
-    }
-}
-
-fn cfg_of(p: &Point) -> SystemConfig {
-    let mut cfg = SystemConfig::builder()
-        .base(SystemConfig::table1_one_core())
-        .tech(p.tech)
-        .build();
-    cfg.dram = cfg.dram.with_refresh();
-    cfg
-}
-
-fn refreshes(stats: &RunStats) -> u64 {
-    stats.mcs.iter().map(|m| m.refreshes).sum()
-}
 
 fn main() {
     let smoke = BenchOpts::parse().smoke;
@@ -54,20 +25,14 @@ fn main() {
     let fracs: Vec<f64> = if smoke { vec![0.0, 1.0] } else { vec![0.0, 0.25, 0.5, 0.75, 1.0] };
 
     // --- Fig. 10 across technologies: copy latency, memcpy vs (MC)² ----
-    let points: Vec<(Point, u64)> = MemTech::ALL
+    let points: Vec<(MemTech, bool, u64)> = MemTech::ALL
         .iter()
         .flat_map(|&tech| {
-            sizes.iter().flat_map(move |&size| {
-                [false, true].map(|mcsquare| (Point { tech, mcsquare }, size))
-            })
+            sizes.iter().flat_map(move |&size| [false, true].map(|mcsquare| (tech, mcsquare, size)))
         })
         .collect();
-    let results = mcs_bench::par_run(points, |(p, size)| {
-        let mech = mech_of(p);
-        let mut space = AddrSpace::dram_3gb();
-        let g = copy_latency(mech.clone(), *size, false, &mut space);
-        let mc2 = mech.needs_engine().then(McSquareConfig::default);
-        Job::single(cfg_of(p), mc2, g.uops, g.pokes)
+    let results = mcs_bench::par_run(points, |&(tech, mcsquare, size)| {
+        memtech_fig10_job(tech, mcsquare, size)
     });
     let mut t10 = Table::new(
         "sweep_memtech_fig10",
@@ -75,38 +40,28 @@ fn main() {
         &["tech", "size", "memcpy_ns", "mcsquare_ns", "speedup", "refreshes"],
     );
     let per_tech = sizes.len() * 2;
-    for (ti, tech) in MemTech::ALL.iter().enumerate() {
+    for (ti, &tech) in MemTech::ALL.iter().enumerate() {
         for (si, &size) in sizes.iter().enumerate() {
             let base = &results[ti * per_tech + si * 2].1;
             let mcs = &results[ti * per_tech + si * 2 + 1].1;
-            let (lb, lm) = (marker0(base), marker0(mcs));
-            t10.row(vec![
-                tech.name().into(),
-                fmt_size(size),
-                f3(ns(lb)),
-                f3(ns(lm)),
-                f3(lb as f64 / lm as f64),
-                refreshes(mcs).to_string(),
-            ]);
+            t10.row(memtech_fig10_row(tech, size, base, mcs));
         }
     }
     t10.emit();
 
     // --- Fig. 12 across technologies: destination access after a copy --
-    let points: Vec<(Point, f64)> = MemTech::ALL
+    let points: Vec<(MemTech, bool, f64)> = MemTech::ALL
         .iter()
         .flat_map(|&tech| {
-            fracs.iter().flat_map(move |&frac| {
-                [false, true].map(|mcsquare| (Point { tech, mcsquare }, frac))
-            })
+            fracs.iter().flat_map(move |&frac| [false, true].map(|mcsquare| (tech, mcsquare, frac)))
         })
         .collect();
-    let results = mcs_bench::par_run(points, |(p, frac)| {
-        let mech = mech_of(p);
+    let results = mcs_bench::par_run(points, |&(tech, mcsquare, frac)| {
+        let mech = memtech_mech(mcsquare);
         let mut space = AddrSpace::dram_3gb();
-        let g = seq_access(mech.clone(), seq_size, *frac, true, &mut space);
+        let g = seq_access(mech.clone(), seq_size, frac, true, &mut space);
         let mc2 = mech.needs_engine().then(McSquareConfig::default);
-        Job::single(cfg_of(p), mc2, g.uops, g.pokes)
+        Job::single(memtech_cfg(tech), mc2, g.uops, g.pokes)
     });
     let mut t12 = Table::new(
         "sweep_memtech_fig12",

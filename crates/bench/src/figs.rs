@@ -1,4 +1,5 @@
-//! Shared construction of the Fig. 10 and Fig. 12 sweeps.
+//! Shared construction of the Fig. 10 and Fig. 12 sweeps, and of the
+//! Fig. 10 rows of the memory-technology sweep.
 //!
 //! The figure binaries and the trace-off byte-identity regression test
 //! (`tests/trace_identity.rs`) must agree exactly on how each point is
@@ -6,9 +7,10 @@
 //! test compare different experiments. Both therefore build jobs and rows
 //! through this module.
 
-use crate::{f3, fmt_size, ns, Job};
+use crate::{f3, fmt_size, marker0, ns, Job};
 use mcs_sim::alloc::AddrSpace;
-use mcs_sim::config::SystemConfig;
+use mcs_sim::config::{MemTech, SystemConfig};
+use mcs_sim::stats::RunStats;
 use mcs_workloads::micro::{copy_latency, seq_access};
 use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
@@ -100,4 +102,50 @@ pub fn fig12_row(frac: f64, lats: &[u64]) -> Vec<String> {
     let mut row = vec![format!("{:.0}%", frac * 100.0)];
     row.extend(lats.iter().map(|&l| f3(l as f64 / base)));
     row
+}
+
+/// The copy mechanism of a memory-technology sweep point: native memcpy,
+/// or (MC)² when `mcsquare`.
+pub fn memtech_mech(mcsquare: bool) -> CopyMech {
+    if mcsquare {
+        CopyMech::McSquare { threshold: 0 }
+    } else {
+        CopyMech::Native
+    }
+}
+
+/// The machine of a memory-technology sweep point: one-core Table I on
+/// `tech`'s canonical channels, refresh enabled.
+pub fn memtech_cfg(tech: MemTech) -> SystemConfig {
+    let mut cfg = SystemConfig::builder()
+        .base(SystemConfig::table1_one_core())
+        .tech(tech)
+        .build();
+    cfg.dram = cfg.dram.with_refresh();
+    cfg
+}
+
+/// Build the memory-technology Fig. 10 job for one (tech, mechanism, size)
+/// point.
+pub fn memtech_fig10_job(tech: MemTech, mcsquare: bool, size: u64) -> Job {
+    let mech = memtech_mech(mcsquare);
+    let mut space = AddrSpace::dram_3gb();
+    let g = copy_latency(mech.clone(), size, false, &mut space);
+    let mc2 = mech.needs_engine().then(McSquareConfig::default);
+    Job::single(memtech_cfg(tech), mc2, g.uops, g.pokes)
+}
+
+/// Format one `sweep_memtech_fig10` row from the memcpy and (MC)² runs of
+/// a (tech, size) point.
+pub fn memtech_fig10_row(tech: MemTech, size: u64, memcpy: &RunStats, mcs: &RunStats) -> Vec<String> {
+    let (lb, lm) = (marker0(memcpy), marker0(mcs));
+    let refreshes: u64 = mcs.mcs.iter().map(|m| m.refreshes).sum();
+    vec![
+        tech.name().into(),
+        fmt_size(size),
+        f3(ns(lb)),
+        f3(ns(lm)),
+        f3(lb as f64 / lm as f64),
+        refreshes.to_string(),
+    ]
 }

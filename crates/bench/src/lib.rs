@@ -358,12 +358,6 @@ impl BenchOpts {
     }
 }
 
-/// Whether `--smoke` was passed: the seconds-long CI variant of a sweep.
-#[deprecated(note = "use BenchOpts::parse().smoke")]
-pub fn smoke_flag() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-}
-
 /// Format a byte size the way the figures label their axes.
 pub fn fmt_size(bytes: u64) -> String {
     match bytes {

@@ -1,26 +1,33 @@
 //! Byte-identity regression: with the `trace` feature off (the default
-//! test build), re-simulating Fig. 10 / Fig. 12 points through the shared
+//! test build), re-simulating Fig. 10 / Fig. 12 points and the DDR5 / HBM2
+//! Fig. 10 points of the memory-technology sweep through the shared
 //! [`mcs_bench::figs`] constructors must reproduce the committed
 //! `results/*.tsv` rows *byte for byte*. This is the acceptance criterion
 //! for the observability layer being zero-cost when disabled: if any
 //! instrumentation leaks timing into the trace-off build, these rows
-//! drift and the comparison fails.
+//! drift and the comparison fails. The memory-technology rows also pin
+//! the bank-group and pseudo-channel geometries of the DRAM channel, with
+//! refresh on.
 //!
 //! (When built `--features trace` with `MCS_TRACE` unset, the same
 //! comparison proves the armed-capable build is also timing-identical.)
 
 use mcs_bench::figs::{
-    fig10_job, fig10_mechs, fig10_row, fig12_job, fig12_row, fig12_variants,
+    fig10_job, fig10_mechs, fig10_row, fig12_job, fig12_row, fig12_variants, memtech_fig10_job,
+    memtech_fig10_row,
 };
 use mcs_bench::marker0;
+use mcs_sim::config::MemTech;
+use mcs_sim::fault::FaultPlan;
 
-/// Read one data row (by first-column key) out of a committed TSV.
-fn committed_row(file: &str, key: &str) -> String {
+/// Read the data row whose first `key.len()` columns equal `key` out of a
+/// committed TSV.
+fn committed_row(file: &str, key: &[&str]) -> String {
     let path = format!("{}/../../results/{}", env!("CARGO_MANIFEST_DIR"), file);
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read {path}: {e}"));
     text.lines()
-        .find(|l| l.split('\t').next() == Some(key))
+        .find(|l| !l.starts_with('#') && l.split('\t').take(key.len()).eq(key.iter().copied()))
         .unwrap_or_else(|| panic!("no row keyed {key:?} in {file}"))
         .to_string()
 }
@@ -30,7 +37,7 @@ fn committed_row(file: &str, key: &str) -> String {
 /// generated under.
 fn neutralize(job: &mut mcs_bench::Job) {
     job.cfg.dram.t_refi = 0;
-    job.cfg.fault = mcs_sim::fault::FaultPlan::none();
+    job.cfg.fault = FaultPlan::none();
 }
 
 #[test]
@@ -47,7 +54,7 @@ fn fig10_rows_byte_identical_to_committed_tsv() {
         let row = fig10_row(size, &lats).join("\t");
         assert_eq!(
             row,
-            committed_row("fig10.tsv", row.split('\t').next().unwrap()),
+            committed_row("fig10.tsv", &[row.split('\t').next().unwrap()]),
             "fig10 row for size {size} drifted from the committed TSV"
         );
     }
@@ -67,7 +74,30 @@ fn fig12_row_byte_identical_to_committed_tsv() {
     let row = fig12_row(frac, &lats).join("\t");
     assert_eq!(
         row,
-        committed_row("fig12.tsv", "0%"),
+        committed_row("fig12.tsv", &["0%"]),
         "fig12 0% row drifted from the committed TSV"
     );
+}
+
+#[test]
+fn memtech_fig10_rows_byte_identical_to_committed_tsv() {
+    // 256 KB is the smallest size at which refresh fires on both
+    // technologies (4 windows on DDR5, 8 on HBM2). Refresh stays on, as in
+    // the sweep; only the fault plan is neutralised.
+    for tech in [MemTech::Ddr5, MemTech::Hbm2] {
+        for size in [1u64 << 10, 256 << 10] {
+            let [memcpy, mcs] = [false, true].map(|mcsquare| {
+                let mut job = memtech_fig10_job(tech, mcsquare, size);
+                job.cfg.fault = FaultPlan::none();
+                job.run()
+            });
+            let row = memtech_fig10_row(tech, size, &memcpy, &mcs).join("\t");
+            let key: Vec<&str> = row.split('\t').take(2).collect();
+            assert_eq!(
+                row,
+                committed_row("sweep_memtech_fig10.tsv", &key),
+                "sweep_memtech_fig10 row {key:?} drifted from the committed TSV"
+            );
+        }
+    }
 }

@@ -68,8 +68,9 @@ impl CacheConfig {
     }
 }
 
-/// Memory technology behind one channel: selects which
-/// [`crate::dram::DramModel`] backend the system builds.
+/// Memory technology behind one channel: selects the canonical timing and
+/// geometry ([`DramConfig::for_tech`]) the [`crate::dram`] channel model is
+/// built from.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum MemTech {
     /// DDR4-2400 single 64-bit bus per channel (the Table I baseline).
@@ -124,8 +125,8 @@ pub struct SimOptions {
     /// DESIGN.md, "Observability layer". Ignored (benignly) when the
     /// `trace` feature is off.
     pub trace: Option<String>,
-    /// How the run loop advances simulated time (the fast-forward knob,
-    /// generalised): see [`crate::system::SchedMode`].
+    /// How the run loop advances simulated time: see
+    /// [`crate::system::SchedMode`].
     pub sched: crate::system::SchedMode,
     /// Liveness watchdog window in cycles for bench runs (`None` = no
     /// watchdog; see [`crate::system::System::run_with_watchdog`]).
@@ -205,18 +206,6 @@ impl SimOptionsBuilder {
         self
     }
 
-    /// Legacy on/off form of [`Self::sched`]: `true` =
-    /// [`crate::system::SchedMode::EventDriven`], `false` =
-    /// [`crate::system::SchedMode::TickByTick`].
-    pub fn fast_forward(mut self, on: bool) -> Self {
-        self.opts.sched = if on {
-            crate::system::SchedMode::EventDriven
-        } else {
-            crate::system::SchedMode::TickByTick
-        };
-        self
-    }
-
     /// Arm a liveness watchdog with the given window.
     pub fn watchdog(mut self, window: crate::Cycle) -> Self {
         self.opts.watchdog = Some(window);
@@ -259,19 +248,6 @@ fn warn_env_deprecated() {
     }
 }
 
-/// Whether refresh-enabled runs were requested (CI's second timing path;
-/// default off so published numbers are reproduced exactly).
-#[deprecated(note = "use sim_options().refresh")]
-pub fn refresh_env() -> bool {
-    sim_options().refresh
-}
-
-/// Output path requested for event tracing, if any.
-#[deprecated(note = "use sim_options().trace")]
-pub fn trace_env() -> Option<String> {
-    sim_options().trace
-}
-
 /// DRAM timing and geometry for one channel, expressed in CPU cycles.
 ///
 /// Defaults approximate DDR4-2400 at a 4 GHz CPU clock: tRCD = tRP = tCL ≈
@@ -279,7 +255,8 @@ pub fn trace_env() -> Option<String> {
 /// channel). See [`DramConfig::for_tech`] for the other technologies.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramConfig {
-    /// Backend this configuration describes.
+    /// Technology this configuration describes; the channel model reads
+    /// only the geometry and timing fields below.
     pub tech: MemTech,
     /// Banks per channel (per pseudo-channel for HBM).
     pub banks: usize,
@@ -373,24 +350,6 @@ impl DramConfig {
         }
     }
 
-    /// DDR4-2400: the Table I baseline (identical to [`Default`]).
-    #[deprecated(note = "use DramConfig::for_tech(MemTech::Ddr4)")]
-    pub fn ddr4() -> DramConfig {
-        DramConfig::for_tech(MemTech::Ddr4)
-    }
-
-    /// DDR5-4800 sub-channel timing (see [`DramConfig::for_tech`]).
-    #[deprecated(note = "use DramConfig::for_tech(MemTech::Ddr5)")]
-    pub fn ddr5() -> DramConfig {
-        DramConfig::for_tech(MemTech::Ddr5)
-    }
-
-    /// HBM2E-style channel timing (see [`DramConfig::for_tech`]).
-    #[deprecated(note = "use DramConfig::for_tech(MemTech::Hbm2)")]
-    pub fn hbm2() -> DramConfig {
-        DramConfig::for_tech(MemTech::Hbm2)
-    }
-
     /// Enable all-bank refresh at the technology's canonical interval:
     /// tREFI = 7.8 µs ≈ 31200 cycles for DDR4; DDR5 and HBM2 refresh
     /// twice as often (3.9 µs ≈ 15600 cycles) with shorter tRFC.
@@ -400,17 +359,6 @@ impl DramConfig {
             MemTech::Ddr5 | MemTech::Hbm2 => 15_600,
         };
         self
-    }
-
-    /// Enable refresh when the process-wide options ask for it
-    /// ([`sim_options`]); otherwise leave it as configured.
-    #[deprecated(note = "use SystemConfig::builder().refresh(..) or sim_options()")]
-    pub fn refresh_from_env(self) -> DramConfig {
-        if sim_options().refresh {
-            self.with_refresh()
-        } else {
-            self
-        }
     }
 }
 
@@ -522,15 +470,6 @@ impl SystemConfig {
     /// single-threaded).
     pub fn table1_one_core() -> SystemConfig {
         SystemConfig { cores: 1, ..SystemConfig::table1() }
-    }
-
-    /// Swap the memory technology: replaces the DRAM timing with the
-    /// canonical [`DramConfig`] for `tech` and adjusts the channel count
-    /// ([`MemTech::default_channels`]). Whether refresh was enabled is
-    /// carried over at the new technology's canonical interval.
-    #[deprecated(note = "use SystemConfig::builder().tech(..)")]
-    pub fn with_tech(self, tech: MemTech) -> SystemConfig {
-        SystemConfigBuilder { cfg: self }.tech(tech).build()
     }
 
     /// Start building a configuration from Table I (honouring the
@@ -741,22 +680,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_builder() {
-        // The old entry points must keep producing identical configs while
-        // they exist, so downstream code can migrate incrementally.
-        assert_eq!(DramConfig::ddr4(), DramConfig::for_tech(MemTech::Ddr4));
-        assert_eq!(DramConfig::ddr5(), DramConfig::for_tech(MemTech::Ddr5));
-        assert_eq!(DramConfig::hbm2(), DramConfig::for_tech(MemTech::Hbm2));
-        let mut base = SystemConfig::table1();
-        base.dram.t_refi = 0;
-        assert_eq!(
-            base.clone().with_tech(MemTech::Hbm2),
-            SystemConfig::builder().base(base).tech(MemTech::Hbm2).build()
-        );
-    }
-
-    #[test]
     fn peak_bandwidth_orders_technologies() {
         let bw = |t: MemTech| {
             SystemConfig::builder().tech(t).build().peak_bw_bytes_per_cycle()
@@ -777,7 +700,5 @@ mod tests {
         assert_eq!(o.trace.as_deref(), Some("trace/out"));
         assert_eq!(o.sched, crate::system::SchedMode::Conservative);
         assert_eq!(o.watchdog, Some(10_000));
-        let ff = SimOptions::builder().fast_forward(false).build();
-        assert_eq!(ff.sched, crate::system::SchedMode::TickByTick);
     }
 }

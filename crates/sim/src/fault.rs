@@ -139,13 +139,6 @@ impl FaultPlan {
             && self.ctt_drop_rate <= 0.0
     }
 
-    /// The plan the process-wide options carry (historically the
-    /// `MCS_FAULTS` environment variable: CI's adversarial test pass).
-    #[deprecated(note = "use sim_options().fault")]
-    pub fn from_env() -> FaultPlan {
-        crate::config::sim_options().fault
-    }
-
     /// A decision stream for `domain` (see [`domain`]) at `lane` (e.g. the
     /// memory-controller index), derived from this plan's seed.
     pub fn stream(&self, dom: u64, lane: u64) -> FaultStream {

@@ -13,10 +13,10 @@
 //! * a memory interconnect ([`bus`]);
 //! * per-channel memory controllers with read/write pending queues and
 //!   FR-FCFS-style scheduling ([`mc`]);
-//! * a composable memory-backend subsystem ([`dram`]): a [`dram::DramModel`]
-//!   trait with DDR4, DDR5 (bank groups) and HBM2 (pseudo-channel)
-//!   bank/row-buffer timing models and optional tREFI/tRFC refresh,
-//!   selected by [`config::MemTech`].
+//! * one parameterised DRAM channel model ([`dram`]): bank/row-buffer
+//!   timing over pseudo-channel buses × bank groups × banks, which covers
+//!   DDR4, DDR5 (bank groups) and HBM2 (pseudo-channels), with optional
+//!   tREFI/tRFC refresh; [`config::MemTech`] picks the canonical timing.
 //!
 //! The memory controller exposes a [`engine::CopyEngine`] hook. The
 //! `mcsquare` crate plugs the paper's Copy Tracking Table and Bounce Pending

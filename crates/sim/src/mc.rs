@@ -608,7 +608,7 @@ impl MemCtrl {
         self.update_drain_mode();
 
         // Issue while the channel can accept column commands (the data bus
-        // may be booked ahead; see DramModel::bus_ready), bounded per
+        // may be booked ahead; see DramBackend::bus_ready), bounded per
         // tick to model the command bus.
         for _ in 0..4 {
             if !self.dram.bus_ready(now) {
@@ -802,8 +802,7 @@ mod tests {
     }
 
     fn mk_with(dram: DramConfig) -> (MemCtrl, DelayQueue<Packet>, SparseMem, NullEngine) {
-        let dram = crate::dram::Ddr4Channel::new(dram, 1);
-        let mc = MemCtrl::new(0, McConfig::default(), dram.into());
+        let mc = MemCtrl::new(0, McConfig::default(), crate::dram::build(&dram, 1));
         (mc, DelayQueue::new(0), SparseMem::new(), NullEngine)
     }
 

@@ -329,13 +329,6 @@ impl System {
         &self.cfg
     }
 
-    /// Disable idle skip-ahead (for debugging; see [`SchedMode`] for how
-    /// the modes agree). `false` selects [`SchedMode::TickByTick`]; `true`
-    /// restores the default [`SchedMode::EventDriven`].
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.sched = if on { SchedMode::EventDriven } else { SchedMode::TickByTick };
-    }
-
     /// Select the run-loop scheduler (see [`SchedMode`] for how the modes
     /// agree).
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
@@ -1350,10 +1343,10 @@ mod tests {
             FixedProgram::new(uops)
         };
         let mut a = System::new(SystemConfig::tiny(), vec![Box::new(mk())]);
-        a.set_fast_forward(false);
+        a.set_sched_mode(SchedMode::TickByTick);
         let sa = a.run(1_000_000).unwrap();
         let mut b = System::new(SystemConfig::tiny(), vec![Box::new(mk())]);
-        b.set_fast_forward(true);
+        b.set_sched_mode(SchedMode::EventDriven);
         let sb = b.run(1_000_000).unwrap();
         assert_eq!(sa.cycles, sb.cycles, "skip-ahead must not change timing");
     }
@@ -1543,10 +1536,10 @@ mod tests {
             System::new(cfg, vec![Box::new(FixedProgram::new(uops))])
         };
         let mut a = mk();
-        a.set_fast_forward(false);
+        a.set_sched_mode(SchedMode::TickByTick);
         let sa = a.run(5_000_000).unwrap();
         let mut b = mk();
-        b.set_fast_forward(true);
+        b.set_sched_mode(SchedMode::EventDriven);
         let sb = b.run(5_000_000).unwrap();
         assert_eq!(sa.cycles, sb.cycles, "skip-ahead must not change the fault schedule");
         let fa: Vec<u64> = sa.mcs.iter().map(|m| m.fault_events()).collect();

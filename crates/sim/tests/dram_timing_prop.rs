@@ -1,6 +1,8 @@
-//! Property-based timing checks for every memory backend.
+//! Property-based timing checks for the DRAM channel.
 //!
-//! For random request streams against each [`DramModel`] backend:
+//! For random request streams against the channel [`dram::build`] makes
+//! from each technology's geometry (DDR4, DDR5 bank groups, HBM2
+//! pseudo-channels):
 //!
 //! * **causality** — the completion cycle is strictly after the request
 //!   cycle (data cannot arrive before it was asked for);
@@ -15,7 +17,7 @@
 
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::config::{DramConfig, MemTech};
-use mcs_sim::dram::{Ddr4Channel, Ddr5Channel, DramModel, HbmChannel};
+use mcs_sim::dram::{self, DramBackend};
 use proptest::prelude::*;
 
 /// A request stream: (cycles since previous request, line index).
@@ -68,9 +70,22 @@ fn hbm_cfg() -> DramConfig {
     }
 }
 
-/// Drive `stream` through a fresh backend, checking causality and bus
+/// The three geometries under test, each with a 4-cycle burst.
+fn configs() -> [DramConfig; 3] {
+    [ddr4_cfg(), ddr5_cfg(), hbm_cfg()]
+}
+
+/// The burst every config above uses.
+const T_BURST: u64 = 4;
+
+/// A channel built from `cfg` on a two-channel system.
+fn channel(cfg: &DramConfig) -> DramBackend {
+    dram::build(cfg, 2)
+}
+
+/// Drive `stream` through a fresh channel, checking causality and bus
 /// exclusivity along the way.
-fn check_stream<M: DramModel>(mut dram: M, stream: &[(u64, u64)], t_burst: u64) -> Result<(), TestCaseError> {
+fn check_stream(mut dram: DramBackend, stream: &[(u64, u64)]) -> Result<(), TestCaseError> {
     let mut now = 0u64;
     // Per-bus completion times, for the exclusivity check.
     let mut completions: Vec<(usize, u64)> = Vec::new();
@@ -89,8 +104,8 @@ fn check_stream<M: DramModel>(mut dram: M, stream: &[(u64, u64)], t_burst: u64) 
         on_bus.sort_unstable();
         for w in on_bus.windows(2) {
             prop_assert!(
-                w[1] >= w[0] + t_burst,
-                "bus {bus} double-booked: completions at {} and {} closer than tBURST {t_burst}",
+                w[1] >= w[0] + T_BURST,
+                "bus {bus} double-booked: completions at {} and {} closer than tBURST {T_BURST}",
                 w[0],
                 w[1]
             );
@@ -101,8 +116,8 @@ fn check_stream<M: DramModel>(mut dram: M, stream: &[(u64, u64)], t_burst: u64) 
 
 /// After a random warm-up, issuing the same request at `t` vs. `t + delay`
 /// (from clones of the same state) must not complete earlier.
-fn check_monotonic<M: DramModel + Clone>(
-    mut dram: M,
+fn check_monotonic(
+    mut dram: DramBackend,
     warmup: &[(u64, u64)],
     line: u64,
     delay: u64,
@@ -127,7 +142,7 @@ fn check_monotonic<M: DramModel + Clone>(
     Ok(())
 }
 
-/// After a random warm-up, the bank- and bus-ready cycles a backend
+/// After a random warm-up, the bank- and bus-ready cycles a channel
 /// reports must be exact: each predicate is false at every earlier cycle
 /// and true at the reported one.
 fn check_ready_at(
@@ -135,7 +150,7 @@ fn check_ready_at(
     warmup: &[(u64, u64)],
     line: u64,
 ) -> Result<(), TestCaseError> {
-    let mut dram = mcs_sim::dram::build(cfg, 2);
+    let mut dram = channel(cfg);
     let mut now = 0u64;
     for &(gap, l) in warmup {
         now += gap;
@@ -159,37 +174,37 @@ fn check_ready_at(
 proptest! {
     #[test]
     fn ddr4_stream_timing(stream in stream_strategy()) {
-        check_stream(Ddr4Channel::new(ddr4_cfg(), 2), &stream, 4)?;
+        check_stream(channel(&ddr4_cfg()), &stream)?;
     }
 
     #[test]
     fn ddr5_stream_timing(stream in stream_strategy()) {
-        check_stream(Ddr5Channel::new(ddr5_cfg(), 2), &stream, 4)?;
+        check_stream(channel(&ddr5_cfg()), &stream)?;
     }
 
     #[test]
     fn hbm_stream_timing(stream in stream_strategy()) {
-        check_stream(HbmChannel::new(hbm_cfg(), 2), &stream, 4)?;
+        check_stream(channel(&hbm_cfg()), &stream)?;
     }
 
     #[test]
     fn ddr4_monotonic(warmup in stream_strategy(), line in 0u64..512, delay in 0u64..500) {
-        check_monotonic(Ddr4Channel::new(ddr4_cfg(), 2), &warmup, line, delay)?;
+        check_monotonic(channel(&ddr4_cfg()), &warmup, line, delay)?;
     }
 
     #[test]
     fn ddr5_monotonic(warmup in stream_strategy(), line in 0u64..512, delay in 0u64..500) {
-        check_monotonic(Ddr5Channel::new(ddr5_cfg(), 2), &warmup, line, delay)?;
+        check_monotonic(channel(&ddr5_cfg()), &warmup, line, delay)?;
     }
 
     #[test]
     fn hbm_monotonic(warmup in stream_strategy(), line in 0u64..512, delay in 0u64..500) {
-        check_monotonic(HbmChannel::new(hbm_cfg(), 2), &warmup, line, delay)?;
+        check_monotonic(channel(&hbm_cfg()), &warmup, line, delay)?;
     }
 
     #[test]
     fn ready_at_is_exact_on_every_backend(warmup in stream_strategy(), line in 0u64..512) {
-        for cfg in [ddr4_cfg(), ddr5_cfg(), hbm_cfg()] {
+        for cfg in configs() {
             check_ready_at(&cfg, &warmup, line)?;
         }
     }
@@ -199,9 +214,9 @@ proptest! {
         // However the stream is paced (including skip-ahead-sized gaps),
         // the number of refresh windows applied equals the number of tREFI
         // boundaries crossed — no window is lost or double-counted.
-        for cfg in [ddr4_cfg(), ddr5_cfg(), hbm_cfg()] {
+        for cfg in configs() {
             let t_refi = cfg.t_refi;
-            let mut dram = mcs_sim::dram::build(&cfg, 1);
+            let mut dram = dram::build(&cfg, 1);
             let mut now = 0u64;
             for &(gap, line) in &stream {
                 now += gap;
