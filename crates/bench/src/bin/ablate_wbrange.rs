@@ -14,18 +14,18 @@ use mcsquare::software::{memcpy_lazy_uops, LazyOpts};
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let sizes: Vec<u64> = vec![1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20];
     let points: Vec<(u64, bool)> = sizes.iter().flat_map(|&s| [(s, false), (s, true)]).collect();
 
-    let results = mcs_bench::par_run(points, |&(size, wide)| {
+    let results = mcs_bench::par_run(&opts, points, |&(size, wide)| {
         let mut space = AddrSpace::dram_3gb();
         let src = space.alloc_page(size.max(4096));
         let dst = space.alloc_page(size.max(4096));
         let mut uops = Vec::new();
         marker(&mut uops, 0);
-        let opts = LazyOpts { wide_writeback: wide, ..LazyOpts::default() };
-        uops.extend(memcpy_lazy_uops(uops.len() as u64, dst, src, size, &opts));
+        let lazy = LazyOpts { wide_writeback: wide, ..LazyOpts::default() };
+        uops.extend(memcpy_lazy_uops(uops.len() as u64, dst, src, size, &lazy));
         marker(&mut uops, 1);
         let mut pokes = Pokes::default();
         pokes.add(src, pattern(size as usize, 3));

@@ -46,7 +46,8 @@ fn fault_events(stats: &RunStats) -> u64 {
 }
 
 fn main() {
-    let smoke = mcs_bench::BenchOpts::parse().smoke;
+    let opts = mcs_bench::BenchOpts::parse();
+    let smoke = opts.smoke;
     let size: u64 = if smoke { 16 << 10 } else { 256 << 10 };
     let severities: Vec<f64> =
         if smoke { vec![0.0, 1.0, 4.0] } else { vec![0.0, 0.1, 0.5, 1.0, 2.0, 4.0] };
@@ -59,7 +60,7 @@ fn main() {
         .iter()
         .flat_map(|&s| [false, true].map(|mcsquare| (s, mcsquare)))
         .collect();
-    let results = mcs_bench::par_run(points, |(severity, mcsquare)| {
+    let results = mcs_bench::par_run(&opts, points, |(severity, mcsquare)| {
         let mech = if *mcsquare {
             CopyMech::McSquare { threshold: 0 }
         } else {

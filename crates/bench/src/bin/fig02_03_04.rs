@@ -28,7 +28,7 @@ fn copy_fraction(stats: &RunStats) -> f64 {
 }
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     // --- Fig. 2: copy overhead per use case (baseline machines). ---
     let jobs: Vec<(&str, Job)> = vec![
         ("protobuf", {
@@ -82,7 +82,7 @@ fn main() {
     );
     let mut proto_stats: Option<RunStats> = None;
     for ((name, job), n) in jobs.into_iter().zip(names) {
-        let stats = job.run();
+        let stats = job.run(&opts);
         fig2.row(vec![n.to_string(), f3(copy_fraction(&stats))]);
         if name == "protobuf" {
             proto_stats = Some(stats);

@@ -10,7 +10,7 @@ use mcs_bench::figs::{fig10_job, fig10_mechs, fig10_row, FIG10_SIZES};
 use mcs_bench::{marker0, Table};
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let mechs = fig10_mechs();
     let points: Vec<(usize, u64)> = mechs
         .iter()
@@ -19,7 +19,7 @@ fn main() {
         .collect();
 
     let mechs_ref = &mechs;
-    let results = mcs_bench::par_run(points, |&(mi, size)| {
+    let results = mcs_bench::par_run(&opts, points, |&(mi, size)| {
         let (_, mech, touch) = &mechs_ref[mi];
         fig10_job(mech, size, *touch)
     });

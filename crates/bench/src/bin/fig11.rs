@@ -12,14 +12,14 @@ use mcs_workloads::micro::lazy_overhead_parts;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let sizes: Vec<u64> =
         vec![64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20];
 
     // Two jobs per size: writeback-only and packet-only.
     let points: Vec<(u64, bool)> =
         sizes.iter().flat_map(|&s| [(s, true), (s, false)]).collect();
-    let results = mcs_bench::par_run(points, |&(size, writeback)| {
+    let results = mcs_bench::par_run(&opts, points, |&(size, writeback)| {
         let mut space = AddrSpace::dram_3gb();
         let (wb, pk) = lazy_overhead_parts(size, &mut space);
         let g = if writeback { wb } else { pk };

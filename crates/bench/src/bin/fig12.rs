@@ -12,14 +12,14 @@ use mcs_bench::figs::{fig12_job, fig12_row, fig12_variants, FIG12_FRACS};
 use mcs_bench::{marker0, Table};
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let variants = fig12_variants();
     let points: Vec<(usize, f64)> = (0..variants.len())
         .flat_map(|v| FIG12_FRACS.iter().map(move |&f| (v, f)))
         .collect();
     let variants_ref = &variants;
     let results =
-        mcs_bench::par_run(points, |&(vi, frac)| fig12_job(&variants_ref[vi], frac));
+        mcs_bench::par_run(&opts, points, |&(vi, frac)| fig12_job(&variants_ref[vi], frac));
 
     let mut headers: Vec<String> = vec!["fraction".into()];
     headers.extend(variants.iter().map(|v| format!("{}_norm", v.name)));

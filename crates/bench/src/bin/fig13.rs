@@ -25,7 +25,7 @@ struct Variant {
 }
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let variants = vec![
         Variant { name: "memcpy", mech: CopyMech::Native, misalign: true, writeback: true },
         Variant { name: "zio", mech: CopyMech::Zio, misalign: true, writeback: true },
@@ -55,7 +55,7 @@ fn main() {
         .flat_map(|v| fracs.iter().map(move |&f| (v, f)))
         .collect();
     let vs = &variants;
-    let results = mcs_bench::par_run(points, |&(vi, frac)| {
+    let results = mcs_bench::par_run(&opts, points, |&(vi, frac)| {
         let v = &vs[vi];
         let mut space = AddrSpace::dram_3gb();
         let steps = ((elements as f64) * frac) as u64;

@@ -12,7 +12,7 @@ use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let wcfg = ProtobufConfig { messages: 96, fields: 8, ..ProtobufConfig::default() };
     let mechs: Vec<(&str, CopyMech)> = vec![
         ("baseline", CopyMech::Native),
@@ -23,7 +23,7 @@ fn main() {
     let points: Vec<usize> = (0..mechs.len()).collect();
     let mechs_ref = &mechs;
     let wc = &wcfg;
-    let results = mcs_bench::par_run(points, |&mi| {
+    let results = mcs_bench::par_run(&opts, points, |&mi| {
         let mut space = AddrSpace::dram_3gb();
         let (uops, pokes, _) = protobuf_program(mechs_ref[mi].1.clone(), wc, &mut space);
         let mc2 = mechs_ref[mi].1.needs_engine().then(McSquareConfig::default);

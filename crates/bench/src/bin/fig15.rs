@@ -16,7 +16,7 @@ use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     // Paper: 10 × 100 KB fields, 50 inserts. We run 10 × 96 KB fields and
     // 4 inserts (time-scaled; the copy-then-access pattern is preserved).
     let wcfg = MongoConfig {
@@ -38,7 +38,7 @@ fn main() {
 
     let mechs_ref = &mechs;
     let wc = &wcfg;
-    let results = mcs_bench::par_run((0..mechs.len()).collect(), |&mi| {
+    let results = mcs_bench::par_run(&opts, (0..mechs.len()).collect(), |&mi| {
         let mut space = AddrSpace::dram_3gb();
         let (uops, pokes, _) = mongodb_program(mechs_ref[mi].1.clone(), wc, &mut space);
         let mc2 = mechs_ref[mi].1.needs_engine().then(McSquareConfig::default);

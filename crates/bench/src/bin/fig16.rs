@@ -15,7 +15,7 @@ use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let fracs = [0.0625, 0.125, 0.25, 0.5, 1.0];
     let threads = [1usize, 8];
     let base = MvccConfig {
@@ -34,7 +34,7 @@ fn main() {
         }
     }
     let basec = &base;
-    let results = mcs_bench::par_run(points.clone(), |&(nthreads, frac, lazy)| {
+    let results = mcs_bench::par_run(&opts, points.clone(), |&(nthreads, frac, lazy)| {
         let mut space = AddrSpace::dram_3gb();
         let wcfg = MvccConfig { update_frac: frac, ..basec.clone() };
         let mech = if lazy { CopyMech::McSquare { threshold: 0 } } else { CopyMech::Native };

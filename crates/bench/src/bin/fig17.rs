@@ -14,7 +14,7 @@ use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let fracs = [0.0625, 0.125, 0.25, 0.5, 1.0];
     let threads = [1usize, 8];
     let base = MvccConfig { tuples: 32, tuple_size: 8192, txns: 48, ..MvccConfig::default() };
@@ -32,7 +32,7 @@ fn main() {
         }
     }
     let basec = &base;
-    let results = mcs_bench::par_run(points.clone(), |P(nthreads, frac, v)| {
+    let results = mcs_bench::par_run(&opts, points.clone(), |P(nthreads, frac, v)| {
         let mut space = AddrSpace::dram_3gb();
         let kind = if *v == 2 { UpdateKind::NonTemporal } else { UpdateKind::WriteOnly };
         let mech = if *v == 0 { CopyMech::Native } else { CopyMech::McSquare { threshold: 0 } };

@@ -16,12 +16,12 @@ use mcs_workloads::cow::{cow_program, CowConfig};
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let region = 64 * 1024 * 1024;
     let updates = 100;
 
     let modes = [("native", CowCopyMode::Eager), ("mcsquare", CowCopyMode::Lazy)];
-    let results = mcs_bench::par_run(vec![0usize, 1], |&mi| {
+    let results = mcs_bench::par_run(&opts, vec![0usize, 1], |&mi| {
         let (_, mode) = modes[mi];
         let mut kernel =
             Kernel::new(OsCosts::default(), AddrSpace::new(PhysAddr(1 << 21), 2 << 30));

@@ -13,11 +13,11 @@ use mcs_workloads::pipe::{pipe_program, throughput_bytes_per_kcycle, PipeConfig}
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let sizes: Vec<u64> = vec![1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10];
     let points: Vec<(u64, bool)> = sizes.iter().flat_map(|&s| [(s, false), (s, true)]).collect();
 
-    let results = mcs_bench::par_run(points, |&(size, lazy)| {
+    let results = mcs_bench::par_run(&opts, points, |&(size, lazy)| {
         let mut space = AddrSpace::dram_3gb();
         let mode = if lazy { CopyMode::Lazy } else { CopyMode::Eager };
         let wcfg = PipeConfig { transfer: size, rounds: 24, mode, ..PipeConfig::default() };

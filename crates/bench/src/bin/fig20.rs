@@ -16,7 +16,7 @@ use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let entries = [32usize, 64, 128, 256];
     let thresholds = [0.25f64, 0.5, 0.75, 0.9];
     // No MCFREE hints here: like the paper's run, prospective copies live
@@ -32,7 +32,7 @@ fn main() {
         }
     }
     let wc = &wcfg;
-    let results = mcs_bench::par_run(points.clone(), |&(e, t)| {
+    let results = mcs_bench::par_run(&opts, points.clone(), |&(e, t)| {
         let mut space = AddrSpace::dram_3gb();
         let (uops, pokes, _) =
             protobuf_program(CopyMech::McSquare { threshold: 1024 }, wc, &mut space);

@@ -12,7 +12,7 @@ use mcs_workloads::micro::src_write_stress;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let sizes: Vec<u64> = vec![16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20];
     let bpqs = [1usize, 2, 4, 8, 16];
 
@@ -22,7 +22,7 @@ fn main() {
             points.push((s, b));
         }
     }
-    let results = mcs_bench::par_run(points.clone(), |&(size, bpq)| {
+    let results = mcs_bench::par_run(&opts, points.clone(), |&(size, bpq)| {
         let mut space = AddrSpace::dram_3gb();
         let g = src_write_stress(size, &mut space);
         let mc2 = McSquareConfig { bpq_entries: bpq, ..McSquareConfig::default() };

@@ -26,7 +26,7 @@ fn elapsed(stats: &mcs_sim::stats::RunStats, cores: usize) -> u64 {
 }
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
+    let opts = mcs_bench::BenchOpts::parse();
     let threads = [1usize, 2, 4, 8];
     let frees = [1usize, 2, 4, 8];
     // A CTT small relative to the copy burst so freeing throughput matters
@@ -53,7 +53,7 @@ fn main() {
         }
     }
     let basec = &base;
-    let results = mcs_bench::par_run(points.clone(), |P(nthreads, free)| {
+    let results = mcs_bench::par_run(&opts, points.clone(), |P(nthreads, free)| {
         let mut space = AddrSpace::dram_3gb();
         let mech = match free {
             Some(_) => CopyMech::McSquare { threshold: 0 },

@@ -12,11 +12,11 @@ use mcs_bench::mess::{job_for, points, row_for, Scale};
 use mcs_bench::{BenchOpts, Table};
 
 fn main() {
-    let smoke = BenchOpts::parse().smoke;
-    let scale = if smoke { Scale::smoke() } else { Scale::full() };
+    let opts = BenchOpts::parse();
+    let scale = if opts.smoke { Scale::smoke() } else { Scale::full() };
 
     let sc = &scale;
-    let results = mcs_bench::par_run(points(sc), |p| job_for(p, sc));
+    let results = mcs_bench::par_run(&opts, points(sc), |p| job_for(p, sc));
 
     let mut table = Table::new(
         "mess_curves",

@@ -73,7 +73,7 @@ fn check_row(file: &str, key: &[&str], got: &str, drift: &mut u32) {
     }
 }
 
-fn bench_fig10(drift: &mut u32) -> Sample {
+fn bench_fig10(opts: &BenchOpts, drift: &mut u32) -> Sample {
     let mechs = fig10_mechs();
     let points: Vec<(usize, u64)> = mechs
         .iter()
@@ -83,7 +83,7 @@ fn bench_fig10(drift: &mut u32) -> Sample {
     let mechs_ref = &mechs;
     let mut results = Vec::new();
     let sample = measure("fig10", || {
-        results = mcs_bench::par_run(points, |&(mi, size)| {
+        results = mcs_bench::par_run(opts, points, |&(mi, size)| {
             let (_, mech, touch) = &mechs_ref[mi];
             fig10_job(mech, size, *touch)
         });
@@ -98,7 +98,7 @@ fn bench_fig10(drift: &mut u32) -> Sample {
     sample
 }
 
-fn bench_mess(drift: &mut u32) -> Sample {
+fn bench_mess(opts: &BenchOpts, drift: &mut u32) -> Sample {
     // Full committed scale, pinned burst subset: the committed
     // `mess_curves.tsv` rows for these points must reproduce exactly.
     let sc = Scale::full();
@@ -113,7 +113,7 @@ fn bench_mess(drift: &mut u32) -> Sample {
     let sc_ref = &sc;
     let mut results = Vec::new();
     let sample = measure("mess_curves", || {
-        results = mcs_bench::par_run(points, |p| job_for(p, sc_ref));
+        results = mcs_bench::par_run(opts, points, |p| job_for(p, sc_ref));
     });
     for (p, stats) in &results {
         let row = mcs_bench::mess::row_for(p, &sc, stats).join("\t");
@@ -125,9 +125,9 @@ fn bench_mess(drift: &mut u32) -> Sample {
 }
 
 fn main() {
-    let _opts = BenchOpts::parse();
+    let opts = BenchOpts::parse();
     let mut drift = 0u32;
-    let samples = vec![bench_fig10(&mut drift), bench_mess(&mut drift)];
+    let samples = vec![bench_fig10(&opts, &mut drift), bench_mess(&opts, &mut drift)];
 
     let mut json = String::from("{\n  \"benches\": [\n");
     for (i, s) in samples.iter().enumerate() {

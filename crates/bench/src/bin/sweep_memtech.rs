@@ -15,7 +15,8 @@ use mcs_workloads::micro::seq_access;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let smoke = BenchOpts::parse().smoke;
+    let opts = BenchOpts::parse();
+    let smoke = opts.smoke;
     let sizes: Vec<u64> = if smoke {
         vec![1 << 10, 4 << 10]
     } else {
@@ -31,7 +32,7 @@ fn main() {
             sizes.iter().flat_map(move |&size| [false, true].map(|mcsquare| (tech, mcsquare, size)))
         })
         .collect();
-    let results = mcs_bench::par_run(points, |&(tech, mcsquare, size)| {
+    let results = mcs_bench::par_run(&opts, points, |&(tech, mcsquare, size)| {
         memtech_fig10_job(tech, mcsquare, size)
     });
     let mut t10 = Table::new(
@@ -56,7 +57,7 @@ fn main() {
             fracs.iter().flat_map(move |&frac| [false, true].map(|mcsquare| (tech, mcsquare, frac)))
         })
         .collect();
-    let results = mcs_bench::par_run(points, |&(tech, mcsquare, frac)| {
+    let results = mcs_bench::par_run(&opts, points, |&(tech, mcsquare, frac)| {
         let mech = memtech_mech(mcsquare);
         let mut space = AddrSpace::dram_3gb();
         let g = seq_access(mech.clone(), seq_size, frac, true, &mut space);

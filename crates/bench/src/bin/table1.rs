@@ -8,7 +8,6 @@ use mcsquare::ctt::ENTRY_BYTES;
 use mcsquare::McSquareConfig;
 
 fn main() {
-    let _opts = mcs_bench::BenchOpts::parse();
     let c = SystemConfig::table1();
     let m = McSquareConfig::default();
     let mut t = Table::new("table1", "simulated configuration", &["parameter", "value"]);

@@ -5,10 +5,11 @@
 //! parameter sweeps, and tab-separated result tables written to stdout and
 //! `results/figXX.tsv`, mirroring the paper artifact's output layout.
 
-use mcs_sim::config::{SimOptions, SystemConfig};
+use mcs_sim::config::SystemConfig;
+use mcs_sim::fault::FaultPlan;
 use mcs_sim::program::{FixedProgram, Program};
 use mcs_sim::stats::RunStats;
-use mcs_sim::system::System;
+use mcs_sim::system::{SchedMode, System};
 use mcs_sim::uop::Uop;
 use mcs_sim::Cycle;
 use mcs_workloads::Pokes;
@@ -66,14 +67,24 @@ impl Job {
         }
     }
 
-    /// Run to completion.
+    /// Run to completion under `opts`: `refresh` enables DRAM refresh at
+    /// the technology's canonical interval, `fault` arms its plan when the
+    /// job's own plan is empty, `sched` selects the tick scheduler, and
+    /// `trace` (with the `trace` feature) writes the job's trace outputs.
+    /// With [`BenchOpts::default`] the job runs exactly as configured.
     ///
     /// # Panics
     /// Panics if the simulation exceeds the cycle budget (a bug, not a
     /// measurement).
-    pub fn run(mut self) -> RunStats {
+    pub fn run(mut self, opts: &BenchOpts) -> RunStats {
         let _ = wall_start();
         let mut cfg = self.cfg;
+        if opts.refresh {
+            cfg.dram = cfg.dram.with_refresh();
+        }
+        if !opts.fault.is_empty() && cfg.fault.is_empty() {
+            cfg.fault = opts.fault.clone();
+        }
         while self.programs.len() < cfg.cores {
             self.programs.push(Box::new(mcs_sim::program::IdleProgram));
         }
@@ -89,27 +100,20 @@ impl Job {
             None => System::new(cfg, self.programs),
         };
         self.pokes.apply(&mut sys);
-        let opts = mcs_sim::config::sim_options();
         sys.set_sched_mode(opts.sched);
         #[cfg(feature = "trace")]
-        let trace_to = opts.trace.clone();
-        #[cfg(feature = "trace")]
-        if trace_to.is_some() {
+        if opts.trace.is_some() {
             mcs_trace::arm(mcs_trace::TraceConfig::default());
         }
-        let run = match opts.watchdog {
-            Some(w) => sys.run_with_watchdog(self.max_cycles, w),
-            None => sys.run(self.max_cycles),
-        };
-        let stats = match run {
+        let stats = match sys.run(self.max_cycles) {
             Ok(stats) => stats,
             Err(e) => panic!("simulation stuck: {e}\n{}", sys.debug_dump()),
         };
         SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
         #[cfg(feature = "trace")]
-        if let Some(base) = trace_to {
+        if let Some(base) = &opts.trace {
             if let Some(sink) = mcs_trace::take() {
-                write_trace_outputs(&base, &sink);
+                write_trace_outputs(base, &sink);
             }
         }
         stats
@@ -149,7 +153,7 @@ pub fn print_sim_throughput() {
 }
 
 /// Write the armed trace sink's three consumer outputs next to `base`
-/// (the `MCS_TRACE` path): a Perfetto-loadable Chrome trace, the
+/// (the `--trace=<base>` path): a Perfetto-loadable Chrome trace, the
 /// epoch-sampled time series, and the per-class latency histograms. Each
 /// job of a sweep gets its own numbered file set.
 #[cfg(feature = "trace")]
@@ -169,18 +173,9 @@ fn write_trace_outputs(base: &str, sink: &mcs_trace::TraceSink) {
     );
 }
 
-/// Run the marker-0/1-bracketed section of a single-core job and return
-/// (elapsed cycles, full stats).
-pub fn timed_run(job: Job) -> (u64, RunStats) {
-    let stats = job.run();
-    let lat = mcs_workloads::common::marker_latencies(&stats.cores[0]);
-    let cycles = lat.first().copied().unwrap_or(stats.cycles);
-    (cycles, stats)
-}
-
-/// Run a set of independent jobs in parallel (one OS thread each, capped
-/// at the available parallelism), preserving order.
-pub fn par_run<T, F>(points: Vec<T>, f: F) -> Vec<(T, RunStats)>
+/// Run a set of independent jobs under `opts` in parallel (one OS thread
+/// each, capped at the available parallelism), preserving order.
+pub fn par_run<T, F>(opts: &BenchOpts, points: Vec<T>, f: F) -> Vec<(T, RunStats)>
 where
     T: Send + Clone,
     F: Fn(&T) -> Job + Sync,
@@ -198,7 +193,7 @@ where
                 .map(|(i, p)| {
                     let f = &f;
                     s.spawn(move || {
-                        let stats = f(&p).run();
+                        let stats = f(&p).run(opts);
                         (i, p, stats)
                     })
                 })
@@ -296,65 +291,65 @@ pub fn throughput_kops(stats: &RunStats, txns_per_core: usize, cores: usize) -> 
     (txns_per_core * cores) as f64 / (cycles as f64 / (CYCLES_PER_NS * 1e9)) / 1e3
 }
 
-/// Options shared by every figure binary, parsed from the command line
-/// with the deprecated `MCS_*` environment variables as fallback. Every
-/// binary calls [`BenchOpts::parse`] first thing in `main`; that also
-/// installs the resulting [`SimOptions`] process-wide
-/// ([`mcs_sim::config::set_sim_options`]) so configurations built later
-/// honour them.
+/// Options shared by every figure binary, parsed from the command line.
+/// Every binary calls [`BenchOpts::parse`] first thing in `main` and
+/// passes the result to each [`Job::run`] (usually through [`par_run`]).
 ///
 /// Recognised flags: `--smoke`, `--refresh`, `--faults`, `--trace=PATH`,
-/// `--sched=tick|conservative|event`, `--watchdog=CYCLES`. Unknown
-/// arguments are ignored (binaries may define their own).
-#[derive(Clone, Debug)]
+/// `--sched=tick|conservative|event`. Unknown arguments are ignored
+/// (binaries may define their own).
+#[derive(Clone, Debug, Default)]
 pub struct BenchOpts {
     /// `--smoke`: the seconds-long CI variant of a sweep.
     pub smoke: bool,
-    /// Simulation options derived from the flags (and the env shim).
-    pub sim: SimOptions,
+    /// `--refresh`: enable DRAM refresh at each technology's canonical
+    /// interval (off by default so published numbers are reproduced).
+    pub refresh: bool,
+    /// `--faults`: the mild every-class fault plan, armed on jobs that do
+    /// not carry a plan of their own (empty = inject nothing).
+    pub fault: FaultPlan,
+    /// `--trace=PATH`: arm event tracing around each job and write
+    /// `<PATH>.jobN.trace.json` plus companion series/histogram TSVs; see
+    /// DESIGN.md, "Observability layer". Ignored when the `trace` feature
+    /// is off.
+    pub trace: Option<String>,
+    /// `--sched=`: how the run loop advances simulated time.
+    pub sched: SchedMode,
 }
 
 impl BenchOpts {
-    /// Parse the process arguments and install the simulation options
-    /// process-wide.
+    /// Parse the process arguments.
     pub fn parse() -> BenchOpts {
-        let opts = BenchOpts::from_args(std::env::args().skip(1));
-        mcs_sim::config::set_sim_options(opts.sim.clone());
-        opts
+        BenchOpts::from_args(std::env::args().skip(1))
     }
 
-    /// Parse from an explicit argument list (no global side effects —
-    /// unit-testable).
+    /// Parse from an explicit argument list.
+    ///
+    /// # Panics
+    /// Panics on an unknown `--sched=` mode.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> BenchOpts {
-        let mut sim = SimOptions::from_env();
-        let mut smoke = false;
+        let mut opts = BenchOpts::default();
         for a in args {
             match a.as_str() {
-                "--smoke" => smoke = true,
-                "--refresh" => sim.refresh = true,
-                "--faults" => sim.fault = mcs_sim::fault::FaultPlan::mild(0xFA17),
+                "--smoke" => opts.smoke = true,
+                "--refresh" => opts.refresh = true,
+                "--faults" => opts.fault = FaultPlan::mild(0xFA17),
                 s if s.starts_with("--trace=") => {
                     let p = &s["--trace=".len()..];
-                    sim.trace = (!p.is_empty()).then(|| p.to_string());
+                    opts.trace = (!p.is_empty()).then(|| p.to_string());
                 }
                 s if s.starts_with("--sched=") => {
-                    sim.sched = match &s["--sched=".len()..] {
-                        "tick" => mcs_sim::SchedMode::TickByTick,
-                        "conservative" => mcs_sim::SchedMode::Conservative,
-                        "event" => mcs_sim::SchedMode::EventDriven,
+                    opts.sched = match &s["--sched=".len()..] {
+                        "tick" => SchedMode::TickByTick,
+                        "conservative" => SchedMode::Conservative,
+                        "event" => SchedMode::EventDriven,
                         other => panic!("unknown --sched mode {other:?} (tick|conservative|event)"),
                     };
-                }
-                s if s.starts_with("--watchdog=") => {
-                    let w = s["--watchdog=".len()..]
-                        .parse()
-                        .expect("--watchdog takes a cycle count");
-                    sim.watchdog = Some(w);
                 }
                 _ => {} // binaries may define their own arguments
             }
         }
-        BenchOpts { smoke, sim }
+        opts
     }
 }
 
@@ -384,14 +379,15 @@ mod tests {
             UopKind::Load { addr: PhysAddr(0x1000), size: 8 },
             StatTag::App,
         )];
-        let stats = Job::single(SystemConfig::tiny(), None, uops, Pokes::default()).run();
+        let stats = Job::single(SystemConfig::tiny(), None, uops, Pokes::default())
+            .run(&BenchOpts::default());
         assert_eq!(stats.cores[0].loads, 1);
     }
 
     #[test]
     fn par_run_preserves_order() {
         let points: Vec<u64> = (1..=6).collect();
-        let results = par_run(points.clone(), |&n| {
+        let results = par_run(&BenchOpts::default(), points.clone(), |&n| {
             let uops: Vec<Uop> = (0..n)
                 .map(|i| {
                     Uop::new(
@@ -406,6 +402,73 @@ mod tests {
             assert_eq!(*p, points[i]);
             assert_eq!(st.cores[0].loads, *p);
         }
+    }
+
+    /// A 256 KB memcpy on the pure one-core Table I machine: about 120k
+    /// cycles, so it spans several DDR4 refresh intervals.
+    fn copy_job() -> Job {
+        let mut space = mcs_sim::alloc::AddrSpace::dram_3gb();
+        let g = mcs_workloads::micro::copy_latency(
+            mcs_workloads::CopyMech::Native,
+            256 << 10,
+            false,
+            &mut space,
+        );
+        Job::single(SystemConfig::table1_one_core(), None, g.uops, g.pokes)
+    }
+
+    fn args(flags: &[&str]) -> BenchOpts {
+        BenchOpts::from_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn from_args_parses_every_flag() {
+        let o = args(&["--smoke", "--refresh", "--faults", "--trace=out/t", "--sched=tick"]);
+        assert!(o.smoke && o.refresh);
+        assert_eq!(o.fault, FaultPlan::mild(0xFA17));
+        assert_eq!(o.trace.as_deref(), Some("out/t"));
+        assert_eq!(o.sched, SchedMode::TickByTick);
+        assert_eq!(args(&["--sched=conservative"]).sched, SchedMode::Conservative);
+        assert_eq!(args(&["--sched=event"]).sched, SchedMode::EventDriven);
+        assert_eq!(args(&["--trace="]).trace, None);
+    }
+
+    #[test]
+    fn from_args_ignores_unknown_arguments() {
+        let o = args(&["--size=4096", "positional", "--watchdog=100"]);
+        assert!(!o.smoke && !o.refresh && o.fault.is_empty() && o.trace.is_none());
+        assert_eq!(o.sched, SchedMode::EventDriven);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --sched mode")]
+    fn from_args_rejects_bad_sched() {
+        args(&["--sched=fast"]);
+    }
+
+    #[test]
+    fn refresh_option_enables_refresh() {
+        let opts = BenchOpts { refresh: true, ..BenchOpts::default() };
+        let stats = copy_job().run(&opts);
+        assert!(stats.mcs.iter().map(|m| m.refreshes).sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn fault_option_arms_the_plan() {
+        let opts = BenchOpts { fault: FaultPlan::mild(0xFA17), ..BenchOpts::default() };
+        let stats = copy_job().run(&opts);
+        assert!(stats.mcs.iter().map(|m| m.fault_events()).sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn default_options_run_the_job_as_configured() {
+        let via_job = copy_job().run(&BenchOpts::default());
+        let job = copy_job();
+        assert_eq!(job.cfg.dram.t_refi, 0);
+        assert!(job.cfg.fault.is_empty());
+        let mut sys = System::new(job.cfg, job.programs);
+        job.pokes.apply(&mut sys);
+        assert_eq!(via_job, sys.run(job.max_cycles).expect("the copy finishes"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Golden ratios come from the committed `results/fig10.tsv`
 //! (see EXPERIMENTS.md): 1 KB → 2.731×, 64 KB → 4.616×, 4 MB → 8.886×.
 
-use mcs_bench::Job;
+use mcs_bench::{BenchOpts, Job};
 use mcs_sim::alloc::AddrSpace;
 use mcs_sim::config::SystemConfig;
 use mcs_workloads::common::marker_latencies;
@@ -18,17 +18,13 @@ use mcs_workloads::micro::copy_latency;
 use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
 
-/// Copy latency (cycles) for `mech` at `size` on the default DDR4 system,
-/// refresh forced off regardless of `MCS_REFRESH` and fault injection
-/// forced off regardless of `MCS_FAULTS`, so the goldens hold.
+/// Copy latency (cycles) for `mech` at `size` on the default DDR4 system.
 fn latency(mech: CopyMech, size: u64) -> u64 {
-    let mut cfg = SystemConfig::table1_one_core();
-    cfg.dram.t_refi = 0;
-    cfg.fault = mcs_sim::fault::FaultPlan::none();
     let mut space = AddrSpace::dram_3gb();
     let g = copy_latency(mech.clone(), size, false, &mut space);
     let engine = mech.needs_engine().then(McSquareConfig::default);
-    let stats = Job::single(cfg, engine, g.uops, g.pokes).run();
+    let stats = Job::single(SystemConfig::table1_one_core(), engine, g.uops, g.pokes)
+        .run(&BenchOpts::default());
     marker_latencies(&stats.cores[0])[0]
 }
 

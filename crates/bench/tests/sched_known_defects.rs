@@ -11,14 +11,12 @@ use mcs_sim::{SchedMode, System};
 use mcs_workloads::micro::copy_latency;
 use mcs_workloads::CopyMech;
 
-/// Run the 1 KB Fig. 10 copy with `mode`, refresh and faults off.
+/// Run the 1 KB Fig. 10 copy with `mode`.
 fn fig10_1kb(touch: bool, mode: SchedMode) -> RunStats {
-    let mut cfg = SystemConfig::table1_one_core();
-    cfg.dram.t_refi = 0;
-    cfg.fault = mcs_sim::fault::FaultPlan::none();
     let mut space = AddrSpace::dram_3gb();
     let g = copy_latency(CopyMech::Native, 1 << 10, touch, &mut space);
-    let mut sys = System::new(cfg, vec![Box::new(FixedProgram::new(g.uops))]);
+    let mut sys =
+        System::new(SystemConfig::table1_one_core(), vec![Box::new(FixedProgram::new(g.uops))]);
     g.pokes.apply(&mut sys);
     sys.set_sched_mode(mode);
     let stats = sys.run(1_000_000).expect("the copy finishes");

@@ -9,16 +9,15 @@
 //! the bank-group and pseudo-channel geometries of the DRAM channel, with
 //! refresh on.
 //!
-//! (When built `--features trace` with `MCS_TRACE` unset, the same
+//! (When built `--features trace` with no `--trace=` option, the same
 //! comparison proves the armed-capable build is also timing-identical.)
 
 use mcs_bench::figs::{
     fig10_job, fig10_mechs, fig10_row, fig12_job, fig12_row, fig12_variants, memtech_fig10_job,
     memtech_fig10_row,
 };
-use mcs_bench::marker0;
+use mcs_bench::{marker0, BenchOpts};
 use mcs_sim::config::MemTech;
-use mcs_sim::fault::FaultPlan;
 
 /// Read the data row whose first `key.len()` columns equal `key` out of a
 /// committed TSV.
@@ -32,23 +31,13 @@ fn committed_row(file: &str, key: &[&str]) -> String {
         .to_string()
 }
 
-/// Force refresh and fault injection off regardless of `MCS_REFRESH` /
-/// `MCS_FAULTS`, matching the clean environment the committed TSVs were
-/// generated under.
-fn neutralize(job: &mut mcs_bench::Job) {
-    job.cfg.dram.t_refi = 0;
-    job.cfg.fault = FaultPlan::none();
-}
-
 #[test]
 fn fig10_rows_byte_identical_to_committed_tsv() {
     for size in [1u64 << 10, 64 << 10] {
         let lats: Vec<u64> = fig10_mechs()
             .iter()
             .map(|(_, mech, touch)| {
-                let mut job = fig10_job(mech, size, *touch);
-                neutralize(&mut job);
-                marker0(&job.run())
+                marker0(&fig10_job(mech, size, *touch).run(&BenchOpts::default()))
             })
             .collect();
         let row = fig10_row(size, &lats).join("\t");
@@ -65,11 +54,7 @@ fn fig12_row_byte_identical_to_committed_tsv() {
     let frac = 0.0;
     let lats: Vec<u64> = fig12_variants()
         .iter()
-        .map(|v| {
-            let mut job = fig12_job(v, frac);
-            neutralize(&mut job);
-            marker0(&job.run())
-        })
+        .map(|v| marker0(&fig12_job(v, frac).run(&BenchOpts::default())))
         .collect();
     let row = fig12_row(frac, &lats).join("\t");
     assert_eq!(
@@ -82,15 +67,12 @@ fn fig12_row_byte_identical_to_committed_tsv() {
 #[test]
 fn memtech_fig10_rows_byte_identical_to_committed_tsv() {
     // 256 KB is the smallest size at which refresh fires on both
-    // technologies (4 windows on DDR5, 8 on HBM2). Refresh stays on, as in
-    // the sweep; only the fault plan is neutralised.
+    // technologies (4 windows on DDR5, 8 on HBM2). Refresh is on, as in
+    // the sweep.
     for tech in [MemTech::Ddr5, MemTech::Hbm2] {
         for size in [1u64 << 10, 256 << 10] {
-            let [memcpy, mcs] = [false, true].map(|mcsquare| {
-                let mut job = memtech_fig10_job(tech, mcsquare, size);
-                job.cfg.fault = FaultPlan::none();
-                job.run()
-            });
+            let [memcpy, mcs] = [false, true]
+                .map(|mcsquare| memtech_fig10_job(tech, mcsquare, size).run(&BenchOpts::default()));
             let row = memtech_fig10_row(tech, size, &memcpy, &mcs).join("\t");
             let key: Vec<&str> = row.split('\t').take(2).collect();
             assert_eq!(

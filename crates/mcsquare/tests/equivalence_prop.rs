@@ -1,9 +1,11 @@
 //! Property-based end-to-end equivalence: for random sequences of copies,
 //! stores and final reads, the lazy machine's architectural memory equals
-//! the eager machine's — the §III-E guarantee under arbitrary interleaving.
+//! the eager machine's — the §III-E guarantee under arbitrary interleaving,
+//! with DRAM refresh and fault injection each on or off.
 
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::config::SystemConfig;
+use mcs_sim::fault::FaultPlan;
 use mcs_sim::program::FixedProgram;
 use mcs_sim::system::System;
 use mcs_sim::uop::{StatTag, StoreData, Uop, UopKind};
@@ -114,8 +116,24 @@ fn build_with_reads(ops: &[Op], lazy: bool, read_from: u64, read_to: u64) -> Vec
     uops
 }
 
-fn run(ops: &[Op], lazy: bool) -> Vec<u8> {
-    let cfg = SystemConfig::tiny();
+/// Every (refresh, faults) setting of [`machine`].
+const SETTINGS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
+/// The tiny machine, optionally with refresh every 500 cycles (several
+/// windows per run) and the mild every-class fault plan.
+fn machine(refresh: bool, faults: bool) -> SystemConfig {
+    let mut cfg = SystemConfig::tiny();
+    if refresh {
+        cfg.dram.t_refi = 500;
+    }
+    if faults {
+        cfg.fault = FaultPlan::mild(0xFA17);
+    }
+    cfg
+}
+
+fn run(ops: &[Op], lazy: bool, refresh: bool, faults: bool) -> Vec<u8> {
+    let cfg = machine(refresh, faults);
     let uops = build(ops, lazy);
     let mut sys = if lazy {
         let e = McSquareEngine::new(McSquareConfig::tiny(), cfg.channels);
@@ -139,18 +157,20 @@ fn regression_chain_collapse_misaligned() {
         Op::Copy { d: 3, s: 0, doff: 65, soff: 0, len: 575 },
         Op::Copy { d: 2, s: 3, doff: 10, soff: 136, len: 249 },
     ];
-    let eager = run(&ops, false);
-    let lazy = run(&ops, true);
-    let diffs: Vec<usize> =
-        (0..eager.len()).filter(|&i| eager[i] != lazy[i]).collect();
-    assert!(
-        diffs.is_empty(),
-        "{} diffs, first at {:?} (page {}, off {})",
-        diffs.len(),
-        diffs.first(),
-        diffs.first().map(|d| d / 4096).unwrap_or(0),
-        diffs.first().map(|d| d % 4096).unwrap_or(0),
-    );
+    for (refresh, faults) in SETTINGS {
+        let eager = run(&ops, false, refresh, faults);
+        let lazy = run(&ops, true, refresh, faults);
+        let diffs: Vec<usize> =
+            (0..eager.len()).filter(|&i| eager[i] != lazy[i]).collect();
+        assert!(
+            diffs.is_empty(),
+            "refresh {refresh}, faults {faults}: {} diffs, first at {:?} (page {}, off {})",
+            diffs.len(),
+            diffs.first(),
+            diffs.first().map(|d| d / 4096).unwrap_or(0),
+            diffs.first().map(|d| d % 4096).unwrap_or(0),
+        );
+    }
 }
 
 proptest! {
@@ -159,17 +179,19 @@ proptest! {
     fn lazy_machine_is_architecturally_eager(
         ops in prop::collection::vec(op_strategy(), 1..8)
     ) {
-        let eager = run(&ops, false);
-        let lazy = run(&ops, true);
-        prop_assert_eq!(eager, lazy, "ops: {:?}", ops);
+        for (refresh, faults) in SETTINGS {
+            let eager = run(&ops, false, refresh, faults);
+            let lazy = run(&ops, true, refresh, faults);
+            prop_assert_eq!(eager, lazy, "refresh {}, faults {}, ops: {:?}", refresh, faults, ops);
+        }
     }
 }
 
 /// Two cores working disjoint page sets concurrently: the lazy machine
 /// must still converge to the eager result (the engine is shared across
 /// controllers; multi-core traffic interleaves at the MCs).
-fn run_two_cores(ops_a: &[Op], ops_b: &[Op], lazy: bool) -> Vec<u8> {
-    let mut cfg = SystemConfig::tiny();
+fn run_two_cores(ops_a: &[Op], ops_b: &[Op], lazy: bool, refresh: bool, faults: bool) -> Vec<u8> {
+    let mut cfg = machine(refresh, faults);
     cfg.cores = 2;
     // Core B works on pages shifted past core A's set.
     let shift = |ops: &[Op]| -> Vec<Op> {
@@ -223,9 +245,11 @@ proptest! {
         ops_a in prop::collection::vec(op_strategy(), 1..5),
         ops_b in prop::collection::vec(op_strategy(), 1..5),
     ) {
-        let eager = run_two_cores(&ops_a, &ops_b, false);
-        let lazy = run_two_cores(&ops_a, &ops_b, true);
-        prop_assert_eq!(eager, lazy);
+        for (refresh, faults) in SETTINGS {
+            let eager = run_two_cores(&ops_a, &ops_b, false, refresh, faults);
+            let lazy = run_two_cores(&ops_a, &ops_b, true, refresh, faults);
+            prop_assert_eq!(eager, lazy, "refresh {}, faults {}", refresh, faults);
+        }
     }
 }
 
@@ -386,7 +410,11 @@ fn regression_needs_flush_copy_into_live_source() {
         Op::Copy { d: 3, s: 0, doff: 0, soff: 0, len: 512 },
         Op::Copy { d: 0, s: 5, doff: 0, soff: 0, len: 512 },
     ];
-    let eager = run(&ops, false);
-    let lazy = run(&ops, true);
-    assert_eq!(eager, lazy);
+    for (refresh, faults) in SETTINGS {
+        assert_eq!(
+            run(&ops, false, refresh, faults),
+            run(&ops, true, refresh, faults),
+            "refresh {refresh}, faults {faults}"
+        );
+    }
 }

@@ -6,12 +6,14 @@
 //! auditing the full invariant set far more often than the production
 //! cadence — every violation panics, so "the test passes" means every
 //! intermediate state satisfied the coherence, conservation, engine, and
-//! stats invariants.
+//! stats invariants. Every workload runs with DRAM refresh and fault
+//! injection each on and off.
 
 #![cfg(feature = "check-invariants")]
 
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::config::SystemConfig;
+use mcs_sim::fault::FaultPlan;
 use mcs_sim::program::FixedProgram;
 use mcs_sim::system::System;
 use mcs_sim::uop::{StatTag, StoreData, Uop, UopKind};
@@ -63,8 +65,19 @@ fn run_audited(sys: &mut System, stride: u64, max_cycles: u64) {
     panic!("workload did not finish within {max_cycles} cycles");
 }
 
-fn lazy_system(mcfg: McSquareConfig, uops: Vec<Uop>) -> System {
-    let cfg = SystemConfig::tiny();
+/// Every (refresh, faults) setting of [`lazy_system`].
+const SETTINGS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
+/// The tiny machine with the engine, optionally with refresh every 500
+/// cycles and the mild every-class fault plan.
+fn lazy_system(mcfg: McSquareConfig, uops: Vec<Uop>, refresh: bool, faults: bool) -> System {
+    let mut cfg = SystemConfig::tiny();
+    if refresh {
+        cfg.dram.t_refi = 500;
+    }
+    if faults {
+        cfg.fault = FaultPlan::mild(0xFA17);
+    }
     let engine = McSquareEngine::new(mcfg, cfg.channels);
     System::with_engine(cfg, vec![Box::new(FixedProgram::new(uops))], Box::new(engine))
 }
@@ -79,11 +92,13 @@ fn audited_bounce_heavy_workload_holds_all_invariants() {
     for i in 0..(size / 64) {
         uops.push(ld(dst.add(i * 64), 64));
     }
-    let mut sys = lazy_system(McSquareConfig::default(), uops);
-    let data = pattern(size as usize, 21);
-    sys.poke(src, &data);
-    run_audited(&mut sys, 16, 5_000_000);
-    assert_eq!(sys.peek_coherent(dst, size as usize), data);
+    for (refresh, faults) in SETTINGS {
+        let mut sys = lazy_system(McSquareConfig::default(), uops.clone(), refresh, faults);
+        let data = pattern(size as usize, 21);
+        sys.poke(src, &data);
+        run_audited(&mut sys, 16, 5_000_000);
+        assert_eq!(sys.peek_coherent(dst, size as usize), data);
+    }
 }
 
 #[test]
@@ -107,12 +122,14 @@ fn audited_source_write_and_free_workload_holds_all_invariants() {
     }
     uops.push(Uop::new(UopKind::Mcfree { addr: c, size }, StatTag::App));
     uops.push(Uop::new(UopKind::Mfence, StatTag::App));
-    let mut sys = lazy_system(McSquareConfig::default(), uops);
-    let data = pattern(size as usize, 33);
-    sys.poke(a, &data);
-    run_audited(&mut sys, 16, 5_000_000);
-    // The copies were logically taken before the source write.
-    assert_eq!(sys.peek_coherent(b, size as usize), data);
+    for (refresh, faults) in SETTINGS {
+        let mut sys = lazy_system(McSquareConfig::default(), uops.clone(), refresh, faults);
+        let data = pattern(size as usize, 33);
+        sys.poke(a, &data);
+        run_audited(&mut sys, 16, 5_000_000);
+        // The copies were logically taken before the source write.
+        assert_eq!(sys.peek_coherent(b, size as usize), data);
+    }
 }
 
 #[test]
@@ -126,11 +143,13 @@ fn run_performs_quiescence_audit() {
     for i in 0..(size / 64) {
         uops.push(ld(dst.add(i * 64), 64));
     }
-    let mut sys = lazy_system(McSquareConfig::default(), uops);
-    let data = pattern(size as usize, 55);
-    sys.poke(src, &data);
-    sys.run(50_000_000).expect("finishes");
-    assert_eq!(sys.peek_coherent(dst, size as usize), data);
+    for (refresh, faults) in SETTINGS {
+        let mut sys = lazy_system(McSquareConfig::default(), uops.clone(), refresh, faults);
+        let data = pattern(size as usize, 55);
+        sys.poke(src, &data);
+        sys.run(50_000_000).expect("finishes");
+        assert_eq!(sys.peek_coherent(dst, size as usize), data);
+    }
 }
 
 #[test]
@@ -140,11 +159,13 @@ fn stall_cycles_are_attributed_exactly_once_under_lazy_load() {
     for i in 0..32u64 {
         uops.push(ld(dst.add(i * 64), 64));
     }
-    let mut sys = lazy_system(McSquareConfig::default(), uops);
-    sys.poke(src, &pattern(2048, 3));
-    let stats = sys.run(50_000_000).expect("finishes");
-    let c = &stats.cores[0];
-    assert_eq!(c.total_stalls(), c.stalled_cycles);
-    assert!(c.stalled_cycles > 0, "a lazy memcpy with demand reads must stall somewhere");
-    c.check_stall_accounting().expect("stall accounting exact");
+    for (refresh, faults) in SETTINGS {
+        let mut sys = lazy_system(McSquareConfig::default(), uops.clone(), refresh, faults);
+        sys.poke(src, &pattern(2048, 3));
+        let stats = sys.run(50_000_000).expect("finishes");
+        let c = &stats.cores[0];
+        assert_eq!(c.total_stalls(), c.stalled_cycles);
+        assert!(c.stalled_cycles > 0, "a lazy memcpy with demand reads must stall somewhere");
+        c.check_stall_accounting().expect("stall accounting exact");
+    }
 }

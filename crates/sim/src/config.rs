@@ -108,146 +108,6 @@ impl MemTech {
     }
 }
 
-/// Run-level options that used to be scattered across ad-hoc environment
-/// variables (`MCS_REFRESH`, `MCS_FAULTS`, `MCS_TRACE`) and per-system
-/// setters: one typed value, set once per process via [`set_sim_options`]
-/// and consumed by [`SystemConfig::table1`]/[`SystemConfig::tiny`] and the
-/// bench harness. Construct with [`SimOptions::builder`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct SimOptions {
-    /// Enable DRAM all-bank refresh at each technology's canonical
-    /// interval (default off so published numbers are reproduced exactly).
-    pub refresh: bool,
-    /// Fault-injection plan (empty = inject nothing).
-    pub fault: crate::fault::FaultPlan,
-    /// Arm event tracing around each bench job and write
-    /// `<path>.jobN.trace.json` plus companion series/histogram TSVs; see
-    /// DESIGN.md, "Observability layer". Ignored (benignly) when the
-    /// `trace` feature is off.
-    pub trace: Option<String>,
-    /// How the run loop advances simulated time: see
-    /// [`crate::system::SchedMode`].
-    pub sched: crate::system::SchedMode,
-    /// Liveness watchdog window in cycles for bench runs (`None` = no
-    /// watchdog; see [`crate::system::System::run_with_watchdog`]).
-    pub watchdog: Option<crate::Cycle>,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            refresh: false,
-            fault: crate::fault::FaultPlan::none(),
-            trace: None,
-            sched: crate::system::SchedMode::EventDriven,
-            watchdog: None,
-        }
-    }
-}
-
-impl SimOptions {
-    /// Start building options from the defaults.
-    pub fn builder() -> SimOptionsBuilder {
-        SimOptionsBuilder { opts: SimOptions::default() }
-    }
-
-    /// The options the legacy environment variables ask for. Emits a
-    /// one-time deprecation warning to stderr when any of them is set:
-    /// new code should pass options explicitly ([`set_sim_options`], or
-    /// the bench harness's `BenchOpts` flags).
-    pub fn from_env() -> SimOptions {
-        let refresh = matches!(std::env::var("MCS_REFRESH").as_deref(), Ok("1") | Ok("true"));
-        let faults = matches!(std::env::var("MCS_FAULTS").as_deref(), Ok("1") | Ok("true"));
-        let trace = std::env::var("MCS_TRACE").ok().filter(|s| !s.is_empty());
-        if refresh || faults || trace.is_some() {
-            warn_env_deprecated();
-        }
-        SimOptions {
-            refresh,
-            fault: if faults {
-                crate::fault::FaultPlan::mild(0xFA17)
-            } else {
-                crate::fault::FaultPlan::none()
-            },
-            trace,
-            ..SimOptions::default()
-        }
-    }
-}
-
-/// Builder for [`SimOptions`].
-#[derive(Clone, Debug, Default)]
-pub struct SimOptionsBuilder {
-    opts: SimOptions,
-}
-
-impl SimOptionsBuilder {
-    /// Enable/disable DRAM refresh.
-    pub fn refresh(mut self, on: bool) -> Self {
-        self.opts.refresh = on;
-        self
-    }
-
-    /// Install a fault-injection plan.
-    pub fn fault(mut self, plan: crate::fault::FaultPlan) -> Self {
-        self.opts.fault = plan;
-        self
-    }
-
-    /// Arm event tracing, writing outputs next to `path`.
-    pub fn trace(mut self, path: impl Into<String>) -> Self {
-        self.opts.trace = Some(path.into());
-        self
-    }
-
-    /// Select the tick scheduling mode.
-    pub fn sched(mut self, mode: crate::system::SchedMode) -> Self {
-        self.opts.sched = mode;
-        self
-    }
-
-    /// Arm a liveness watchdog with the given window.
-    pub fn watchdog(mut self, window: crate::Cycle) -> Self {
-        self.opts.watchdog = Some(window);
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> SimOptions {
-        self.opts
-    }
-}
-
-static SIM_OPTS: std::sync::RwLock<Option<SimOptions>> = std::sync::RwLock::new(None);
-
-/// Install process-wide simulation options. Later calls replace earlier
-/// ones; configs built before the call are unaffected.
-pub fn set_sim_options(opts: SimOptions) {
-    *SIM_OPTS.write().expect("options lock") = Some(opts);
-}
-
-/// The process-wide simulation options: whatever [`set_sim_options`]
-/// installed, falling back to the deprecated environment variables
-/// ([`SimOptions::from_env`]) when nothing was set explicitly.
-pub fn sim_options() -> SimOptions {
-    if let Some(o) = SIM_OPTS.read().expect("options lock").as_ref() {
-        return o.clone();
-    }
-    SimOptions::from_env()
-}
-
-fn warn_env_deprecated() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "# warning: MCS_REFRESH/MCS_FAULTS/MCS_TRACE are deprecated; \
-             use the --refresh/--faults/--trace bench flags or \
-             mcs_sim::config::set_sim_options"
-        );
-    }
-}
-
 /// DRAM timing and geometry for one channel, expressed in CPU cycles.
 ///
 /// Defaults approximate DDR4-2400 at a 4 GHz CPU clock: tRCD = tRP = tCL ≈
@@ -428,10 +288,8 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's Table I configuration, honouring the process-wide
-    /// [`sim_options`] (refresh, fault plan).
+    /// The paper's Table I configuration: refresh off, no fault injection.
     pub fn table1() -> SystemConfig {
-        let opts = sim_options();
         SystemConfig {
             cores: 8,
             core: CoreConfig::default(),
@@ -454,15 +312,11 @@ impl SystemConfig {
                 prefetch_degree: 8,
             },
             channels: 2,
-            dram: if opts.refresh {
-                DramConfig::for_tech(MemTech::Ddr4).with_refresh()
-            } else {
-                DramConfig::for_tech(MemTech::Ddr4)
-            },
+            dram: DramConfig::for_tech(MemTech::Ddr4),
             mc: McConfig { rpq_cap: 48, ..McConfig::default() },
             links: LinkConfig::default(),
             ctt_latency: 4,
-            fault: opts.fault,
+            fault: crate::fault::FaultPlan::none(),
         }
     }
 
@@ -472,9 +326,8 @@ impl SystemConfig {
         SystemConfig { cores: 1, ..SystemConfig::table1() }
     }
 
-    /// Start building a configuration from Table I (honouring the
-    /// process-wide [`sim_options`]): override the memory technology,
-    /// refresh, core count, or fault plan, then [`build`].
+    /// Start building a configuration from Table I: override the memory
+    /// technology, refresh, core count, or fault plan, then [`build`].
     ///
     /// [`build`]: SystemConfigBuilder::build
     ///
@@ -490,8 +343,9 @@ impl SystemConfig {
 
     /// A tiny configuration for fast unit tests: small caches so evictions
     /// and misses occur quickly, short latencies so tests run in few cycles.
+    /// Refresh is off; tests that want it set `dram.t_refi` (500 cycles
+    /// fits several refresh windows into a short run).
     pub fn tiny() -> SystemConfig {
-        let opts = sim_options();
         SystemConfig {
             cores: 1,
             core: CoreConfig {
@@ -527,16 +381,13 @@ impl SystemConfig {
                 t_rp: 6,
                 t_cl: 6,
                 t_burst: 2,
-                // Scaled-down refresh so the options-gated refresh path is
-                // actually exercised inside short unit-test runs.
-                t_refi: if opts.refresh { 500 } else { 0 },
                 t_rfc: 60,
                 ..DramConfig::default()
             },
             mc: McConfig { rpq_cap: 8, wpq_cap: 8, wpq_drain_hi: 0.7, wpq_drain_lo: 0.2 },
             links: LinkConfig { core_l1: 1, l1_llc: 2, llc_mc: 4, mc_mc: 4 },
             ctt_latency: 1,
-            fault: opts.fault,
+            fault: crate::fault::FaultPlan::none(),
         }
     }
 
@@ -568,16 +419,11 @@ impl SystemConfigBuilder {
     }
 
     /// Swap the memory technology: canonical [`DramConfig`] timing for
-    /// `tech` plus its channel count ([`MemTech::default_channels`]).
-    /// Whether refresh was enabled is carried over at the new
-    /// technology's canonical interval.
+    /// `tech` plus its channel count ([`MemTech::default_channels`]),
+    /// refresh off.
     pub fn tech(mut self, tech: MemTech) -> Self {
-        let refresh = self.cfg.dram.t_refi > 0;
         self.cfg.channels = tech.default_channels();
         self.cfg.dram = DramConfig::for_tech(tech);
-        if refresh {
-            self.cfg.dram = self.cfg.dram.with_refresh();
-        }
         self
     }
 
@@ -644,29 +490,17 @@ mod tests {
 
     #[test]
     fn builder_swaps_timing_and_channels() {
-        // Pin refresh off so the test is stable under refresh-enabled runs
-        // (refresh preservation is covered by the next test).
-        let mut base = SystemConfig::table1();
-        base.dram.t_refi = 0;
-        let c = SystemConfig::builder().base(base.clone()).tech(MemTech::Ddr5).build();
+        let c = SystemConfig::builder().tech(MemTech::Ddr5).build();
         assert_eq!(c.dram.tech, MemTech::Ddr5);
         assert_eq!(c.channels, 4);
         assert!(c.dram.bank_groups > 1 && c.dram.t_ccd_l > c.dram.t_burst);
-        let h = SystemConfig::builder().base(base).tech(MemTech::Hbm2).build();
+        let h = SystemConfig::builder().tech(MemTech::Hbm2).build();
         assert_eq!(h.channels, 8);
         assert!(h.dram.pseudo_channels > 1);
         // Round-tripping back to DDR4 restores the baseline machine.
         let back = SystemConfig::builder().base(h).tech(MemTech::Ddr4).build();
         assert_eq!(back.dram, DramConfig::for_tech(MemTech::Ddr4));
         assert_eq!(back.channels, 2);
-    }
-
-    #[test]
-    fn builder_preserves_refresh_choice() {
-        let on = SystemConfig::builder().refresh(true).tech(MemTech::Ddr5).build();
-        assert!(on.dram.t_refi > 0);
-        let off = SystemConfig::builder().refresh(false).tech(MemTech::Ddr5).build();
-        assert_eq!(off.dram.t_refi, 0);
     }
 
     #[test]
@@ -686,19 +520,5 @@ mod tests {
         };
         let (d4, d5, hbm) = (bw(MemTech::Ddr4), bw(MemTech::Ddr5), bw(MemTech::Hbm2));
         assert!(d4 < d5 && d5 < hbm, "bw ordering: {d4} {d5} {hbm}");
-    }
-
-    #[test]
-    fn sim_options_builder_round_trips() {
-        let o = SimOptions::builder()
-            .refresh(true)
-            .trace("trace/out")
-            .sched(crate::system::SchedMode::Conservative)
-            .watchdog(10_000)
-            .build();
-        assert!(o.refresh);
-        assert_eq!(o.trace.as_deref(), Some("trace/out"));
-        assert_eq!(o.sched, crate::system::SchedMode::Conservative);
-        assert_eq!(o.watchdog, Some(10_000));
     }
 }

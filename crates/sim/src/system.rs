@@ -107,7 +107,7 @@ impl std::error::Error for SimError {}
 /// §2.10): cycles jumped by whole-machine skip-ahead are missing from
 /// per-core cycle accounting, and a skip may jump over the LLC's deferred
 /// retries, which shifts timing by a few cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
     /// Execute every component on every cycle, never skipping ahead.
     /// Slowest; the reference the other modes are checked against.
@@ -119,6 +119,7 @@ pub enum SchedMode {
     /// Execute the same cycle set as [`SchedMode::Conservative`], but
     /// within each executed cycle skip components that provably cannot
     /// act, batching their idle accounting. The default.
+    #[default]
     EventDriven,
 }
 
@@ -1108,10 +1109,18 @@ impl System {
             );
         }
         // Inclusion: an L1-resident line is tracked by the inclusive LLC
-        // (resident, or mid-eviction with an MSHR serialising it).
+        // (resident, or mid-eviction with an MSHR serialising it). An LLC
+        // eviction drops clean sharers with unacked `Inval`s, so mid-run
+        // the line may instead have an `Inval` on the way to every holder.
         for (line, who) in &resident {
+            let inval_in_flight = |i: usize| {
+                self.llc_to_l1[i]
+                    .iter()
+                    .any(|m| matches!(m, LlcToL1::Inval { line: l } if l.0 == *line))
+            };
             assert!(
-                self.llc.check_tracks(PhysAddr(*line)),
+                self.llc.check_tracks(PhysAddr(*line))
+                    || (!quiescent && who.iter().all(|&i| inval_in_flight(i))),
                 "invariant violation (coherence): line {:#x} resident in \
                  L1s {who:?} but not tracked by the inclusive LLC, at cycle {}",
                 line,
