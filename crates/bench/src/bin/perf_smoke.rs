@@ -20,7 +20,7 @@
 
 use mcs_bench::figs::{fig10_job, fig10_mechs, fig10_row, FIG10_SIZES};
 use mcs_bench::mess::{job_for, Point, Scale};
-use mcs_bench::{marker0, BenchOpts};
+use mcs_bench::{committed_row, marker0, BenchOpts};
 use mcs_sim::config::MemTech;
 use std::time::Instant;
 
@@ -48,21 +48,6 @@ fn measure(name: &'static str, run: impl FnOnce()) -> Sample {
         mcycles: (mcs_bench::sim_cycles() - cycles0) as f64 / 1e6,
         wall_s: t0.elapsed().as_secs_f64(),
     }
-}
-
-/// Find the committed TSV data row whose first `key.len()` columns equal
-/// `key`.
-fn committed_row(file: &str, key: &[&str]) -> String {
-    let path = format!("{}/../../results/{}", env!("CARGO_MANIFEST_DIR"), file);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {path}: {e}"));
-    text.lines()
-        .find(|l| {
-            !l.starts_with('#')
-                && l.split('\t').take(key.len()).eq(key.iter().copied())
-        })
-        .unwrap_or_else(|| panic!("no row keyed {key:?} in {file}"))
-        .to_string()
 }
 
 fn check_row(file: &str, key: &[&str], got: &str, drift: &mut u32) {

@@ -1,19 +1,46 @@
-//! Shared construction of the Fig. 10 and Fig. 12 sweeps, and of the
-//! Fig. 10 rows of the memory-technology sweep.
+//! Shared construction of Table I, the Fig. 10 and Fig. 12 sweeps, and
+//! the Fig. 10 rows of the memory-technology sweep.
 //!
-//! The figure binaries and the trace-off byte-identity regression test
+//! The figure binaries and the byte-identity regression test
 //! (`tests/trace_identity.rs`) must agree exactly on how each point is
 //! simulated and how each row is formatted — any drift would make the
 //! test compare different experiments. Both therefore build jobs and rows
 //! through this module.
 
-use crate::{f3, fmt_size, marker0, ns, Job};
+use crate::{f3, fmt_size, marker0, ns, Job, Table};
 use mcs_sim::alloc::AddrSpace;
 use mcs_sim::config::{MemTech, SystemConfig};
 use mcs_sim::stats::RunStats;
 use mcs_workloads::micro::{copy_latency, seq_access};
 use mcs_workloads::CopyMech;
+use mcsquare::ctt::ENTRY_BYTES;
 use mcsquare::McSquareConfig;
+
+/// Table I: the simulated configuration used throughout the evaluation,
+/// alongside the (MC)² hardware parameters (CTT/BPQ sizes and the
+/// CACTI-derived CTT figures quoted from the paper).
+pub fn table1() -> Table {
+    let c = SystemConfig::table1();
+    let m = McSquareConfig::default();
+    let mut t = Table::new("table1", "simulated configuration", &["parameter", "value"]);
+    let mut kv = |k: &str, v: String| t.row(vec![k.to_string(), v]);
+    kv("CPUs", c.cores.to_string());
+    kv("Clock speed", "4 GHz".into());
+    kv("Private L1 cache", format!("{} KB/CPU, stride prefetcher", c.l1.size_bytes >> 10));
+    kv("Shared L2 cache", format!("{} MB, stride prefetcher", c.llc.size_bytes >> 20));
+    kv("DRAM size", "3 GB (sparse)".into());
+    kv("DRAM channels", c.channels.to_string());
+    kv("DRAM config", "DDR4-like bank/row-buffer timing".into());
+    kv("BPQ size", format!("{} entries", m.bpq_entries));
+    kv("CTT entries", m.ctt_entries.to_string());
+    kv("CTT latency", format!("{} cycles ({} ns)", m.ctt_latency, ns(m.ctt_latency)));
+    kv("CTT SRAM", format!("{} KB", m.ctt_entries as u64 * ENTRY_BYTES / 1024));
+    kv("CTT area (paper, CACTI 7.0 @22nm)", "0.14 mm^2".into());
+    kv("CTT bank leakage (paper)", "33.8 mW".into());
+    kv("Drain threshold", format!("{:.0}%", m.drain_threshold * 100.0));
+    kv("WPQ writeback-reject watermark", format!("{:.0}%", m.wpq_reject_frac * 100.0));
+    t
+}
 
 /// Copy sizes of the Fig. 10 sweep.
 pub const FIG10_SIZES: [u64; 9] =

@@ -160,12 +160,12 @@ pub fn print_sim_throughput() {
 fn write_trace_outputs(base: &str, sink: &mcs_trace::TraceSink) {
     static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
     let stem = format!("{base}.job{}", JOB_SEQ.fetch_add(1, Ordering::Relaxed));
-    let _ = std::fs::write(
-        format!("{stem}.trace.json"),
-        mcs_trace::chrome::to_chrome_json(sink, CYCLES_PER_NS),
+    write_or_panic(
+        Path::new(&format!("{stem}.trace.json")),
+        &mcs_trace::chrome::to_chrome_json(sink, CYCLES_PER_NS),
     );
-    let _ = std::fs::write(format!("{stem}.series.tsv"), sink.series.to_tsv(CYCLES_PER_NS));
-    let _ = std::fs::write(format!("{stem}.hist.tsv"), sink.hists.to_tsv());
+    write_or_panic(Path::new(&format!("{stem}.series.tsv")), &sink.series.to_tsv(CYCLES_PER_NS));
+    write_or_panic(Path::new(&format!("{stem}.hist.tsv")), &sink.hists.to_tsv());
     eprintln!(
         "# trace: wrote {stem}.{{trace.json,series.tsv,hist.tsv}} ({} events buffered, {} dropped)",
         sink.ring.len(),
@@ -255,10 +255,35 @@ impl Table {
         let text = self.render();
         print!("{text}");
         let dir = Path::new("results");
-        if std::fs::create_dir_all(dir).is_ok() {
-            let _ = std::fs::write(dir.join(format!("{}.tsv", self.name)), &text);
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            panic!("cannot create {}: {e}", dir.display());
         }
+        write_or_panic(&dir.join(format!("{}.tsv", self.name)), &text);
     }
+}
+
+/// Write a result file, panicking with its path on failure: a figure run
+/// that cannot write its output must not exit 0 and leave a stale file.
+fn write_or_panic(path: &Path, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        panic!("cannot write {}: {e}", path.display());
+    }
+}
+
+/// The committed `results/<file>` of this source tree.
+pub fn committed_tsv(file: &str) -> String {
+    let path = format!("{}/../../results/{}", env!("CARGO_MANIFEST_DIR"), file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// The data row of the committed `results/<file>` whose first `key.len()`
+/// columns equal `key`.
+pub fn committed_row(file: &str, key: &[&str]) -> String {
+    committed_tsv(file)
+        .lines()
+        .find(|l| !l.starts_with('#') && l.split('\t').take(key.len()).eq(key.iter().copied()))
+        .unwrap_or_else(|| panic!("no row keyed {key:?} in {file}"))
+        .to_string()
 }
 
 /// Marker-0 latency of core 0: the bracketed section every single-core

@@ -7,28 +7,22 @@
 //! instrumentation leaks timing into the trace-off build, these rows
 //! drift and the comparison fails. The memory-technology rows also pin
 //! the bank-group and pseudo-channel geometries of the DRAM channel, with
-//! refresh on.
+//! refresh on. `results/table1.tsv` is pinned whole, so a configuration
+//! default cannot change without the committed table changing with it.
 //!
 //! (When built `--features trace` with no `--trace=` option, the same
 //! comparison proves the armed-capable build is also timing-identical.)
 
 use mcs_bench::figs::{
     fig10_job, fig10_mechs, fig10_row, fig12_job, fig12_row, fig12_variants, memtech_fig10_job,
-    memtech_fig10_row,
+    memtech_fig10_row, table1,
 };
-use mcs_bench::{marker0, BenchOpts};
+use mcs_bench::{committed_row, committed_tsv, marker0, BenchOpts};
 use mcs_sim::config::MemTech;
 
-/// Read the data row whose first `key.len()` columns equal `key` out of a
-/// committed TSV.
-fn committed_row(file: &str, key: &[&str]) -> String {
-    let path = format!("{}/../../results/{}", env!("CARGO_MANIFEST_DIR"), file);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {path}: {e}"));
-    text.lines()
-        .find(|l| !l.starts_with('#') && l.split('\t').take(key.len()).eq(key.iter().copied()))
-        .unwrap_or_else(|| panic!("no row keyed {key:?} in {file}"))
-        .to_string()
+#[test]
+fn table1_byte_identical_to_committed_tsv() {
+    assert_eq!(table1().render(), committed_tsv("table1.tsv"));
 }
 
 #[test]

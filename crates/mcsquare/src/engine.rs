@@ -1172,8 +1172,8 @@ mod tests {
         let mut io = EngineIo::default();
         assert!(matches!(e.on_arrive(0, 0, req, &mut io), Verdict::Consumed));
         let (tag, addr) = io.dram_reads[0];
-        let mut io = EngineIo::default();
-        io.wpq = (0, 8); // plenty of room: writeback allowed
+        // Plenty of room: writeback allowed.
+        let mut io = EngineIo { wpq: (0, 8), ..Default::default() };
         e.on_dram_read(5, 0, tag, addr, LineData::splat(7), false, &mut io);
         let resp = io.sends.iter().find(|(p, _)| p.cmd == MemCmd::ReadResp).expect("reply");
         assert_eq!(resp.0.id, req_id);
@@ -1189,8 +1189,8 @@ mod tests {
         let mut io = EngineIo::default();
         assert!(matches!(e.on_arrive(0, 0, read_pkt(0x2000, 0), &mut io), Verdict::Consumed));
         let (tag, addr) = io.dram_reads[0];
-        let mut io = EngineIo::default();
-        io.wpq = (7, 8); // ≥ 75% full → reject (§III-B2)
+        // ≥ 75% full → reject (§III-B2).
+        let mut io = EngineIo { wpq: (7, 8), ..Default::default() };
         e.on_dram_read(5, 0, tag, addr, LineData::splat(7), false, &mut io);
         assert!(io.dram_writes.is_empty(), "writeback rejected under contention");
         assert!(e.ctt().covers_dst(PhysAddr(0x2000), 64), "entry stays tracked");
@@ -1365,8 +1365,7 @@ mod tests {
         let mut io = EngineIo::default();
         assert!(matches!(e.on_arrive(0, 0, read_pkt(0x2000, 0), &mut io), Verdict::Consumed));
         let (tag, addr) = io.dram_reads[0];
-        let mut io = EngineIo::default();
-        io.wpq = (0, 8);
+        let mut io = EngineIo { wpq: (0, 8), ..Default::default() };
         e.on_dram_read(5, 0, tag, addr, LineData::splat(7), true, &mut io);
         let resp = io.sends.iter().find(|(p, _)| p.cmd == MemCmd::ReadResp).expect("reply");
         assert!(resp.0.poisoned, "poison propagates to the demand response");

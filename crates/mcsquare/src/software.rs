@@ -179,12 +179,6 @@ pub fn memcpy_interposed_uops(
     }
 }
 
-/// Generate an `MCFREE` hint uop for `[addr, addr+size)` (to be called
-/// where the buffer is known dead, e.g. inside `munmap`, §III-C).
-pub fn mcfree_uop(addr: PhysAddr, size: u64, tag: StatTag) -> Uop {
-    Uop::new(UopKind::Mcfree { addr, size }, tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

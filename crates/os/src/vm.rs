@@ -99,11 +99,6 @@ impl Vm {
     pub fn segments(&self) -> usize {
         self.table.segments()
     }
-
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.table.covered_bytes()
-    }
 }
 
 /// Kernel statistics.
@@ -288,11 +283,6 @@ impl Kernel {
     pub fn frame_refs(&self, pa: PhysAddr, page: PageSize) -> u32 {
         let base = pa.0 / page.bytes() * page.bytes();
         self.refs.get(&base).copied().unwrap_or(0)
-    }
-
-    /// Allocate raw frames (for workloads needing plain buffers).
-    pub fn alloc_frames(&mut self, len: u64, align: u64) -> PhysAddr {
-        self.frames.alloc(len, align)
     }
 }
 

@@ -82,12 +82,6 @@ impl PhysAddr {
     pub fn add(self, bytes: u64) -> PhysAddr {
         PhysAddr(self.0 + bytes)
     }
-
-    /// Signed distance from `other` to `self` in bytes.
-    #[inline]
-    pub fn offset_from(self, other: PhysAddr) -> i64 {
-        self.0 as i64 - other.0 as i64
-    }
 }
 
 impl fmt::Debug for PhysAddr {
@@ -208,11 +202,5 @@ mod tests {
         assert!(PhysAddr(0).is_aligned(64));
         assert!(PhysAddr(4096).is_aligned(4096));
         assert!(!PhysAddr(4097).is_aligned(4096));
-    }
-
-    #[test]
-    fn offset_from_is_signed() {
-        assert_eq!(PhysAddr(100).offset_from(PhysAddr(40)), 60);
-        assert_eq!(PhysAddr(40).offset_from(PhysAddr(100)), -60);
     }
 }

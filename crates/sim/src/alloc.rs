@@ -53,15 +53,6 @@ impl AddrSpace {
         self.alloc(size, PAGE_2M)
     }
 
-    /// Allocate `size` bytes whose address is `offset` bytes past an
-    /// `align` boundary — used to construct deliberately misaligned
-    /// buffers (e.g. Fig. 12 misaligns source and destination so every
-    /// destination line needs two bounces).
-    pub fn alloc_misaligned(&mut self, size: u64, align: u64, offset: u64) -> PhysAddr {
-        let a = self.alloc(size + offset, align);
-        a.add(offset)
-    }
-
     /// Bytes remaining.
     pub fn remaining(&self) -> u64 {
         self.end - self.next
@@ -88,13 +79,6 @@ mod tests {
         let a = s.alloc(100, 64);
         let b = s.alloc(100, 64);
         assert!(b.0 >= a.0 + 100);
-    }
-
-    #[test]
-    fn misaligned_alloc_has_requested_offset() {
-        let mut s = AddrSpace::new(PhysAddr(0), 1 << 20);
-        let a = s.alloc_misaligned(256, 4096, 36);
-        assert_eq!(a.page_off(4096), 36);
     }
 
     #[test]

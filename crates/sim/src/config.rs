@@ -279,9 +279,6 @@ pub struct SystemConfig {
     pub mc: McConfig,
     /// Link latencies.
     pub links: LinkConfig,
-    /// CTT lookup latency in cycles, added to a bounced destination read
-    /// (paper: 0.79 ns ≈ 3.16 cycles at 4 GHz; we round up to 4).
-    pub ctt_latency: u64,
     /// Fault-injection plan (empty = inject nothing, the default).
     #[serde(default)]
     pub fault: crate::fault::FaultPlan,
@@ -315,7 +312,6 @@ impl SystemConfig {
             dram: DramConfig::for_tech(MemTech::Ddr4),
             mc: McConfig { rpq_cap: 48, ..McConfig::default() },
             links: LinkConfig::default(),
-            ctt_latency: 4,
             fault: crate::fault::FaultPlan::none(),
         }
     }
@@ -386,7 +382,6 @@ impl SystemConfig {
             },
             mc: McConfig { rpq_cap: 8, wpq_cap: 8, wpq_drain_hi: 0.7, wpq_drain_lo: 0.2 },
             links: LinkConfig { core_l1: 1, l1_llc: 2, llc_mc: 4, mc_mc: 4 },
-            ctt_latency: 1,
             fault: crate::fault::FaultPlan::none(),
         }
     }

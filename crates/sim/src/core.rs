@@ -174,11 +174,6 @@ impl Core {
         self.finished
     }
 
-    /// Number of loads in flight (diagnostics).
-    pub fn outstanding_loads(&self) -> usize {
-        self.loads.len()
-    }
-
     /// Number of issued (sent to L1) loads in flight (diagnostics).
     pub fn issued_loads(&self) -> usize {
         self.loads.iter().filter(|l| l.issued).count()
@@ -275,7 +270,7 @@ impl Core {
         self.issue_clwbs(out);
         self.drain_sb(out);
         let dispatch_stall = self.dispatch(now, out);
-        self.account(now, retired, dispatch_stall);
+        self.account(1, now, retired, dispatch_stall);
 
         if self.program_done && self.rob.is_empty() && self.loads.is_empty() && self.mem_drained() {
             self.finished = true;
@@ -788,24 +783,28 @@ impl Core {
         Ok(())
     }
 
-    fn account(&mut self, now: Cycle, retired: usize, dispatch_stall: Option<StallReason>) {
+    /// Attribute `k` cycles starting at `now`: cycles and mem-busy cycles
+    /// by tag, the stall reason (from the ROB head, else dispatch) and the
+    /// trace stall span. The one accounting rule: [`Core::tick`] calls it
+    /// with `k = 1`, [`Core::account_idle`] with `k` elided cycles.
+    fn account(&mut self, k: u64, now: Cycle, retired: usize, dispatch_stall: Option<StallReason>) {
         let _ = now; // stamp for the trace hook below
-        self.stats.cycles += 1;
+        self.stats.cycles += k;
         let tag = self.rob.front().map(|e| e.tag).unwrap_or(self.last_tag);
-        *self.stats.cycles_by_tag.entry(tag).or_insert(0) += 1;
+        *self.stats.cycles_by_tag.entry(tag).or_insert(0) += k;
 
         // "Mem miss cycles": at least one outstanding load that has
         // plausibly left the L1 (issued and still pending).
         if self.loads.iter().any(|l| l.issued) {
-            *self.stats.mem_busy_by_tag.entry(tag).or_insert(0) += 1;
+            *self.stats.mem_busy_by_tag.entry(tag).or_insert(0) += k;
         }
 
-        // This cycle's stall attribution (None ⇔ something retired or the
-        // machine was genuinely idle with nothing blocked).
-        let mut stalled: Option<StallReason> = None;
-        if retired == 0 && !self.rob.is_empty() {
-            let head = self.rob.front().expect("nonempty");
-            let reason = match head.kind {
+        // The stall attribution (None ⇔ something retired or the machine
+        // was genuinely idle with nothing blocked).
+        let stalled = if retired > 0 {
+            None
+        } else if let Some(head) = self.rob.front() {
+            Some(match head.kind {
                 RobKind::Load => StallReason::LoadMiss,
                 RobKind::Fence => {
                     if !self.clwbs.is_empty() {
@@ -818,27 +817,23 @@ impl Core {
                 }
                 // A compute (or other non-memory) head stalls retirement by
                 // itself; if dispatch was also blocked on a concrete
-                // resource this cycle (ROB full behind a long compute, store
-                // buffer full), that resource is the more useful
-                // attribution than the generic front-end bucket.
-                RobKind::Compute => dispatch_stall.unwrap_or(StallReason::Frontend),
+                // resource (ROB full behind a long compute, store buffer
+                // full), that resource is the more useful attribution than
+                // the generic front-end bucket.
                 _ => dispatch_stall.unwrap_or(StallReason::Frontend),
-            };
-            self.stats.bump_stall(reason);
-            if matches!(reason, StallReason::LoadMiss) {
-                *self.stats.mem_stall_by_tag.entry(tag).or_insert(0) += 1;
-            }
-            stalled = Some(reason);
-        } else if retired == 0 {
-            if let Some(r) = dispatch_stall {
-                self.stats.bump_stall(r);
-                stalled = Some(r);
+            })
+        } else {
+            dispatch_stall
+        };
+        if let Some(r) = stalled {
+            self.stats.bump_stall_n(r, k);
+            if r == StallReason::LoadMiss {
+                *self.stats.mem_stall_by_tag.entry(tag).or_insert(0) += k;
             }
         }
-        let _ = stalled;
 
-        // Trace hook: convert the per-cycle attribution into stall *spans*
-        // (one event per transition, not per cycle).
+        // Trace hook: convert the attribution into stall *spans* (one
+        // event per transition, not per cycle).
         #[cfg(feature = "trace")]
         match (self.cur_stall, stalled) {
             (Some((r0, _)), Some(r)) if r0 == r => {}
@@ -856,67 +851,20 @@ impl Core {
         }
     }
 
-    /// Batched accounting for `k` executed cycles during which the core
-    /// was provably frozen: no deliverable inbox message, nothing it can
-    /// do on its own ([`Core::can_act`] false) and no timer due
+    /// Accounting for `k` executed cycles during which the core was
+    /// provably frozen: no deliverable inbox message, nothing it can do
+    /// on its own ([`Core::can_act`] false) and no timer due
     /// ([`Core::next_event`] in the future). Under those conditions
-    /// [`Core::tick`] retires nothing and changes no state, so its only
-    /// effect is `k` identical [`Core::account`] calls — replicated here
-    /// in O(1). `first_now` is the first elided cycle (stall spans open
-    /// there, exactly where the per-cycle path would have opened them).
+    /// [`Core::tick`] retires nothing and changes no state, so `k` ticks
+    /// are one [`Core::account`] of `k` cycles. `first_now` is the first
+    /// elided cycle (stall spans open there, exactly where the per-cycle
+    /// path would have opened them).
     pub(crate) fn account_idle(&mut self, k: u64, first_now: Cycle) {
-        let _ = first_now; // stamp for the trace hook below
         if k == 0 || self.finished {
             return;
         }
         let dispatch_stall = self.idle_dispatch_stall();
-        self.stats.cycles += k;
-        let tag = self.rob.front().map(|e| e.tag).unwrap_or(self.last_tag);
-        *self.stats.cycles_by_tag.entry(tag).or_insert(0) += k;
-        if self.loads.iter().any(|l| l.issued) {
-            *self.stats.mem_busy_by_tag.entry(tag).or_insert(0) += k;
-        }
-        let mut stalled: Option<StallReason> = None;
-        if !self.rob.is_empty() {
-            let head = self.rob.front().expect("nonempty");
-            let reason = match head.kind {
-                RobKind::Load => StallReason::LoadMiss,
-                RobKind::Fence => {
-                    if !self.clwbs.is_empty() {
-                        StallReason::ClwbSlots
-                    } else if self.outstanding_mclazy > 0 {
-                        StallReason::MclazySlots
-                    } else {
-                        StallReason::Fence
-                    }
-                }
-                _ => dispatch_stall.unwrap_or(StallReason::Frontend),
-            };
-            self.stats.bump_stall_n(reason, k);
-            if matches!(reason, StallReason::LoadMiss) {
-                *self.stats.mem_stall_by_tag.entry(tag).or_insert(0) += k;
-            }
-            stalled = Some(reason);
-        } else if let Some(r) = dispatch_stall {
-            self.stats.bump_stall_n(r, k);
-            stalled = Some(r);
-        }
-        let _ = stalled;
-        #[cfg(feature = "trace")]
-        match (self.cur_stall, stalled) {
-            (Some((r0, _)), Some(r)) if r0 == r => {}
-            (open, new) => {
-                if let Some((r0, start)) = open {
-                    mcs_trace::emit(mcs_trace::Event::CoreStall {
-                        core: self.id as u16,
-                        reason: r0.name(),
-                        start,
-                        end: first_now,
-                    });
-                }
-                self.cur_stall = new.map(|r| (r, first_now));
-            }
-        }
+        self.account(k, first_now, 0, dispatch_stall);
     }
 
     /// What [`Core::dispatch`] would return on a frozen core — a pure

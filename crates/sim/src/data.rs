@@ -116,11 +116,6 @@ impl SparseMem {
             src = &src[take..];
         }
     }
-
-    /// Number of lines that have ever been written (footprint proxy).
-    pub fn backed_lines(&self) -> usize {
-        self.lines.len()
-    }
 }
 
 impl fmt::Debug for SparseMem {
@@ -171,14 +166,5 @@ mod tests {
         m.write_bytes(PhysAddr(0x8), &[9, 9]);
         let line = m.read_line(PhysAddr(0x0));
         assert_eq!(line.read(7, 4), &[7, 9, 9, 7]);
-    }
-
-    #[test]
-    fn backed_lines_counts_unique_lines() {
-        let mut m = SparseMem::new();
-        m.write_bytes(PhysAddr(0), &[1]);
-        m.write_bytes(PhysAddr(63), &[1]);
-        m.write_bytes(PhysAddr(64), &[1]);
-        assert_eq!(m.backed_lines(), 2);
     }
 }

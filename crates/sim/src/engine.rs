@@ -272,8 +272,7 @@ mod tests {
 
     #[test]
     fn wpq_frac_computation() {
-        let mut io = EngineIo::default();
-        io.wpq = (3, 4);
+        let mut io = EngineIo { wpq: (3, 4), ..Default::default() };
         assert!((io.wpq_frac() - 0.75).abs() < 1e-9);
         io.wpq = (0, 0);
         assert_eq!(io.wpq_frac(), 0.0);

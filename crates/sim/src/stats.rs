@@ -89,14 +89,8 @@ impl CoreStats {
         self.mem_stall_by_tag.get(&tag).copied().unwrap_or(0)
     }
 
-    /// Add a stall-reason cycle.
-    pub fn bump_stall(&mut self, r: StallReason) {
-        *self.stalls.entry(r).or_insert(0) += 1;
-        self.stalled_cycles += 1;
-    }
-
-    /// Record `n` stall cycles with one reason at once (batched idle
-    /// accounting). Keeps the `stalled_cycles == Σ stalls` ledger intact.
+    /// Record `n` stall cycles with one reason. Keeps the
+    /// `stalled_cycles == Σ stalls` ledger intact.
     pub fn bump_stall_n(&mut self, r: StallReason, n: u64) {
         if n == 0 {
             return;
@@ -261,28 +255,6 @@ impl RunStats {
         self.cores.iter().map(|c| c.tag_cycles(tag)).sum()
     }
 
-    /// Sum of memory-stall cycles for a tag across cores.
-    pub fn total_tag_mem_stalls(&self, tag: StatTag) -> u64 {
-        self.cores.iter().map(|c| c.tag_mem_stalls(tag)).sum()
-    }
-
-    /// Fraction of all attributed cycles spent under `tag` (Fig. 2's "copy
-    /// overhead" when `tag == StatTag::Memcpy`).
-    pub fn tag_fraction(&self, tag: StatTag) -> f64 {
-        let total: u64 =
-            self.cores.iter().flat_map(|c| c.cycles_by_tag.values()).sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_tag_cycles(tag) as f64 / total as f64
-        }
-    }
-
-    /// Total DRAM accesses across controllers.
-    pub fn dram_accesses(&self) -> u64 {
-        self.mcs.iter().map(|m| m.reads + m.writes).sum()
-    }
-
     /// Total CTT-full input stall cycles across controllers (Fig. 20b).
     pub fn mc_input_stalls(&self) -> u64 {
         self.mcs.iter().map(|m| m.input_stall_cycles).sum()
@@ -399,16 +371,6 @@ mod tests {
         assert_eq!(s.p99, 1000);
         assert!((s.mean - 220.0).abs() < 1e-9);
         assert!(summarize_latencies(&[]).is_none());
-    }
-
-    #[test]
-    fn tag_fraction_sums() {
-        let mut rs = RunStats::default();
-        let mut c = CoreStats::default();
-        c.cycles_by_tag.insert(StatTag::Memcpy, 30);
-        c.cycles_by_tag.insert(StatTag::App, 70);
-        rs.cores.push(c);
-        assert!((rs.tag_fraction(StatTag::Memcpy) - 0.3).abs() < 1e-9);
     }
 
     #[test]

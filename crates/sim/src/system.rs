@@ -336,11 +336,6 @@ impl System {
         self.sched = mode;
     }
 
-    /// The currently selected run-loop scheduler.
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched
-    }
-
     /// Write bytes directly into simulated DRAM, bypassing timing
     /// (workload initialisation).
     pub fn poke(&mut self, addr: PhysAddr, bytes: &[u8]) {
@@ -917,7 +912,7 @@ impl System {
                         .cores
                         .iter()
                         .enumerate()
-                        .all(|(i, c)| self.idle_pending[i] > 0 || c.finished() || !c_active(c)),
+                        .all(|(i, c)| self.idle_pending[i] > 0 || c.finished() || !c.has_internal_work()),
                 };
                 if cores_inactive {
                     if let Some(target) = self.skip_target() {
@@ -1213,13 +1208,6 @@ impl System {
             sched: self.sched_stats,
         }
     }
-}
-
-/// Heuristic: can this core make internal progress this cycle without any
-/// new message arriving? Conservative (errs toward "yes, active"): skipping
-/// is only allowed when this returns false.
-fn c_active(core: &Core) -> bool {
-    core.has_internal_work()
 }
 
 #[cfg(test)]

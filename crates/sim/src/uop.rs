@@ -188,17 +188,6 @@ impl Uop {
             _ => Ok(()),
         }
     }
-
-    /// Whether this uop reads or writes memory (used for fence ordering).
-    pub fn is_mem(&self) -> bool {
-        !matches!(
-            self.kind,
-            UopKind::Compute { .. }
-                | UopKind::Mfence
-                | UopKind::Marker { .. }
-                | UopKind::PipelineFlush
-        )
-    }
 }
 
 fn check_access(addr: PhysAddr, size: u8) -> Result<(), String> {
@@ -281,13 +270,6 @@ mod tests {
             StatTag::App,
         );
         assert!(u.validate().is_err());
-    }
-
-    #[test]
-    fn is_mem_classification() {
-        assert!(!Uop::new(UopKind::Mfence, StatTag::App).is_mem());
-        assert!(!Uop::new(UopKind::Compute { cycles: 3 }, StatTag::App).is_mem());
-        assert!(Uop::new(UopKind::Clwb { addr: PhysAddr(0) }, StatTag::App).is_mem());
     }
 
     #[test]

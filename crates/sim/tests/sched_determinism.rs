@@ -37,7 +37,7 @@ fn workload(core: usize) -> Vec<Uop> {
     let base = 0x4_0000 + (core as u64) * 0x2_0000;
     let mut uops = Vec::new();
     for i in 0..24u64 {
-        let line = PhysAddr(base + i * CACHELINE as u64);
+        let line = PhysAddr(base + i * CACHELINE);
         let nt = i % 5 == 0;
         let size: u8 = if nt { CACHELINE as u8 } else { 8 };
         uops.push(Uop::new(
@@ -63,7 +63,7 @@ fn workload(core: usize) -> Vec<Uop> {
     }
     uops.push(Uop::new(UopKind::Mfence, StatTag::App));
     for i in 0..24u64 {
-        let line = PhysAddr(base + i * CACHELINE as u64);
+        let line = PhysAddr(base + i * CACHELINE);
         uops.push(Uop::new(
             UopKind::Load { addr: line, size: 8 },
             StatTag::App,

@@ -8,7 +8,6 @@
 
 use mcs_baselines::zio::{Zio, ZioCosts};
 use mcs_sim::addr::PhysAddr;
-use mcs_sim::data::SparseMem;
 use mcs_sim::uop::{StatTag, Uop, UopKind};
 use mcsquare::software::{memcpy_interposed_uops, LazyOpts};
 
@@ -159,13 +158,6 @@ impl Pokes {
             sys.poke(*a, b);
         }
     }
-
-    /// Apply to a raw memory image (tests).
-    pub fn apply_mem(&self, mem: &mut SparseMem) {
-        for (a, b) in &self.0 {
-            mem.write_bytes(*a, b);
-        }
-    }
 }
 
 /// Extract per-marker latencies from run stats: pairs `(2k, 2k+1)` become
@@ -218,8 +210,10 @@ mod tests {
 
     #[test]
     fn marker_latency_pairing() {
-        let mut cs = mcs_sim::stats::CoreStats::default();
-        cs.markers = vec![(0, 100), (1, 180), (2, 200), (3, 450)];
+        let cs = mcs_sim::stats::CoreStats {
+            markers: vec![(0, 100), (1, 180), (2, 200), (3, 450)],
+            ..Default::default()
+        };
         assert_eq!(marker_latencies(&cs), vec![80, 250]);
     }
 

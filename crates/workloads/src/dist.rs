@@ -122,7 +122,7 @@ mod tests {
         for _ in 0..1000 {
             let x = d.sample(&mut a);
             assert_eq!(x, d.sample(&mut b));
-            assert!(x >= 2 && x <= 4096 && x.is_power_of_two());
+            assert!((2..=4096).contains(&x) && x.is_power_of_two());
         }
     }
 
