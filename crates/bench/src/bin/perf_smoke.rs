@@ -1,7 +1,10 @@
 //! Simulator-throughput benchmark for CI: re-simulate a pinned subset of
 //! the committed figures and report simulated Mcycles per wall-clock
 //! second, per bench, as hand-rolled JSON in
-//! `BENCH_sim_throughput.json`.
+//! `BENCH_sim_throughput.json`. Jobs run under `par_run`, so the JSON
+//! also records how it measured: the worker `threads` at the top level
+//! and, per bench, the scheduler's `executed_cycles`/`skipped_cycles`
+//! summed over the bench's runs (`RunStats::sched`).
 //!
 //! Two properties are checked at once:
 //!
@@ -22,6 +25,7 @@ use mcs_bench::figs::{fig10_job, fig10_mechs, fig10_row, FIG10_SIZES};
 use mcs_bench::mess::{job_for, Point, Scale};
 use mcs_bench::{committed_row, marker0, BenchOpts};
 use mcs_sim::config::MemTech;
+use mcs_sim::stats::RunStats;
 use std::time::Instant;
 
 /// One bench's measurement.
@@ -29,6 +33,10 @@ struct Sample {
     name: &'static str,
     mcycles: f64,
     wall_s: f64,
+    /// Cycles the run loops executed, summed over the bench's runs.
+    executed_cycles: u64,
+    /// Cycles the run loops skipped, summed over the bench's runs.
+    skipped_cycles: u64,
 }
 
 impl Sample {
@@ -38,16 +46,23 @@ impl Sample {
 }
 
 /// Measure `run` as one bench: wall time around it, simulated cycles
-/// from the harness's cumulative counter.
-fn measure(name: &'static str, run: impl FnOnce()) -> Sample {
+/// from the harness's cumulative counter, scheduler counters from the
+/// runs it returns.
+fn measure<T>(
+    name: &'static str,
+    run: impl FnOnce() -> Vec<(T, RunStats)>,
+) -> (Sample, Vec<(T, RunStats)>) {
     let cycles0 = mcs_bench::sim_cycles();
     let t0 = Instant::now();
-    run();
-    Sample {
+    let results = run();
+    let sample = Sample {
         name,
         mcycles: (mcs_bench::sim_cycles() - cycles0) as f64 / 1e6,
         wall_s: t0.elapsed().as_secs_f64(),
-    }
+        executed_cycles: results.iter().map(|(_, s)| s.sched.executed_cycles).sum(),
+        skipped_cycles: results.iter().map(|(_, s)| s.sched.skipped_cycles).sum(),
+    };
+    (sample, results)
 }
 
 fn check_row(file: &str, key: &[&str], got: &str, drift: &mut u32) {
@@ -66,12 +81,11 @@ fn bench_fig10(opts: &BenchOpts, drift: &mut u32) -> Sample {
         .flat_map(|(mi, _)| FIG10_SIZES.iter().map(move |&s| (mi, s)))
         .collect();
     let mechs_ref = &mechs;
-    let mut results = Vec::new();
-    let sample = measure("fig10", || {
-        results = mcs_bench::par_run(opts, points, |&(mi, size)| {
+    let (sample, results) = measure("fig10", || {
+        mcs_bench::par_run(opts, points, |&(mi, size)| {
             let (_, mech, touch) = &mechs_ref[mi];
             fig10_job(mech, size, *touch)
-        });
+        })
     });
     for (si, &size) in FIG10_SIZES.iter().enumerate() {
         let lats: Vec<u64> = (0..mechs.len())
@@ -96,10 +110,8 @@ fn bench_mess(opts: &BenchOpts, drift: &mut u32) -> Sample {
         })
         .collect();
     let sc_ref = &sc;
-    let mut results = Vec::new();
-    let sample = measure("mess_curves", || {
-        results = mcs_bench::par_run(opts, points, |p| job_for(p, sc_ref));
-    });
+    let (sample, results) =
+        measure("mess_curves", || mcs_bench::par_run(opts, points, |p| job_for(p, sc_ref)));
     for (p, stats) in &results {
         let row = mcs_bench::mess::row_for(p, &sc, stats).join("\t");
         let mode = if p.lazy { "mcsquare" } else { "memcpy" };
@@ -114,15 +126,18 @@ fn main() {
     let mut drift = 0u32;
     let samples = vec![bench_fig10(&opts, &mut drift), bench_mess(&opts, &mut drift)];
 
-    let mut json = String::from("{\n  \"benches\": [\n");
+    let mut json =
+        format!("{{\n  \"threads\": {},\n  \"benches\": [\n", mcs_bench::par_threads());
     for (i, s) in samples.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"mcycles\": {:.3}, \"wall_s\": {:.3}, \
-             \"mcycles_per_s\": {:.3}}}{}\n",
+             \"mcycles_per_s\": {:.3}, \"executed_cycles\": {}, \"skipped_cycles\": {}}}{}\n",
             s.name,
             s.mcycles,
             s.wall_s,
             s.throughput(),
+            s.executed_cycles,
+            s.skipped_cycles,
             if i + 1 < samples.len() { "," } else { "" },
         ));
     }

@@ -173,14 +173,20 @@ fn write_trace_outputs(base: &str, sink: &mcs_trace::TraceSink) {
     );
 }
 
+/// Worker threads [`par_run`] runs at once: the host's available
+/// parallelism, or 4 if it cannot be queried.
+pub fn par_threads() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+}
+
 /// Run a set of independent jobs under `opts` in parallel (one OS thread
-/// each, capped at the available parallelism), preserving order.
+/// each, capped at [`par_threads`]), preserving order.
 pub fn par_run<T, F>(opts: &BenchOpts, points: Vec<T>, f: F) -> Vec<(T, RunStats)>
 where
     T: Send + Clone,
     F: Fn(&T) -> Job + Sync,
 {
-    let max_par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let max_par = par_threads();
     let mut out: Vec<Option<(T, RunStats)>> = (0..points.len()).map(|_| None).collect();
     let mut idx = 0;
     while idx < points.len() {

@@ -34,7 +34,7 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use mcs_sim::addr::{PhysAddr, CACHELINE};
-use mcsquare::ctt::{Ctt, CttError, Fragment};
+use mcsquare::ctt::{Ctt, CttError, Fragment, MAX_ENTRY_SIZE};
 use mcsquare::ranges::ByteRange;
 
 /// Lines per arena region.
@@ -99,6 +99,9 @@ pub trait CttLike: Clone {
     fn smallest_entry(&self, exclude: &[ByteRange]) -> Option<(ByteRange, PhysAddr)>;
     /// All (destination range, source base) entries in address order.
     fn entries(&self) -> Vec<(ByteRange, PhysAddr)>;
+    /// Tracked bytes and hardware rows as the table reports them (see
+    /// [`Ctt::tracked_bytes`] and [`Ctt::hw_entries`]).
+    fn totals(&self) -> (u64, usize);
     /// Entry capacity.
     fn capacity(&self) -> usize;
     /// Short description for reports.
@@ -136,6 +139,10 @@ impl CttLike for Ctt {
 
     fn entries(&self) -> Vec<(ByteRange, PhysAddr)> {
         self.iter().collect()
+    }
+
+    fn totals(&self) -> (u64, usize) {
+        (self.tracked_bytes(), self.hw_entries())
     }
 
     fn capacity(&self) -> usize {
@@ -344,6 +351,10 @@ impl CttLike for SimpleCtt {
         self.entries.iter().map(|(r, s)| (*r, PhysAddr(*s))).collect()
     }
 
+    fn totals(&self) -> (u64, usize) {
+        row_totals(&self.entries())
+    }
+
     fn capacity(&self) -> usize {
         self.capacity
     }
@@ -351,6 +362,13 @@ impl CttLike for SimpleCtt {
     fn describe(&self) -> String {
         format!("SimpleCtt (capacity {}, mutation {:?})", self.capacity, self.mutation)
     }
+}
+
+/// Bytes and hardware rows (Σ ⌈len / [`MAX_ENTRY_SIZE`]⌉) of `entries`.
+fn row_totals(entries: &[(ByteRange, PhysAddr)]) -> (u64, usize) {
+    let bytes = entries.iter().map(|(r, _)| r.len()).sum();
+    let rows = entries.iter().map(|(r, _)| r.len().div_ceil(MAX_ENTRY_SIZE) as usize).sum();
+    (bytes, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -589,6 +607,14 @@ impl<B: CttLike> State<B> {
                     return Err(format!("chain: source {src_r:?} overlaps destination {dst2:?}"));
                 }
             }
+        }
+        // The table's running totals (what the drain policy reads) match
+        // a recount of its entries.
+        let (kept, counted) = (self.ctt.totals(), row_totals(&entries));
+        if kept != counted {
+            return Err(format!(
+                "table reports {kept:?} (bytes, rows) but its entries hold {counted:?}"
+            ));
         }
         // Capacity: inserts reserve one segment of headroom, and a
         // destination write may split one entry into two, so the table

@@ -33,7 +33,7 @@ pub const ENTRY_BYTES: u64 = 16;
 pub const MAX_ENTRY_SIZE: u64 = PAGE_2M;
 
 /// Hardware rows needed to track `len` contiguous bytes.
-fn hw_rows(len: u64) -> usize {
+pub(crate) fn hw_rows(len: u64) -> usize {
     (len.div_ceil(MAX_ENTRY_SIZE)) as usize
 }
 
@@ -95,11 +95,6 @@ pub struct CttStats {
 pub struct Ctt {
     map: RangeMap<SrcBase>,
     capacity: usize,
-    /// Memoized [`Ctt::hw_entries`] — the drain policy and the event-driven
-    /// scheduler's `needs_tick` probe read occupancy every cycle, while the
-    /// table itself changes only on copy/free/write traffic. Invalidated by
-    /// every `map` mutation.
-    hw_cache: std::cell::Cell<Option<usize>>,
     /// Statistics.
     pub stats: CttStats,
 }
@@ -110,7 +105,6 @@ impl Ctt {
         Ctt {
             map: RangeMap::new(),
             capacity,
-            hw_cache: std::cell::Cell::new(None),
             stats: CttStats::default(),
         }
     }
@@ -143,14 +137,11 @@ impl Ctt {
     /// Number of hardware table rows the live segments occupy. The 21-bit
     /// size field caps one row at [`MAX_ENTRY_SIZE`] (2 MB), so a merged
     /// segment wider than that is stored as several back-to-back rows:
-    /// `ceil(len / MAX_ENTRY_SIZE)` per segment.
+    /// `ceil(len / MAX_ENTRY_SIZE)` per segment. The map keeps the sum as
+    /// a running total, like the hardware's occupancy counter, so this is
+    /// O(1); [`Ctt::check_invariants`] recounts it.
     pub fn hw_entries(&self) -> usize {
-        if let Some(n) = self.hw_cache.get() {
-            return n;
-        }
-        let n = self.map.iter().map(|(r, _)| hw_rows(r.len())).sum();
-        self.hw_cache.set(Some(n));
-        n
+        self.map.rows()
     }
 
     /// Insert a prospective copy `size` bytes from `src` to `dst`.
@@ -212,7 +203,6 @@ impl Ctt {
         for (r, src_base) in pieces {
             self.map.insert(r, SrcBase(src_base));
         }
-        self.hw_cache.set(None);
         self.stats.inserts += 1;
         self.stats.peak_segments = self.stats.peak_segments.max(self.len() as u64);
         Ok(())
@@ -241,7 +231,6 @@ impl Ctt {
         let r = ByteRange::sized(addr.0, len);
         let before = self.map.covered_bytes();
         self.map.remove(r);
-        self.hw_cache.set(None);
         self.stats.bytes_untracked_by_write += before - self.map.covered_bytes();
     }
 
@@ -290,7 +279,6 @@ impl Ctt {
         for v in &victims {
             self.map.remove(*v);
         }
-        self.hw_cache.set(None);
         self.stats.freed_entries += victims.len() as u64;
         victims.len()
     }
@@ -318,9 +306,21 @@ impl Ctt {
     }
 
     /// Invariant check (used by tests): destination ranges are pairwise
-    /// disjoint and no entry's source overlaps any entry's destination.
+    /// disjoint, no entry's source overlaps any entry's destination, and
+    /// the running totals behind [`Ctt::tracked_bytes`] and
+    /// [`Ctt::hw_entries`] equal a full recount.
     pub fn check_invariants(&self) -> Result<(), String> {
         let entries: Vec<_> = self.iter().collect();
+        let bytes: u64 = entries.iter().map(|(r, _)| r.len()).sum();
+        let rows: usize = entries.iter().map(|(r, _)| hw_rows(r.len())).sum();
+        if (bytes, rows) != (self.tracked_bytes(), self.hw_entries()) {
+            return Err(format!(
+                "running totals drifted: {} bytes in {} rows kept, \
+                 {bytes} bytes in {rows} rows counted",
+                self.tracked_bytes(),
+                self.hw_entries()
+            ));
+        }
         for w in entries.windows(2) {
             if w[0].0.end > w[1].0.start {
                 return Err(format!("overlapping destinations: {:?} and {:?}", w[0].0, w[1].0));
@@ -486,6 +486,42 @@ mod tests {
         // Excluding it picks the next.
         let (r2, _) = c.smallest_entry(|_| true, &[r]).unwrap();
         assert_eq!(r2.len(), 256);
+    }
+
+    #[test]
+    fn running_totals_follow_wide_segments() {
+        const MB: u64 = 1 << 20;
+        let expect = |c: &Ctt| {
+            let rows: u64 = c.iter().map(|(r, _)| r.len().div_ceil(MAX_ENTRY_SIZE)).sum();
+            let bytes: u64 = c.iter().map(|(r, _)| r.len()).sum();
+            assert_eq!(c.hw_entries() as u64, rows);
+            assert_eq!(c.tracked_bytes(), bytes);
+            c.check_invariants().unwrap();
+        };
+        let mut c = Ctt::new(64);
+        // 5 MB: one segment, three rows.
+        c.try_insert(pa(0), pa(64 * MB), 5 * MB).unwrap();
+        assert_eq!(c.hw_entries(), 3);
+        expect(&c);
+        // Trim 1 MB off the tail: 4 MB, two rows.
+        c.remove_dst(pa(4 * MB), MB);
+        assert_eq!(c.hw_entries(), 2);
+        expect(&c);
+        // Split out the middle line: 2 MB + 2 MB - 64 B, two rows.
+        c.remove_dst(pa(2 * MB), CACHELINE);
+        assert_eq!((c.len(), c.hw_entries()), (2, 2));
+        expect(&c);
+        // Overwrite the head with another 3 MB copy: trims, then a new
+        // two-row entry next to a one-row remnant.
+        c.try_insert(pa(0), pa(128 * MB), 3 * MB).unwrap();
+        assert_eq!((c.len(), c.hw_entries()), (2, 3));
+        expect(&c);
+        // A contiguous continuation merges 3 MB + 2 MB into one 5 MB entry.
+        c.try_insert(pa(3 * MB), pa(131 * MB), 2 * MB).unwrap();
+        assert_eq!((c.len(), c.hw_entries()), (1, 3));
+        expect(&c);
+        c.free_contained(pa(0), 8 * MB);
+        assert_eq!((c.hw_entries(), c.tracked_bytes()), (0, 0));
     }
 
     #[test]

@@ -18,10 +18,10 @@ use mcs_sim::data::{LineData, SparseMem};
 use mcs_sim::dram::channel_of;
 use mcs_sim::fault::{domain, FaultPlan, FaultStream};
 use mcs_sim::engine::{CopyEngine, EngineIo, Verdict};
+use mcs_sim::hash::FastMap;
 use mcs_sim::packet::{BounceInfo, FreeDesc, LazyDesc, MemCmd, Node, Packet};
 use mcs_sim::Cycle;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Why a destination line is being reconstructed.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -136,15 +136,15 @@ pub struct McSquareEngine {
     channels: usize,
     ctt: Ctt,
     bpqs: Vec<Bpq>,
-    recons: HashMap<u64, Recon>,
+    recons: FastMap<u64, Recon>,
     /// Source lines with in-flight reconstruction reads: line → count.
-    pins: HashMap<u64, usize>,
+    pins: FastMap<u64, usize>,
     /// MCLAZY broadcasts still arming: packet id → controllers whose copy
     /// has not yet arrived. The entry is inserted (and acked) only when
     /// the last controller processes its copy, so every write queued ahead
     /// of the broadcast anywhere has already been applied (§III-B1).
-    arming: HashMap<u64, u32>,
-    tags: HashMap<u64, TagKind>,
+    arming: FastMap<u64, u32>,
+    tags: FastMap<u64, TagKind>,
     next_tag: u64,
     drains: Vec<Vec<DrainJob>>,
     n: Counters,
@@ -160,7 +160,7 @@ pub struct McSquareEngine {
     /// `validate` call. `bpq_release_tick` runs every cycle, so an entry
     /// still releasable a full validation period later is stuck.
     #[cfg(feature = "check-invariants")]
-    releasable_memo: std::collections::HashSet<(usize, u64)>,
+    releasable_memo: mcs_sim::hash::FastSet<(usize, u64)>,
 }
 
 impl McSquareEngine {
@@ -170,10 +170,10 @@ impl McSquareEngine {
             ctt: Ctt::new(cfg.ctt_entries),
             bpqs: (0..channels).map(|_| Bpq::new(cfg.bpq_entries)).collect(),
             drains: (0..channels).map(|_| Vec::new()).collect(),
-            recons: HashMap::new(),
-            pins: HashMap::new(),
-            arming: HashMap::new(),
-            tags: HashMap::new(),
+            recons: FastMap::default(),
+            pins: FastMap::default(),
+            arming: FastMap::default(),
+            tags: FastMap::default(),
             next_tag: 1,
             channels,
             cfg,
@@ -183,7 +183,7 @@ impl McSquareEngine {
             #[cfg(feature = "trace")]
             now: 0,
             #[cfg(feature = "check-invariants")]
-            releasable_memo: std::collections::HashSet::new(),
+            releasable_memo: mcs_sim::hash::FastSet::default(),
         }
     }
 
@@ -980,7 +980,7 @@ impl CopyEngine for McSquareEngine {
         // reconstructions' pinned source lines (unpinned when the copy
         // data is captured). A mismatch means a leaked or double-freed
         // pin, which would wedge BPQ releases or MCLAZY arming forever.
-        let mut want: HashMap<u64, usize> = HashMap::new();
+        let mut want: FastMap<u64, usize> = FastMap::default();
         for r in self.recons.values() {
             for l in &r.pinned {
                 *want.entry(l.0).or_insert(0) += 1;
@@ -1045,7 +1045,7 @@ impl CopyEngine for McSquareEngine {
         // entry whose release condition held at the previous audit and
         // still holds now was skipped — a stuck entry (it would deadlock
         // fences waiting on the held write).
-        let mut releasable = std::collections::HashSet::new();
+        let mut releasable = mcs_sim::hash::FastSet::default();
         for (mcid, bpq) in self.bpqs.iter().enumerate() {
             for e in bpq.iter() {
                 if !self.pins.contains_key(&e.line.0)
@@ -1089,7 +1089,7 @@ mod tests {
     }
 
     impl McSquareEngine {
-        fn counters_map(&self) -> HashMap<String, u64> {
+        fn counters_map(&self) -> FastMap<String, u64> {
             self.counters().into_iter().collect()
         }
     }

@@ -6,6 +6,7 @@
 //! segments whose values continue each other coalesce into one — the
 //! paper's entry-merging rule for contiguous copies, §III-A1).
 
+use crate::ctt::hw_rows;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -106,15 +107,39 @@ impl Sliceable for SrcBase {
 /// Inserting overwrites any overlapped parts of existing segments
 /// (trimming or splitting them); adjacent segments whose values continue
 /// each other are coalesced.
+///
+/// Every segment enters and leaves the map through two private helpers,
+/// `put` and `take`, which keep running totals of the bytes covered and
+/// of the CTT hardware rows the segments need, so both are O(1) to read.
 #[derive(Clone)]
 pub struct RangeMap<V> {
     map: BTreeMap<u64, (u64, V)>, // start → (end, value)
+    /// Σ segment lengths.
+    covered: u64,
+    /// Σ ⌈segment length / [`crate::ctt::MAX_ENTRY_SIZE`]⌉.
+    rows: usize,
 }
 
 impl<V: Sliceable> RangeMap<V> {
     /// Create an empty map.
     pub fn new() -> RangeMap<V> {
-        RangeMap { map: BTreeMap::new() }
+        RangeMap { map: BTreeMap::new(), covered: 0, rows: 0 }
+    }
+
+    /// Add segment `[start, end) → v`; no segment may start at `start`.
+    fn put(&mut self, start: u64, end: u64, v: V) {
+        self.covered += end - start;
+        self.rows += hw_rows(end - start);
+        let old = self.map.insert(start, (end, v));
+        debug_assert!(old.is_none(), "segment at {start:#x} replaced");
+    }
+
+    /// Remove the segment starting at `start`, returning its end and value.
+    fn take(&mut self, start: u64) -> (u64, V) {
+        let (end, v) = self.map.remove(&start).expect("segment present");
+        self.covered -= end - start;
+        self.rows -= hw_rows(end - start);
+        (end, v)
     }
 
     /// Number of segments.
@@ -129,7 +154,13 @@ impl<V: Sliceable> RangeMap<V> {
 
     /// Total bytes covered.
     pub fn covered_bytes(&self) -> u64 {
-        self.map.iter().map(|(s, (e, _))| e - s).sum()
+        self.covered
+    }
+
+    /// CTT hardware rows the segments occupy: Σ ⌈len /
+    /// [`crate::ctt::MAX_ENTRY_SIZE`]⌉ (see [`crate::ctt::Ctt::hw_entries`]).
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
     /// The segment containing `p`, if any, as (range, value at range start).
@@ -188,12 +219,12 @@ impl<V: Sliceable> RangeMap<V> {
         }
         affected.extend(self.map.range(r.start..r.end).map(|(s, _)| *s));
         for s in affected {
-            let (e, v) = self.map.remove(&s).expect("affected segment present");
+            let (e, v) = self.take(s);
             if s < r.start {
-                self.map.insert(s, (r.start, v.clone()));
+                self.put(s, r.start, v.clone());
             }
             if e > r.end {
-                self.map.insert(r.end, (e, v.slice(r.end - s)));
+                self.put(r.end, e, v.slice(r.end - s));
             }
         }
     }
@@ -209,23 +240,20 @@ impl<V: Sliceable> RangeMap<V> {
         // Coalesce with predecessor.
         if let Some((ps, (pe, pv))) = self.map.range(..start).next_back() {
             if *pe == start && pv.continues(pe - ps, &val) {
-                let (ps, pe) = (*ps, *pe);
-                let (_, pv) = self.map.remove(&ps).expect("pred present");
-                debug_assert_eq!(pe, start);
+                let ps = *ps;
+                let (_, pv) = self.take(ps);
                 val = pv;
                 start = ps;
             }
         }
         // Coalesce with successor.
-        if let Some((ns, (ne, nv))) = self.map.range(end..).next() {
+        if let Some((ns, (_, nv))) = self.map.range(end..).next() {
             if *ns == end && val.continues(end - start, nv) {
-                let ne = *ne;
                 let ns = *ns;
-                self.map.remove(&ns);
-                end = ne;
+                end = self.take(ns).0;
             }
         }
-        self.map.insert(start, (end, val));
+        self.put(start, end, val);
     }
 
     /// Iterate over all segments in address order.
@@ -391,6 +419,8 @@ mod tests {
                     let got = m.get(p).map(|(r0, v)| v.0 + (p - r0.start));
                     prop_assert_eq!(got, model.bytes[p as usize], "byte {}", p);
                 }
+                let covered = model.bytes.iter().filter(|b| b.is_some()).count() as u64;
+                prop_assert_eq!(m.covered_bytes(), covered);
                 // Segments are disjoint, sorted, and maximal w.r.t. merging.
                 let segs: Vec<_> = m.iter().map(|(r, v)| (r, *v)).collect();
                 for w in segs.windows(2) {

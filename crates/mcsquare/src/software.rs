@@ -183,14 +183,14 @@ pub fn memcpy_interposed_uops(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use mcs_sim::hash::FastMap;
 
     /// Functional interpreter: applies the uop stream to a byte map,
     /// treating MCLAZY as an eager copy (the architectural semantics).
     #[derive(Default)]
     struct FuncMem {
-        bytes: HashMap<u64, u8>,
-        loads: HashMap<u64, Vec<u8>>, // uop id → value
+        bytes: FastMap<u64, u8>,
+        loads: FastMap<u64, Vec<u8>>, // uop id → value
     }
 
     impl FuncMem {

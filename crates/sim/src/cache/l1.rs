@@ -14,7 +14,7 @@ use crate::data::LineData;
 use crate::stats::CacheStats;
 use crate::uop::UopId;
 use crate::Cycle;
-use std::collections::HashMap;
+use crate::hash::FastMap;
 
 /// L1 line state.
 #[derive(Debug, Clone)]
@@ -61,12 +61,12 @@ pub struct L1 {
     pub id: usize,
     cfg: CacheConfig,
     array: CacheArray<L1Line>,
-    mshrs: HashMap<u64, Mshr>,
+    mshrs: FastMap<u64, Mshr>,
     pf: StridePrefetcher,
     /// Cycle each in-flight miss was allocated, for miss-lifecycle spans.
     /// Purely observational; see DESIGN.md, "Observability layer".
     #[cfg(feature = "trace")]
-    miss_start: HashMap<u64, Cycle>,
+    miss_start: FastMap<u64, Cycle>,
     /// Statistics.
     pub stats: CacheStats,
 }
@@ -80,10 +80,10 @@ impl L1 {
             id,
             cfg: cfg.clone(),
             array: CacheArray::new(sets, cfg.ways),
-            mshrs: HashMap::new(),
+            mshrs: FastMap::default(),
             pf,
             #[cfg(feature = "trace")]
-            miss_start: HashMap::new(),
+            miss_start: FastMap::default(),
             stats: CacheStats::default(),
         }
     }

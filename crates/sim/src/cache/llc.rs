@@ -17,7 +17,8 @@ use crate::packet::{MemCmd, Node, Packet};
 use crate::stats::CacheStats;
 use crate::uop::UopId;
 use crate::Cycle;
-use std::collections::{HashMap, VecDeque};
+use crate::hash::FastMap;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 struct LlcLine {
@@ -83,15 +84,15 @@ pub struct Llc {
     cfg: CacheConfig,
     channels: usize,
     array: CacheArray<LlcLine>,
-    mshrs: HashMap<u64, Mshr>,
+    mshrs: FastMap<u64, Mshr>,
     /// Requests bounced for capacity (MSHR full / eviction in progress),
     /// replayed each cycle before new input.
     retry: VecDeque<L1ToLlc>,
     /// MCLAZY packets in flight to the MCs: packet id → (core, uop id).
-    pending_lazy: HashMap<u64, (usize, UopId)>,
+    pending_lazy: FastMap<u64, (usize, UopId)>,
     /// CLWB write-throughs awaiting controller acceptance: packet id →
     /// (core, uop id). The ack is what propagates BPQ back-pressure.
-    pending_write_acks: HashMap<u64, (usize, UopId)>,
+    pending_write_acks: FastMap<u64, (usize, UopId)>,
     pf: StridePrefetcher,
     /// Statistics.
     pub stats: CacheStats,
@@ -106,10 +107,10 @@ impl Llc {
             cfg: cfg.clone(),
             channels,
             array: CacheArray::new(sets, cfg.ways),
-            mshrs: HashMap::new(),
+            mshrs: FastMap::default(),
             retry: VecDeque::new(),
-            pending_lazy: HashMap::new(),
-            pending_write_acks: HashMap::new(),
+            pending_lazy: FastMap::default(),
+            pending_write_acks: FastMap::default(),
             pf,
             stats: CacheStats::default(),
         }

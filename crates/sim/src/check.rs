@@ -25,7 +25,7 @@
 //!   attribution is exact ([`crate::stats::CoreStats::check_stall_accounting`]).
 
 use crate::packet::{MemCmd, Packet};
-use std::collections::{HashMap, HashSet};
+use crate::hash::{FastMap, FastSet};
 
 /// Key identifying one bounce round-trip. `BounceRead` and `BounceResp`
 /// use fresh packet ids but carry the same `BounceInfo`, so conservation
@@ -36,19 +36,19 @@ type BounceKey = (usize, u64, u64, u32, u32);
 #[derive(Debug, Default)]
 pub struct Checker {
     /// `ReadReq` ids awaiting a `ReadResp`.
-    reads: HashSet<u64>,
+    reads: FastSet<u64>,
     /// `needs_ack` write ids awaiting a `WriteAck`.
-    write_acks: HashSet<u64>,
+    write_acks: FastSet<u64>,
     /// Every `Mclazy` broadcast id ever seen (acks must refer to one).
-    mclazy_known: HashSet<u64>,
+    mclazy_known: FastSet<u64>,
     /// `Mclazy` ids not yet acknowledged. A broadcast is one logical
     /// request even though the LLC sends one copy per channel, and some
     /// engines (e.g. the baseline `NullEngine`) ack more than once — the
     /// LLC ignores duplicates — so this is a set, not a multiset.
-    mclazy_unacked: HashSet<u64>,
+    mclazy_unacked: FastSet<u64>,
     /// Outstanding bounce round-trips (multiset: identical fragments can
     /// be in flight for different reconstructions).
-    bounces: HashMap<BounceKey, u32>,
+    bounces: FastMap<BounceKey, u32>,
     /// Number of `tick()` calls, for validation cadence.
     pub ticks: u64,
     /// Monotonicity snapshots: per-core (cycles, retired, stalled).

@@ -17,8 +17,9 @@ use crate::packet::LazyDesc;
 use crate::program::{Fetch, Program};
 use crate::stats::{CoreStats, StallReason};
 use crate::uop::{StatTag, StoreData, Uop, UopId, UopKind};
+use crate::hash::{FastMap, FastSet};
 use crate::Cycle;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RobKind {
@@ -91,7 +92,7 @@ pub struct Core {
     loads: Vec<PendingLoad>,
     clwbs: Vec<PendingClwb>,
     /// Completed load values kept for `StoreData::FromLoad` consumers.
-    load_vals: HashMap<UopId, Vec<u8>>,
+    load_vals: FastMap<UopId, Vec<u8>>,
     outstanding_mclazy: usize,
     outstanding_nt: usize,
     /// Leading store-buffer entries already sent to the L1. Sends are
@@ -151,7 +152,7 @@ impl Core {
             sb: VecDeque::new(),
             loads: Vec::new(),
             clwbs: Vec::new(),
-            load_vals: HashMap::new(),
+            load_vals: FastMap::default(),
             outstanding_mclazy: 0,
             outstanding_nt: 0,
             sb_sent_prefix: 0,
@@ -493,7 +494,7 @@ impl Core {
         // Bound the forwarding value cache, but never drop a value an
         // unresolved store still references (that would deadlock the SB).
         if self.load_vals.len() > 4 * self.cfg.rob_size {
-            let referenced: std::collections::HashSet<UopId> =
+            let referenced: FastSet<UopId> =
                 self.sb.iter().filter_map(|s| s.from.map(|(l, _)| l)).collect();
             let min_live = self.rob.front().map(|e| e.id).unwrap_or(self.next_id);
             let window = 2 * self.cfg.rob_size as u64;

@@ -8,7 +8,7 @@
 //! than just measure cycles.
 
 use crate::addr::{PhysAddr, CACHELINE};
-use std::collections::HashMap;
+use crate::hash::FastMap;
 use std::fmt;
 
 /// The contents of one 64-byte cacheline.
@@ -64,7 +64,7 @@ impl fmt::Debug for LineData {
 /// `SparseMem` is purely functional — all timing lives in the DRAM model.
 #[derive(Default, Clone)]
 pub struct SparseMem {
-    lines: HashMap<u64, LineData>,
+    lines: FastMap<u64, LineData>,
 }
 
 impl SparseMem {

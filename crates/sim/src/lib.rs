@@ -53,6 +53,7 @@ pub mod data;
 pub mod dram;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod link;
 pub mod mc;
 pub mod packet;

@@ -10,8 +10,9 @@ use crate::link::DelayQueue;
 use crate::packet::{MemCmd, Packet};
 use crate::stats::McStats;
 use crate::addr::PhysAddr;
+use crate::hash::FastSet;
 use crate::Cycle;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Who asked for a DRAM read.
 #[derive(Debug, Clone)]
@@ -89,7 +90,7 @@ struct McFault {
     stall: FaultStream,
     /// Lines currently carrying poison from an uncorrectable error.
     /// Metadata only: the functional bytes in [`SparseMem`] stay correct.
-    poisoned: HashSet<u64>,
+    poisoned: FastSet<u64>,
     /// Input intake and DRAM scheduling are blocked until this cycle.
     stall_until: Cycle,
 }
@@ -153,7 +154,7 @@ impl MemCtrl {
         self.fault = (!plan.is_empty()).then(|| McFault {
             ecc: plan.stream(domain::ECC, self.id as u64),
             stall: plan.stream(domain::MC_STALL, self.id as u64),
-            poisoned: HashSet::new(),
+            poisoned: FastSet::default(),
             stall_until: 0,
             plan: plan.clone(),
         });

@@ -236,11 +236,21 @@ impl System {
 
     /// Build a system with a custom copy engine (the `mcsquare` crate's
     /// (MC)² engine, or any other [`CopyEngine`]).
+    ///
+    /// # Panics
+    /// Panics if `programs.len() != cfg.cores`, or if `cfg.cores` exceeds
+    /// the 32 cores the LLC's sharer bitmask can name.
     pub fn with_engine(
         cfg: SystemConfig,
         programs: Vec<Box<dyn Program>>,
         engine: Box<dyn CopyEngine>,
     ) -> System {
+        assert!(
+            cfg.cores <= u32::BITS as usize,
+            "{} cores exceed the LLC sharer mask's limit of {} cores",
+            cfg.cores,
+            u32::BITS
+        );
         assert_eq!(programs.len(), cfg.cores, "one program per core");
         let cores: Vec<Core> = programs
             .into_iter()
@@ -1052,14 +1062,14 @@ impl System {
     /// Panics describing the first violated invariant.
     #[cfg(feature = "check-invariants")]
     pub fn validate_invariants(&mut self, quiescent: bool) {
-        use std::collections::HashMap;
+        use crate::hash::FastMap;
 
         // --- Coherence: MSI single-owner + directory agreement ---------
         // owners: line -> L1s holding it Modified; resident: line -> L1s
         // holding it in any state (for inclusion).
-        let mut owners: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut resident: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut dirty_m: HashMap<u64, usize> = HashMap::new();
+        let mut owners: FastMap<u64, Vec<usize>> = FastMap::default();
+        let mut resident: FastMap<u64, Vec<usize>> = FastMap::default();
+        let mut dirty_m: FastMap<u64, usize> = FastMap::default();
         for (i, l1) in self.l1s.iter().enumerate() {
             for (line, modified, dirty) in l1.check_lines() {
                 resident.entry(line.0).or_default().push(i);
@@ -1080,7 +1090,7 @@ impl System {
                 self.now
             );
         }
-        let dir: HashMap<u64, (Option<usize>, u32)> = self
+        let dir: FastMap<u64, (Option<usize>, u32)> = self
             .llc
             .check_lines()
             .into_iter()
@@ -1361,6 +1371,16 @@ mod tests {
         let stats = sys.run(1_000_000).expect("finishes");
         assert_eq!(stats.cores[0].loads, 10);
         assert_eq!(stats.cores[1].stores, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "33 cores exceed the LLC sharer mask's limit of 32 cores")]
+    fn more_cores_than_sharer_bits_are_refused() {
+        let mut cfg = SystemConfig::tiny();
+        cfg.cores = 33;
+        let programs: Vec<Box<dyn Program>> =
+            (0..33).map(|_| Box::new(FixedProgram::new(vec![])) as Box<dyn Program>).collect();
+        let _ = System::new(cfg, programs);
     }
 
     #[test]
