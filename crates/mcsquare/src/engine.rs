@@ -533,18 +533,7 @@ impl McSquareEngine {
                 }
                 self.arming.remove(&pkt.id);
                 self.n.mclazy_acked += 1;
-                let ack = Packet {
-                    id: pkt.id,
-                    cmd: MemCmd::MclazyAck,
-                    addr: pkt.addr,
-                    data: None,
-                    dest: Node::Llc,
-                    is_prefetch: false,
-                    core: pkt.core,
-                    needs_ack: false,
-                    poisoned: false,
-                };
-                io.send(ack);
+                io.send(pkt.make_mclazy_ack());
                 self.inject_post_insert_faults(mcid, io);
                 Verdict::Consumed
             }

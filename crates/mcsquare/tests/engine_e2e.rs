@@ -89,7 +89,7 @@ fn destination_reads_bounce_and_return_source_data() {
     sys.poke(src, &data);
     let (sys, stats) = run(sys);
     // Every destination line was served; loads observed the source bytes.
-    assert_eq!(sys.peek_coherent(dst, size as usize), data, "reads saw eager-copy data");
+    assert_eq!(sys.peek_materialized(dst, size as usize), data, "reads saw eager-copy data");
     assert!(
         stats.engine_counter("recon_demand") >= 1,
         "destination reads must reconstruct: {stats}"
@@ -111,7 +111,7 @@ fn misaligned_copy_needs_two_sources_per_line() {
     let data = pattern(size as usize, 9);
     sys.poke(src, &data);
     let (sys, _stats) = run(sys);
-    assert_eq!(sys.peek_coherent(dst, size as usize), data);
+    assert_eq!(sys.peek_materialized(dst, size as usize), data);
 }
 
 #[test]
@@ -132,7 +132,7 @@ fn destination_write_untracks_and_wins() {
     let data = pattern(size as usize, 3);
     sys.poke(src, &data);
     let (sys, _) = run(sys);
-    let got = sys.peek_coherent(dst, size as usize);
+    let got = sys.peek_materialized(dst, size as usize);
     assert_eq!(&got[..64], &data[..64]);
     assert_eq!(&got[64..128], &[0xEE; 64][..], "fresh write beats the lazy copy");
     assert_eq!(&got[128..], &data[128..]);
@@ -161,12 +161,12 @@ fn source_write_preserves_copy_via_bpq() {
     sys.poke(src, &data);
     let (sys, stats) = run(sys);
     assert_eq!(
-        sys.peek_coherent(dst, size as usize),
+        sys.peek_materialized(dst, size as usize),
         data,
         "destination sees pre-write source data"
     );
     // And the source itself holds the new bytes after the BPQ released.
-    assert_eq!(sys.peek_coherent(src.add(64), 64), vec![0x55; 64]);
+    assert_eq!(sys.peek_materialized(src.add(64), 64), vec![0x55; 64]);
     assert!(
         stats.engine_counter("recon_src_flush") >= 1,
         "source write must flush dependent copies: {stats}"
@@ -186,7 +186,7 @@ fn source_reads_pass_through_untouched() {
     let data = pattern(size as usize, 2);
     sys.poke(src, &data);
     let (sys, stats) = run(sys);
-    assert_eq!(sys.peek_coherent(src, size as usize), data);
+    assert_eq!(sys.peek_materialized(src, size as usize), data);
     // Source reads must not reconstruct anything by themselves (drains
     // may, so only demand reconstructions are checked).
     assert_eq!(stats.engine_counter("recon_demand"), 0);
@@ -233,7 +233,7 @@ fn ctt_pressure_triggers_async_drain() {
     for i in 0..stats.engine_counter("recon_drain").min(12) {
         let dst = PhysAddr(0x200000 + i * 8192);
         let want = pattern(64, i as u8);
-        let got = sys.peek_coherent(dst, 64);
+        let got = sys.peek_materialized(dst, 64);
         if got == want {
             return; // at least one fully drained line verified
         }
@@ -267,7 +267,7 @@ fn ctt_full_applies_backpressure_but_completes() {
     let (sys, stats) = run(sys);
     for i in 0..10u64 {
         assert_eq!(
-            sys.peek_coherent(PhysAddr(0x400000 + i * 8192), 128),
+            sys.peek_materialized(PhysAddr(0x400000 + i * 8192), 128),
             pattern(128, i as u8),
             "copy {i}"
         );
@@ -293,7 +293,7 @@ fn copy_chain_collapses_and_reads_original() {
     let data = pattern(size as usize, 11);
     sys.poke(a, &data);
     let (sys, stats) = run(sys);
-    assert_eq!(sys.peek_coherent(c, size as usize), data);
+    assert_eq!(sys.peek_materialized(c, size as usize), data);
     assert!(stats.engine_counter("ctt_chain_collapses") >= 1, "{stats}");
 }
 
@@ -314,7 +314,7 @@ fn repeated_copy_to_same_destination_takes_latest_source() {
     let newer = pattern(size as usize, 42);
     sys.poke(s2, &newer);
     let (sys, _) = run(sys);
-    assert_eq!(sys.peek_coherent(d, size as usize), newer, "second copy wins");
+    assert_eq!(sys.peek_materialized(d, size as usize), newer, "second copy wins");
 }
 
 #[test]
@@ -340,7 +340,7 @@ fn nontemporal_store_to_destination_untracks() {
     let data = pattern(size as usize, 8);
     sys.poke(src, &data);
     let (sys, _) = run(sys);
-    let got = sys.peek_coherent(dst, size as usize);
+    let got = sys.peek_materialized(dst, size as usize);
     assert_eq!(&got[..64], &[0x77; 64][..]);
     assert_eq!(&got[64..], &data[64..]);
 }
@@ -363,7 +363,7 @@ fn no_writeback_ablation_still_correct() {
     let data = pattern(size as usize, 13);
     sys.poke(src, &data);
     let (sys, stats) = run(sys);
-    assert_eq!(sys.peek_coherent(dst, size as usize), data);
+    assert_eq!(sys.peek_materialized(dst, size as usize), data);
     assert!(stats.engine_counter("writebacks_rejected") >= 1, "{stats}");
 }
 
@@ -433,8 +433,8 @@ fn eager_and_lazy_agree_on_final_memory_random_program() {
     lazy.run(100_000_000).expect("lazy finishes");
 
     assert_eq!(
-        base.peek_coherent(PhysAddr(0x500000), 16 * 4096),
-        lazy.peek_coherent(PhysAddr(0x500000), 16 * 4096),
+        base.peek_materialized(PhysAddr(0x500000), 16 * 4096),
+        lazy.peek_materialized(PhysAddr(0x500000), 16 * 4096),
         "architectural memory diverged between eager and lazy execution"
     );
 }
@@ -475,7 +475,7 @@ fn ctt_full_fallback_preserves_data_and_counts_rejects() {
     // eagerly — back-pressure degraded timing, not data.
     for i in 0..n {
         assert_eq!(
-            sys.peek_coherent(PhysAddr(0x400000 + i * 8192), 64),
+            sys.peek_materialized(PhysAddr(0x400000 + i * 8192), 64),
             pattern(64, i as u8),
             "copy {i} lost under CTT-full back-pressure"
         );
@@ -507,7 +507,7 @@ fn lazy_copy_survives_mild_fault_plan() {
     let data = pattern(size as usize, 21);
     sys.poke(src, &data);
     let stats = sys.run(50_000_000).expect("finishes under mild faults");
-    assert_eq!(sys.peek_coherent(dst, size as usize), data, "faults must not corrupt the copy");
+    assert_eq!(sys.peek_materialized(dst, size as usize), data, "faults must not corrupt the copy");
     let injected: u64 = stats.mcs.iter().map(|m| m.fault_events()).sum();
     assert!(injected > 0, "mild plan must actually inject at this scale");
 }

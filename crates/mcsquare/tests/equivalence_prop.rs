@@ -145,7 +145,7 @@ fn run(ops: &[Op], lazy: bool, refresh: bool, faults: bool) -> Vec<u8> {
         (0..PAGES * 4096).map(|i| ((i * 37 + 11) % 251) as u8).collect();
     sys.poke(page(0), &init);
     sys.run(400_000_000).expect("finishes");
-    sys.peek_coherent(page(0), (PAGES * 4096) as usize)
+    sys.peek_materialized(page(0), (PAGES * 4096) as usize)
 }
 
 #[test]
@@ -235,7 +235,7 @@ fn run_two_cores(ops_a: &[Op], ops_b: &[Op], lazy: bool, refresh: bool, faults: 
         (0..2 * PAGES * 4096).map(|i| ((i * 37 + 11) % 251) as u8).collect();
     sys.poke(page(0), &init);
     sys.run(800_000_000).expect("finishes");
-    sys.peek_coherent(page(0), (2 * PAGES * 4096) as usize)
+    sys.peek_materialized(page(0), (2 * PAGES * 4096) as usize)
 }
 
 proptest! {

@@ -82,7 +82,7 @@ fn state2_read_source_has_no_impact() {
         r.load(dst.add(i * 64), 64);
     }
     let (sys, st) = r.run();
-    assert_eq!(sys.peek_coherent(dst, SIZE as usize), pattern(SIZE as usize, 42));
+    assert_eq!(sys.peek_materialized(dst, SIZE as usize), pattern(SIZE as usize, 42));
     assert_eq!(st.engine_counter("recon_src_flush"), 0, "source reads trigger nothing");
 }
 
@@ -96,7 +96,7 @@ fn state2_write_to_d_returns_to_state1() {
     r.fence();
     let (sys, st) = r.run();
     // First line: the fresh write; second line: still the lazy copy.
-    assert_eq!(sys.peek_coherent(dst, 64), vec![0xEE; 64]);
+    assert_eq!(sys.peek_materialized(dst, 64), vec![0xEE; 64]);
     assert!(st.engine_counter("ctt_inserts") >= 1);
     let _ = sys;
 }
@@ -125,7 +125,7 @@ fn state2_second_copy_to_d_stays_in_state2() {
         (sys, st)
     };
     assert_eq!(
-        sys.peek_coherent(dst, SIZE as usize),
+        sys.peek_materialized(dst, SIZE as usize),
         pattern(SIZE as usize, 99),
         "latest source wins"
     );
@@ -147,9 +147,9 @@ fn states_3_4_write_si_bounces_then_writes_back() {
     r.fence();
     let (sys, st) = r.run();
     // D observes the PRE-write source (the copy point precedes the write).
-    assert_eq!(sys.peek_coherent(dst, SIZE as usize), pattern(SIZE as usize, 42));
+    assert_eq!(sys.peek_materialized(dst, SIZE as usize), pattern(SIZE as usize, 42));
     // Si observes the new data after BPQ release.
-    assert_eq!(sys.peek_coherent(src, 64), vec![0x77; 64]);
+    assert_eq!(sys.peek_materialized(src, 64), vec![0x77; 64]);
     assert!(st.engine_counter("recon_src_flush") >= 1, "{st}");
 }
 
@@ -173,9 +173,9 @@ fn states_5_6_misaligned_write_both_sources() {
     r.fence();
     let (sys, st) = r.run();
     let want = pattern(SIZE as usize, 42);
-    assert_eq!(sys.peek_coherent(dst, SIZE as usize), want, "pre-write data preserved");
-    assert_eq!(sys.peek_coherent(s1, 64), vec![0x11; 64]);
-    assert_eq!(sys.peek_coherent(s2, 64), vec![0x22; 64]);
+    assert_eq!(sys.peek_materialized(dst, SIZE as usize), want, "pre-write data preserved");
+    assert_eq!(sys.peek_materialized(s1, 64), vec![0x11; 64]);
+    assert_eq!(sys.peek_materialized(s2, 64), vec![0x22; 64]);
     assert!(st.engine_counter("recon_src_flush") >= 1);
 }
 
@@ -197,6 +197,6 @@ fn bpq_merges_repeated_writes_to_same_source_line() {
     }
     r.fence();
     let (sys, _) = r.run();
-    assert_eq!(sys.peek_coherent(src, 8), vec![0x02; 8], "newest write wins");
-    assert_eq!(sys.peek_coherent(dst, SIZE as usize), pattern(SIZE as usize, 42));
+    assert_eq!(sys.peek_materialized(src, 8), vec![0x02; 8], "newest write wins");
+    assert_eq!(sys.peek_materialized(dst, SIZE as usize), pattern(SIZE as usize, 42));
 }

@@ -97,7 +97,7 @@ fn audited_bounce_heavy_workload_holds_all_invariants() {
         let data = pattern(size as usize, 21);
         sys.poke(src, &data);
         run_audited(&mut sys, 16, 5_000_000);
-        assert_eq!(sys.peek_coherent(dst, size as usize), data);
+        assert_eq!(sys.peek_materialized(dst, size as usize), data);
     }
 }
 
@@ -128,7 +128,7 @@ fn audited_source_write_and_free_workload_holds_all_invariants() {
         sys.poke(a, &data);
         run_audited(&mut sys, 16, 5_000_000);
         // The copies were logically taken before the source write.
-        assert_eq!(sys.peek_coherent(b, size as usize), data);
+        assert_eq!(sys.peek_materialized(b, size as usize), data);
     }
 }
 
@@ -148,7 +148,7 @@ fn run_performs_quiescence_audit() {
         let data = pattern(size as usize, 55);
         sys.poke(src, &data);
         sys.run(50_000_000).expect("finishes");
-        assert_eq!(sys.peek_coherent(dst, size as usize), data);
+        assert_eq!(sys.peek_materialized(dst, size as usize), data);
     }
 }
 

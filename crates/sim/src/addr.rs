@@ -39,8 +39,8 @@ impl PhysAddr {
 
     /// The cacheline index (address divided by the line size).
     #[inline]
-    pub fn line(self) -> LineAddr {
-        LineAddr(self.0 / CACHELINE)
+    pub fn line(self) -> u64 {
+        self.0 / CACHELINE
     }
 
     /// Base address of the page of size `page` containing this address.
@@ -108,31 +108,6 @@ impl From<u64> for PhysAddr {
     }
 }
 
-/// A cacheline index: a physical address divided by [`CACHELINE`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
-pub struct LineAddr(pub u64);
-
-impl LineAddr {
-    /// The base physical (byte) address of this line.
-    #[inline]
-    pub fn base(self) -> PhysAddr {
-        PhysAddr(self.0 * CACHELINE)
-    }
-
-    /// The line `n` lines after this one.
-    #[inline]
-    #[allow(clippy::should_implement_trait)] // deliberate: `l.add(n)` reads as pointer math
-    pub fn add(self, n: u64) -> LineAddr {
-        LineAddr(self.0 + n)
-    }
-}
-
-impl fmt::Debug for LineAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L({:#x})", self.0 * CACHELINE)
-    }
-}
-
 /// Iterate over the cachelines overlapping the byte range
 /// `[start, start + len)`. Yields the line base addresses in order.
 ///
@@ -160,8 +135,7 @@ mod tests {
         let a = PhysAddr(0x1234);
         assert_eq!(a.line_base(), PhysAddr(0x1200));
         assert_eq!(a.line_off(), 0x34);
-        assert_eq!(a.line(), LineAddr(0x1200 / 64));
-        assert_eq!(a.line().base(), PhysAddr(0x1200));
+        assert_eq!(a.line(), 0x1200 / 64);
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl<T> CacheArray<T> {
     }
 
     fn set_of(&self, line: PhysAddr) -> usize {
-        (line.line().0 as usize) & (self.sets - 1)
+        (line.line() as usize) & (self.sets - 1)
     }
 
     /// Look up a line, updating LRU state on hit.

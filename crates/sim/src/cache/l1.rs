@@ -155,7 +155,6 @@ impl L1 {
     }
 
     fn load(&mut self, now: Cycle, id: UopId, addr: PhysAddr, size: usize, out: &mut L1Out) -> bool {
-        let _ = now;
         let line = addr.line_base();
         let off = addr.line_off() as usize;
         if let Some(l) = self.array.get_mut(line) {
@@ -174,55 +173,10 @@ impl L1 {
             ));
             return true;
         }
-        // Miss: join or allocate an MSHR.
-        if let Some(m) = self.mshrs.get_mut(&line.0) {
-            m.ops.push(PendingOp::Load { id, off, len: size });
-            m.prefetch_only = false;
-            self.stats.misses += 1;
-            return true;
-        }
-        if self.mshrs.len() >= self.cfg.mshrs {
-            return false;
-        }
-        self.stats.misses += 1;
-        #[cfg(feature = "trace")]
-        self.miss_start.insert(line.0, now);
-        self.mshrs.insert(
-            line.0,
-            Mshr {
-                want_m: false,
-                upgrade_after: false,
-                ops: vec![PendingOp::Load { id, off, len: size }],
-                prefetch_only: false,
-            },
-        );
-        out.to_llc.push(L1ToLlc::GetS { line, core: self.id, prefetch: false });
-        self.issue_prefetches(now, line, out);
-        true
-    }
-
-    fn issue_prefetches(&mut self, now: Cycle, line: PhysAddr, out: &mut L1Out) {
-        let _ = now;
-        for p in self.pf.observe(line) {
-            if self.array.peek(p).is_some() || self.mshrs.contains_key(&p.0) {
-                continue;
-            }
-            if self.mshrs.len() >= self.cfg.mshrs {
-                break;
-            }
-            #[cfg(feature = "trace")]
-            self.miss_start.insert(p.0, now);
-            self.mshrs.insert(
-                p.0,
-                Mshr { want_m: false, upgrade_after: false, ops: Vec::new(), prefetch_only: true },
-            );
-            self.stats.prefetches_issued += 1;
-            out.to_llc.push(L1ToLlc::GetS { line: p, core: self.id, prefetch: true });
-        }
+        self.miss(now, line, PendingOp::Load { id, off, len: size }, out)
     }
 
     fn store(&mut self, now: Cycle, id: UopId, addr: PhysAddr, bytes: Vec<u8>, out: &mut L1Out) -> bool {
-        let _ = now;
         let line = addr.line_base();
         let off = addr.line_off() as usize;
         if let Some(l) = self.array.get_mut(line) {
@@ -236,33 +190,64 @@ impl L1 {
             }
         }
         // Need ownership (upgrade or full RFO miss).
+        self.miss(now, line, PendingOp::Store { id, off, bytes }, out)
+    }
+
+    /// Queue `op` on `line`'s MSHR, joining the miss in flight or starting
+    /// one. Returns false (consuming nothing) if every MSHR is in use.
+    fn miss(&mut self, now: Cycle, line: PhysAddr, op: PendingOp, out: &mut L1Out) -> bool {
+        let store = matches!(op, PendingOp::Store { .. });
         if let Some(m) = self.mshrs.get_mut(&line.0) {
-            if !m.want_m {
-                // GetS in flight; upgrade once it lands.
-                m.upgrade_after = true;
-            }
-            m.ops.push(PendingOp::Store { id, off, bytes });
+            // A store joining a GetS in flight upgrades once it lands.
+            m.upgrade_after |= store && !m.want_m;
+            m.ops.push(op);
             m.prefetch_only = false;
-            self.stats.misses += 1;
-            return true;
+        } else if !self.start_miss(now, line, store, vec![op], out) {
+            return false;
+        } else if !store {
+            self.issue_prefetches(now, line, out);
         }
+        self.stats.misses += 1;
+        true
+    }
+
+    /// Allocate an MSHR for `line` holding `ops` (none for a prefetch),
+    /// stamp the miss for tracing and send GetM if `want_m`, else GetS.
+    /// Returns false if every MSHR is in use.
+    fn start_miss(
+        &mut self,
+        now: Cycle,
+        line: PhysAddr,
+        want_m: bool,
+        ops: Vec<PendingOp>,
+        out: &mut L1Out,
+    ) -> bool {
+        let _ = now;
         if self.mshrs.len() >= self.cfg.mshrs {
             return false;
         }
-        self.stats.misses += 1;
         #[cfg(feature = "trace")]
         self.miss_start.insert(line.0, now);
-        self.mshrs.insert(
-            line.0,
-            Mshr {
-                want_m: true,
-                upgrade_after: false,
-                ops: vec![PendingOp::Store { id, off, bytes }],
-                prefetch_only: false,
-            },
-        );
-        out.to_llc.push(L1ToLlc::GetM { line, core: self.id });
+        let (prefetch, core) = (ops.is_empty(), self.id);
+        self.mshrs.insert(line.0, Mshr { want_m, upgrade_after: false, ops, prefetch_only: prefetch });
+        out.to_llc.push(if want_m {
+            L1ToLlc::GetM { line, core }
+        } else {
+            L1ToLlc::GetS { line, core, prefetch }
+        });
         true
+    }
+
+    fn issue_prefetches(&mut self, now: Cycle, line: PhysAddr, out: &mut L1Out) {
+        for p in self.pf.observe(line) {
+            if self.array.peek(p).is_some() || self.mshrs.contains_key(&p.0) {
+                continue;
+            }
+            if !self.start_miss(now, p, false, Vec::new(), out) {
+                break;
+            }
+            self.stats.prefetches_issued += 1;
+        }
     }
 
     fn nt_store(&mut self, id: UopId, addr: PhysAddr, bytes: &[u8], out: &mut L1Out) -> bool {
@@ -270,9 +255,7 @@ impl L1 {
         assert_eq!(addr.line_off(), 0, "NT stores must be line aligned");
         assert_eq!(bytes.len() as u64, crate::addr::CACHELINE, "NT stores are full-line");
         // Drop any local copy; the line's new value bypasses the caches.
-        if self.array.remove(line).is_some() {
-            self.stats.invalidations += 1;
-        }
+        self.snoop_invalidate(line);
         let mut data = LineData::ZERO;
         data.write(0, bytes);
         out.to_llc.push(L1ToLlc::NtWrite { line, data, id, core: self.id });
@@ -283,68 +266,48 @@ impl L1 {
         // Collect and clean all dirty lines in the range in one pass (the
         // §V-A1 wide-writeback instruction); the LLC adds its own and
         // forwards everything to memory.
-        let mut dirty = Vec::new();
-        for line in crate::addr::lines_of(addr, size) {
-            if let Some(l) = self.array.peek_mut(line) {
-                if l.modified && l.dirty {
-                    l.dirty = false;
-                    dirty.push((line, l.data));
-                }
-            }
-        }
+        let dirty = crate::addr::lines_of(addr, size)
+            .filter_map(|line| Some((line, self.snoop_writeback(line)?)))
+            .collect();
         out.to_llc.push(L1ToLlc::WbRange { addr, size, dirty, id, core: self.id });
     }
 
     fn clwb(&mut self, id: UopId, addr: PhysAddr, out: &mut L1Out) {
         let line = addr.line_base();
-        let data = match self.array.peek_mut(line) {
-            Some(l) if l.modified && l.dirty => {
-                l.dirty = false;
-                Some(l.data)
-            }
-            _ => None,
-        };
+        let data = self.snoop_writeback(line);
         out.to_llc.push(L1ToLlc::Clwb { line, data, id, core: self.id });
     }
 
     /// Handle a message from the LLC.
     pub fn handle_llc(&mut self, now: Cycle, msg: LlcToL1, out: &mut L1Out) {
-        let _ = now; // stamp for the trace hooks below
         match msg {
             LlcToL1::Data { line, data, excl, level } => {
                 self.fill(now, line, data, excl, level, out)
             }
             LlcToL1::Inval { line } => {
-                let data = match self.array.remove(line) {
-                    Some(l) if l.modified && l.dirty => Some(l.data),
-                    _ => None,
-                };
                 self.stats.invalidations += 1;
-                out.to_llc.push(L1ToLlc::RecallAck { line, data, core: self.id });
+                self.drop_line(line, out);
             }
-            LlcToL1::Recall { line, inval } => {
-                let data = if inval {
-                    match self.array.remove(line) {
-                        Some(l) if l.modified && l.dirty => Some(l.data),
-                        _ => None,
-                    }
-                } else {
-                    match self.array.peek_mut(line) {
-                        Some(l) if l.modified => {
-                            let d = if l.dirty { Some(l.data) } else { None };
-                            l.modified = false;
-                            l.dirty = false;
-                            d
-                        }
-                        _ => None,
-                    }
-                };
+            LlcToL1::Recall { line, inval: true } => self.drop_line(line, out),
+            LlcToL1::Recall { line, inval: false } => {
+                // Downgrade M to S, returning the data if dirty.
+                let data = self.array.peek_mut(line).filter(|l| l.modified).and_then(|l| {
+                    l.modified = false;
+                    std::mem::take(&mut l.dirty).then_some(l.data)
+                });
                 out.to_llc.push(L1ToLlc::RecallAck { line, data, core: self.id });
             }
             LlcToL1::ClwbAck { id } => out.to_core.push((L1ToCore::ClwbDone { id }, 0)),
             LlcToL1::NtAck { id } => out.to_core.push((L1ToCore::NtDone { id }, 0)),
             LlcToL1::MclazyAck { id } => out.to_core.push((L1ToCore::MclazyDone { id }, 0)),
         }
+    }
+
+    /// Drop `line` at the LLC's request (`Inval`, or `Recall` with
+    /// `inval`), acking with its data if dirty.
+    fn drop_line(&mut self, line: PhysAddr, out: &mut L1Out) {
+        let data = self.array.remove(line).filter(|l| l.modified && l.dirty).map(|l| l.data);
+        out.to_llc.push(L1ToLlc::RecallAck { line, data, core: self.id });
     }
 
     fn fill(
@@ -366,24 +329,12 @@ impl L1 {
             return;
         };
         if m.upgrade_after && !excl {
-            // We asked for S but a store arrived meanwhile: take the data
-            // for the loads, then upgrade.
-            let mut mdata = data;
-            m.ops.retain(|op| match op {
-                PendingOp::Load { id, off, len } => {
-                    out.to_core.push((
-                        L1ToCore::LoadDone {
-                            id: *id,
-                            data: mdata.read(*off, *len).to_vec(),
-                            level,
-                        },
-                        self.cfg.hit_latency,
-                    ));
-                    false
-                }
-                PendingOp::Store { .. } => true,
-            });
-            let _ = &mut mdata;
+            // We asked for S but a store arrived meanwhile: serve the loads
+            // from the shared data, then upgrade for the stores.
+            let (loads, stores): (Vec<_>, Vec<_>) =
+                m.ops.into_iter().partition(|op| matches!(op, PendingOp::Load { .. }));
+            self.serve(&loads, &mut { data }, level, out);
+            m.ops = stores;
             m.want_m = true;
             m.upgrade_after = false;
             self.mshrs.insert(line.0, m);
@@ -404,62 +355,41 @@ impl L1 {
 
         // Install the line (evicting if needed). An ownership upgrade
         // (store to a line held in S) finds the line already resident:
-        // update it in place with the authoritative data.
-        if let Some(existing) = self.array.peek_mut(line) {
-            existing.data = data;
-            existing.modified = excl;
-            let mut l = std::mem::replace(
-                existing,
-                L1Line { data, modified: excl, dirty: false, prefetched: false },
-            );
-            for op in &m.ops {
-                match op {
-                    PendingOp::Load { id, off, len } => {
-                        out.to_core.push((
-                            L1ToCore::LoadDone {
-                                id: *id,
-                                data: l.data.read(*off, *len).to_vec(),
-                                level,
-                            },
-                            self.cfg.hit_latency,
-                        ));
-                    }
-                    PendingOp::Store { id, off, bytes } => {
-                        debug_assert!(excl, "store served without ownership");
-                        l.data.write(*off, bytes);
-                        l.dirty = true;
-                        out.to_core.push((L1ToCore::StoreDone { id: *id }, self.cfg.hit_latency));
-                    }
-                }
-            }
+        // it takes the authoritative data in place, keeping its flags.
+        let resident = self.array.peek(line).map(|l| (l.dirty, l.prefetched));
+        let (dirty, prefetched) = resident.unwrap_or_else(|| {
+            self.make_room(line, out);
+            (false, m.prefetch_only)
+        });
+        let mut l = L1Line { data, modified: excl, dirty, prefetched };
+        let wrote = self.serve(&m.ops, &mut l.data, level, out);
+        debug_assert!(excl || !wrote, "store served without ownership");
+        l.dirty |= wrote;
+        if resident.is_some() {
             *self.array.peek_mut(line).expect("still resident") = l;
-            return;
+        } else {
+            self.array.insert(line, l);
         }
-        self.make_room(line, out);
-        let mut l = L1Line { data, modified: excl, dirty: false, prefetched: m.prefetch_only };
-        // Apply queued ops in order.
-        for op in &m.ops {
-            match op {
+    }
+
+    /// Answer queued ops in arrival order against `data`: loads read it,
+    /// stores write it. Returns whether any store was applied.
+    fn serve(&self, ops: &[PendingOp], data: &mut LineData, level: ServiceLevel, out: &mut L1Out) -> bool {
+        let mut wrote = false;
+        for op in ops {
+            let done = match op {
                 PendingOp::Load { id, off, len } => {
-                    out.to_core.push((
-                        L1ToCore::LoadDone {
-                            id: *id,
-                            data: l.data.read(*off, *len).to_vec(),
-                            level,
-                        },
-                        self.cfg.hit_latency,
-                    ));
+                    L1ToCore::LoadDone { id: *id, data: data.read(*off, *len).to_vec(), level }
                 }
                 PendingOp::Store { id, off, bytes } => {
-                    debug_assert!(excl, "store served without ownership");
-                    l.data.write(*off, bytes);
-                    l.dirty = true;
-                    l.prefetched = false;
-                    out.to_core.push((L1ToCore::StoreDone { id: *id }, self.cfg.hit_latency));
+                    data.write(*off, bytes);
+                    wrote = true;
+                    L1ToCore::StoreDone { id: *id }
                 }
-            }
+            };
+            out.to_core.push((done, self.cfg.hit_latency));
         }
-        self.array.insert(line, l);
+        wrote
     }
 
     fn make_room(&mut self, line: PhysAddr, out: &mut L1Out) {
@@ -480,9 +410,9 @@ impl L1 {
         // sharer bits).
     }
 
-    /// Snoop support for MCLAZY (called by the system): write back the
-    /// line if dirty (returning the data) and mark it clean, keeping it
-    /// cached.
+    /// Write back the line if dirty (returning the data) and mark it
+    /// clean, keeping it cached: CLWB, and the MCLAZY snoop (called by the
+    /// system).
     pub fn snoop_writeback(&mut self, line: PhysAddr) -> Option<LineData> {
         match self.array.peek_mut(line) {
             Some(l) if l.modified && l.dirty => {
@@ -493,8 +423,9 @@ impl L1 {
         }
     }
 
-    /// Snoop support for MCLAZY (called by the system): drop the line
-    /// (destination lines are about to be redefined by the lazy copy).
+    /// Drop the line: non-temporal stores, and the MCLAZY snoop (called by
+    /// the system; destination lines are about to be redefined by the lazy
+    /// copy).
     pub fn snoop_invalidate(&mut self, line: PhysAddr) {
         if self.array.remove(line).is_some() {
             self.stats.invalidations += 1;
@@ -736,6 +667,74 @@ mod tests {
             L1ToLlc::WbRange { dirty, .. } => assert!(dirty.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn data(line: u64, fill: u8, excl: bool) -> LlcToL1 {
+        LlcToL1::Data { line: PhysAddr(line), data: LineData::splat(fill), excl, level: ServiceLevel::Llc }
+    }
+
+    fn store(id: UopId, addr: u64, data: Vec<u8>) -> CoreToL1 {
+        CoreToL1::Store { id, addr: PhysAddr(addr), data, nontemporal: false }
+    }
+
+    #[test]
+    fn ownership_upgrade_in_place_keeps_the_prefetched_flag() {
+        // A prefetcher one line ahead: three unit-stride misses prefetch 0xc0.
+        let cfg = CacheConfig { prefetch: true, prefetch_degree: 1, ..SystemConfig::tiny().l1 };
+        let mut l1 = L1::new(0, cfg);
+        let mut out = L1Out::default();
+        for (i, a) in [0x0u64, 0x40, 0x80].into_iter().enumerate() {
+            l1.handle_core(0, &load(i as u64, a, 8), &mut out);
+        }
+        assert!(matches!(out.to_llc.last(), Some(L1ToLlc::GetS { line: PhysAddr(0xc0), prefetch: true, .. })));
+        l1.handle_llc(1, data(0xc0, 1, false), &mut out);
+        assert!(l1.array.peek(PhysAddr(0xc0)).is_some_and(|l| !l.modified && l.prefetched));
+
+        // A store to the line held in S upgrades it; the M fill lands in place.
+        let mut out = L1Out::default();
+        l1.handle_core(2, &store(7, 0xc4, vec![9, 9]), &mut out);
+        assert!(matches!(out.to_llc[..], [L1ToLlc::GetM { line: PhysAddr(0xc0), .. }]));
+        l1.handle_llc(3, data(0xc0, 2, true), &mut out);
+        assert!(matches!(out.to_core[..], [(L1ToCore::StoreDone { id: 7 }, _)]));
+        let l = l1.array.peek(PhysAddr(0xc0)).expect("still resident");
+        assert!(l.modified && l.dirty && l.prefetched);
+        assert_eq!(l.data.read(2, 6), &[2, 2, 9, 9, 2, 2]);
+
+        // The first demand load still counts as a prefetch hit.
+        l1.handle_core(4, &load(8, 0xc0, 8), &mut out);
+        assert_eq!((l1.stats.hits, l1.stats.prefetch_hits), (1, 1));
+    }
+
+    #[test]
+    fn store_joining_a_gets_upgrades_after_serving_the_loads() {
+        let mut l1 = mk();
+        let mut out = L1Out::default();
+        l1.handle_core(0, &load(1, 0x100, 8), &mut out);
+        l1.handle_core(1, &store(2, 0x108, vec![7; 4]), &mut out);
+        l1.handle_core(2, &load(3, 0x110, 4), &mut out);
+        assert!(matches!(out.to_llc[..], [L1ToLlc::GetS { .. }]), "the store joins the GetS");
+
+        // The S data serves both loads; the store waits for a GetM.
+        let mut out = L1Out::default();
+        l1.handle_llc(3, data(0x100, 5, false), &mut out);
+        let served: Vec<_> = out
+            .to_core
+            .iter()
+            .map(|(m, _)| match m {
+                L1ToCore::LoadDone { id, data, .. } => (*id, data.clone()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(served, vec![(1, vec![5; 8]), (3, vec![5; 4])]);
+        assert!(matches!(out.to_llc[..], [L1ToLlc::GetM { line: PhysAddr(0x100), .. }]));
+        assert!(l1.peek_line(PhysAddr(0x100)).is_none(), "nothing installed before ownership");
+
+        let mut out = L1Out::default();
+        l1.handle_llc(4, data(0x100, 6, true), &mut out);
+        assert!(matches!(out.to_core[..], [(L1ToCore::StoreDone { id: 2 }, _)]));
+        let l = l1.array.peek(PhysAddr(0x100)).expect("installed");
+        assert!(l.modified && l.dirty);
+        assert_eq!(l.data.read(6, 8), &[6, 6, 7, 7, 7, 7, 6, 6]);
     }
 
     #[test]

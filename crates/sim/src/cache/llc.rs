@@ -36,13 +36,11 @@ struct LlcLine {
     prefetched: bool,
 }
 
-/// What to do when a recall/inval transaction finishes.
+/// What to do when an ack-counting transaction finishes.
 #[derive(Debug)]
 enum After {
-    /// Grant shared data to a core.
-    GrantS { core: usize },
-    /// Grant exclusive data to a core.
-    GrantM { core: usize },
+    /// Grant the line to a core, exclusive (GetM) or shared (GetS).
+    Grant { core: usize, excl: bool },
     /// Finish evicting the line (write back if dirty, drop, then retry
     /// whatever was queued).
     Evict,
@@ -56,10 +54,9 @@ enum After {
 enum Txn {
     /// Fill from memory in flight.
     Mem { excl: bool, core: usize, prefetch: bool },
-    /// Waiting for one recall ack (the recalled L1 is implicit in the ack).
-    Recall { after: After },
-    /// Waiting for `pending` inval acks.
-    Invals { pending: u32, after: After },
+    /// Waiting for `pending` L1 acks: one for a recall, one per sharer for
+    /// an invalidation. Every ack is a `RecallAck`.
+    Acks { pending: u32, after: After },
 }
 
 #[derive(Debug)]
@@ -141,6 +138,11 @@ impl Llc {
         self.mshrs.contains_key(&line.0)
     }
 
+    /// Write `data` to memory, unacknowledged.
+    fn write_mem(&self, line: PhysAddr, data: LineData, out: &mut LlcOut) {
+        out.to_bus.push((Packet::write(line, data, self.mc_of(line)), self.cfg.hit_latency));
+    }
+
     /// Send a write to memory whose acceptance must be acknowledged back to
     /// `core` as the completion of CLWB uop `id`.
     fn send_acked_write(
@@ -192,14 +194,10 @@ impl Llc {
 
     /// Handle a message from an L1. Returns `false` if it could not be
     /// accepted (caller must retry); acks are always accepted.
-    pub fn handle_l1(&mut self, now: Cycle, msg: L1ToLlc, out: &mut LlcOut) -> bool {
+    pub fn handle_l1(&mut self, _now: Cycle, msg: L1ToLlc, out: &mut LlcOut) -> bool {
         match msg {
-            L1ToLlc::RecallAck { line, data, core } => {
-                self.on_recall_ack(now, line, data, core, out);
-                true
-            }
-            L1ToLlc::InvalAck { line, core } => {
-                self.on_recall_ack(now, line, None, core, out);
+            L1ToLlc::RecallAck { line, data, .. } => {
+                self.on_ack(line, data, out);
                 true
             }
             L1ToLlc::PutM { line, data, core } => {
@@ -250,68 +248,90 @@ impl Llc {
                 out.to_bus.push((pkt, self.cfg.hit_latency));
                 true
             }
-            other => {
-                let line = line_of(&other);
-                if let Some(m) = self.mshrs.get_mut(&line.0) {
-                    m.queue.push_back(other);
-                    return true;
-                }
-                self.dispatch(now, other, out)
+            L1ToLlc::GetS { line, .. }
+            | L1ToLlc::GetM { line, .. }
+            | L1ToLlc::Clwb { line, .. }
+            | L1ToLlc::NtWrite { line, .. }
+                if self.mshrs.contains_key(&line.0) =>
+            {
+                self.mshrs.get_mut(&line.0).expect("busy line").queue.push_back(msg);
+                true
             }
-        }
-    }
-
-    /// Handle a fresh (non-queued) request for an idle line.
-    fn dispatch(&mut self, now: Cycle, msg: L1ToLlc, out: &mut LlcOut) -> bool {
-        match msg {
-            L1ToLlc::GetS { line, core, prefetch } => self.get_s(now, line, core, prefetch, out),
-            L1ToLlc::GetM { line, core } => self.get_m(now, line, core, out),
+            L1ToLlc::GetS { line, core, prefetch } => self.get_s(line, core, prefetch, out),
+            L1ToLlc::GetM { line, core } => self.get_m(line, core, out),
             L1ToLlc::Clwb { line, data, id, core } => self.clwb(line, data, id, core, out),
             L1ToLlc::NtWrite { line, data, id, core } => self.nt_write(line, data, id, core, out),
-            _ => unreachable!("handled in handle_l1"),
         }
     }
 
-    fn get_s(
+    /// Recall `line` from `owner` (downgrade to S, or drop if `inval`) and
+    /// run `after` once it acks. Returns false if no MSHR is free.
+    fn recall(
         &mut self,
-        _now: Cycle,
         line: PhysAddr,
-        core: usize,
-        prefetch: bool,
+        owner: usize,
+        inval: bool,
+        after: After,
         out: &mut LlcOut,
     ) -> bool {
+        if self.mshrs.len() >= self.cfg.mshrs {
+            return false;
+        }
+        out.to_l1.push((owner, LlcToL1::Recall { line, inval }, 0));
+        self.mshrs.insert(line.0, Mshr { txn: Txn::Acks { pending: 1, after }, queue: VecDeque::new() });
+        true
+    }
+
+    /// Invalidate `line` in every core of `sharers` and run `after` once
+    /// all of them ack. Returns false if no MSHR is free.
+    fn invalidate(&mut self, line: PhysAddr, sharers: u32, after: After, out: &mut LlcOut) -> bool {
+        if self.mshrs.len() >= self.cfg.mshrs {
+            return false;
+        }
+        for c in cores_in(sharers) {
+            out.to_l1.push((c, LlcToL1::Inval { line }, 0));
+        }
+        let txn = Txn::Acks { pending: sharers.count_ones(), after };
+        self.mshrs.insert(line.0, Mshr { txn, queue: VecDeque::new() });
+        true
+    }
+
+    /// Send the resident `line`'s data to `core` and record it in the
+    /// directory: as owner if `excl`, else as a sharer (demoting any
+    /// owner). A fill from memory forwards without re-paying the lookup
+    /// latency, which was charged when the read was sent.
+    fn grant(&mut self, line: PhysAddr, core: usize, excl: bool, level: ServiceLevel, out: &mut LlcOut) {
+        let l = self.array.peek_mut(line).expect("granted line is resident");
+        if excl {
+            l.owner = Some(core);
+            l.sharers = 0;
+        } else {
+            l.owner = None;
+            l.sharers |= 1 << core;
+        }
+        let data = l.data;
+        let delay = if level == ServiceLevel::Mem { 0 } else { self.cfg.hit_latency };
+        out.to_l1.push((core, LlcToL1::Data { line, data, excl, level }, delay));
+    }
+
+    fn get_s(&mut self, line: PhysAddr, core: usize, prefetch: bool, out: &mut LlcOut) -> bool {
         if let Some(l) = self.array.get_mut(line) {
             self.stats.hits += 1;
             if l.prefetched {
                 l.prefetched = false;
                 self.stats.prefetch_hits += 1;
             }
-            if let Some(owner) = l.owner {
-                if owner != core {
-                    if self.mshrs.len() >= self.cfg.mshrs {
-                        return false;
-                    }
-                    out.to_l1.push((owner, LlcToL1::Recall { line, inval: false }, 0));
-                    self.mshrs.insert(
-                        line.0,
-                        Mshr {
-                            txn: Txn::Recall { after: After::GrantS { core } },
-                            queue: VecDeque::new(),
-                        },
-                    );
-                    return true;
+            return match l.owner {
+                Some(owner) if owner != core => {
+                    self.recall(line, owner, false, After::Grant { core, excl: false }, out)
                 }
-                // Owner re-requesting S (lost its copy silently): demote.
-                l.owner = None;
-            }
-            l.sharers |= 1 << core;
-            let data = l.data;
-            out.to_l1.push((
-                core,
-                LlcToL1::Data { line, data, excl: false, level: ServiceLevel::Llc },
-                self.cfg.hit_latency,
-            ));
-            return true;
+                // An owner re-requesting S lost its copy silently: the
+                // grant demotes it.
+                _ => {
+                    self.grant(line, core, false, ServiceLevel::Llc, out);
+                    true
+                }
+            };
         }
         // Miss.
         self.stats.misses += 1;
@@ -325,64 +345,22 @@ impl Llc {
         true
     }
 
-    fn get_m(&mut self, _now: Cycle, line: PhysAddr, core: usize, out: &mut LlcOut) -> bool {
+    fn get_m(&mut self, line: PhysAddr, core: usize, out: &mut LlcOut) -> bool {
         if let Some(l) = self.array.get_mut(line) {
             self.stats.hits += 1;
             l.prefetched = false;
-            if let Some(owner) = l.owner {
-                if owner != core {
-                    if self.mshrs.len() >= self.cfg.mshrs {
-                        return false;
-                    }
-                    out.to_l1.push((owner, LlcToL1::Recall { line, inval: true }, 0));
-                    self.mshrs.insert(
-                        line.0,
-                        Mshr {
-                            txn: Txn::Recall { after: After::GrantM { core } },
-                            queue: VecDeque::new(),
-                        },
-                    );
-                    return true;
-                }
-                // Owner asking again (e.g. after silent drop): re-grant.
-                let data = l.data;
-                out.to_l1.push((
-                    core,
-                    LlcToL1::Data { line, data, excl: true, level: ServiceLevel::Llc },
-                    self.cfg.hit_latency,
-                ));
-                return true;
-            }
+            let after = After::Grant { core, excl: true };
             let others = l.sharers & !(1 << core);
-            if others != 0 {
-                if self.mshrs.len() >= self.cfg.mshrs {
-                    return false;
+            return match l.owner {
+                Some(owner) if owner != core => self.recall(line, owner, true, after, out),
+                None if others != 0 => self.invalidate(line, others, after, out),
+                // Also re-grants to an owner asking again (e.g. after a
+                // silent drop).
+                _ => {
+                    self.grant(line, core, true, ServiceLevel::Llc, out);
+                    true
                 }
-                let mut pending = 0;
-                for c in 0..32 {
-                    if others & (1 << c) != 0 {
-                        out.to_l1.push((c as usize, LlcToL1::Inval { line }, 0));
-                        pending += 1;
-                    }
-                }
-                self.mshrs.insert(
-                    line.0,
-                    Mshr {
-                        txn: Txn::Invals { pending, after: After::GrantM { core } },
-                        queue: VecDeque::new(),
-                    },
-                );
-                return true;
-            }
-            l.owner = Some(core);
-            l.sharers = 0;
-            let data = l.data;
-            out.to_l1.push((
-                core,
-                LlcToL1::Data { line, data, excl: true, level: ServiceLevel::Llc },
-                self.cfg.hit_latency,
-            ));
-            return true;
+            };
         }
         self.stats.misses += 1;
         if !self.start_fill(line, true, core, false, out) {
@@ -430,29 +408,20 @@ impl Llc {
             // Clean sharers are force-invalidated without acks; inclusion is
             // restored within a link delay and clean reads in the window are
             // indistinguishable from an earlier interleaving.
-            for c in 0..32 {
-                if p.sharers & (1 << c) != 0 {
-                    out.to_l1.push((c as usize, LlcToL1::Inval { line: v }, 0));
-                }
+            for c in cores_in(p.sharers) {
+                out.to_l1.push((c, LlcToL1::Inval { line: v }, 0));
             }
             if p.dirty {
                 self.stats.writebacks += 1;
-                out.to_bus.push((Packet::write(v, p.data, self.mc_of(v)), self.cfg.hit_latency));
+                self.write_mem(v, p.data, out);
             }
             return true;
         }
         // Every candidate is owned dirty in an L1: recall the LRU owner and
         // retry the request once the recall lands.
-        if self.mshrs.len() >= self.cfg.mshrs {
-            return false;
-        }
         if let Some(v) = self.array.victim(line, |l, _| busy(l)) {
             let owner = self.array.peek(v).and_then(|p| p.owner).expect("owned victim");
-            out.to_l1.push((owner, LlcToL1::Recall { line: v, inval: true }, 0));
-            self.mshrs.insert(
-                v.0,
-                Mshr { txn: Txn::Recall { after: After::Evict }, queue: VecDeque::new() },
-            );
+            self.recall(v, owner, true, After::Evict, out);
         }
         false
     }
@@ -503,8 +472,7 @@ impl Llc {
             None => out.to_l1.push((core, LlcToL1::ClwbAck { id }, self.cfg.hit_latency)),
             Some(((last_line, last_data), rest)) => {
                 for (line, data) in rest {
-                    out.to_bus
-                        .push((Packet::write(*line, *data, self.mc_of(*line)), self.cfg.hit_latency));
+                    self.write_mem(*line, *data, out);
                 }
                 self.send_acked_write(*last_line, *last_data, id, core, out);
             }
@@ -529,34 +497,29 @@ impl Llc {
             self.send_acked_write(line, d, id, core, out);
             return true;
         }
-        match self.array.peek_mut(line) {
-            Some(l) if l.owner.is_some() && l.owner != Some(core) => {
-                // Dirty in a remote L1: recall (downgrade) then write back.
-                if self.mshrs.len() >= self.cfg.mshrs {
-                    return false;
-                }
-                let owner = l.owner.expect("checked");
-                out.to_l1.push((owner, LlcToL1::Recall { line, inval: false }, 0));
-                self.mshrs.insert(
-                    line.0,
-                    Mshr {
-                        txn: Txn::Recall { after: After::Clwb { id, core } },
-                        queue: VecDeque::new(),
-                    },
-                );
+        match self.array.peek(line).and_then(|l| l.owner) {
+            // Dirty in a remote L1: recall (downgrade) then write back.
+            Some(owner) if owner != core => {
+                self.recall(line, owner, false, After::Clwb { id, core }, out)
+            }
+            _ => {
+                self.clwb_here(line, id, core, out);
                 true
             }
+        }
+    }
+
+    /// Finish a CLWB at this level: write the line through if it is dirty
+    /// here (acked once its controller accepts), else ack at once.
+    fn clwb_here(&mut self, line: PhysAddr, id: UopId, core: usize, out: &mut LlcOut) {
+        match self.array.peek_mut(line) {
             Some(l) if l.dirty => {
                 l.dirty = false;
                 let d = l.data;
                 self.send_acked_write(line, d, id, core, out);
-                true
             }
-            _ => {
-                // Clean or absent everywhere: nothing to write back.
-                out.to_l1.push((core, LlcToL1::ClwbAck { id }, self.cfg.hit_latency));
-                true
-            }
+            // Clean or absent everywhere: nothing to write back.
+            _ => out.to_l1.push((core, LlcToL1::ClwbAck { id }, self.cfg.hit_latency)),
         }
     }
 
@@ -568,81 +531,31 @@ impl Llc {
         core: usize,
         out: &mut LlcOut,
     ) -> bool {
-        if let Some(l) = self.array.peek(line) {
-            let owner = l.owner;
-            let others = l.sharers & !(1 << core);
-            if let Some(o) = owner {
-                if self.mshrs.len() >= self.cfg.mshrs {
-                    return false;
-                }
-                out.to_l1.push((o, LlcToL1::Recall { line, inval: true }, 0));
-                self.mshrs.insert(
-                    line.0,
-                    Mshr {
-                        txn: Txn::Recall { after: After::NtWrite { data, id, core } },
-                        queue: VecDeque::new(),
-                    },
-                );
-                return true;
+        let after = After::NtWrite { data, id, core };
+        match self.array.peek(line).map(|l| (l.owner, l.sharers & !(1 << core))) {
+            Some((Some(owner), _)) => self.recall(line, owner, true, after, out),
+            Some((None, others)) if others != 0 => self.invalidate(line, others, after, out),
+            _ => {
+                self.run_after(line, after, out);
+                true
             }
-            if others != 0 {
-                if self.mshrs.len() >= self.cfg.mshrs {
-                    return false;
-                }
-                let mut pending = 0;
-                for c in 0..32 {
-                    if others & (1 << c) != 0 {
-                        out.to_l1.push((c as usize, LlcToL1::Inval { line }, 0));
-                        pending += 1;
-                    }
-                }
-                self.mshrs.insert(
-                    line.0,
-                    Mshr {
-                        txn: Txn::Invals { pending, after: After::NtWrite { data, id, core } },
-                        queue: VecDeque::new(),
-                    },
-                );
-                return true;
-            }
-            self.array.remove(line);
-            self.stats.invalidations += 1;
         }
-        out.to_bus.push((Packet::write(line, data, self.mc_of(line)), self.cfg.hit_latency));
-        out.to_l1.push((core, LlcToL1::NtAck { id }, self.cfg.hit_latency));
-        true
     }
 
     fn on_putm(&mut self, line: PhysAddr, data: LineData, core: usize) {
+        // A line no longer resident was evicted by a recall that raced
+        // with this writeback; memory already has the recalled version.
         if let Some(l) = self.array.peek_mut(line) {
             l.data = data;
             l.dirty = true;
             if l.owner == Some(core) {
                 l.owner = None;
             }
-            return;
-        }
-        // PutM raced with an eviction recall for the same line: treat the
-        // data as the recall result; the ack will find the data merged.
-        if let Some(m) = self.mshrs.get_mut(&line.0) {
-            if let Txn::Recall { .. } = m.txn {
-                // Stash into a synthetic resident line? The line was removed
-                // during eviction only after recall completes, so for
-                // in-flight recalls the line is still resident — handled
-                // above. Reaching here means the line is gone; drop the
-                // writeback (memory already has the last recalled version).
-            }
         }
     }
 
-    fn on_recall_ack(
-        &mut self,
-        now: Cycle,
-        line: PhysAddr,
-        data: Option<LineData>,
-        _core: usize,
-        out: &mut LlcOut,
-    ) {
+    /// A `RecallAck`, answering either a `Recall` or an `Inval`.
+    fn on_ack(&mut self, line: PhysAddr, data: Option<LineData>, out: &mut LlcOut) {
         let Some(m) = self.mshrs.get_mut(&line.0) else {
             return; // stale ack (e.g. inval of a silently evicted line)
         };
@@ -653,58 +566,26 @@ impl Llc {
                 l.dirty = true;
             }
         }
-        let done = match &mut m.txn {
-            Txn::Recall { .. } => true,
-            Txn::Invals { pending, .. } => {
-                *pending -= 1;
-                *pending == 0
-            }
-            Txn::Mem { .. } => false,
-        };
-        if !done {
+        let Txn::Acks { pending, .. } = &mut m.txn else { return };
+        *pending -= 1;
+        if *pending > 0 {
             return;
         }
         let m = self.mshrs.remove(&line.0).expect("present");
-        let after = match m.txn {
-            Txn::Recall { after } => after,
-            Txn::Invals { after, .. } => after,
-            Txn::Mem { .. } => unreachable!(),
-        };
-        self.run_after(now, line, after, out);
+        let Txn::Acks { after, .. } = m.txn else { unreachable!() };
+        self.run_after(line, after, out);
         self.retry.extend(m.queue);
     }
 
-    fn run_after(&mut self, _now: Cycle, line: PhysAddr, after: After, out: &mut LlcOut) {
+    fn run_after(&mut self, line: PhysAddr, after: After, out: &mut LlcOut) {
         match after {
-            After::GrantS { core } => {
-                let l = self.array.peek_mut(line).expect("resident during txn");
-                l.owner = None;
-                l.sharers |= 1 << core;
-                let data = l.data;
-                out.to_l1.push((
-                    core,
-                    LlcToL1::Data { line, data, excl: false, level: ServiceLevel::Llc },
-                    self.cfg.hit_latency,
-                ));
-            }
-            After::GrantM { core } => {
-                let l = self.array.peek_mut(line).expect("resident during txn");
-                l.owner = Some(core);
-                l.sharers = 0;
-                let data = l.data;
-                out.to_l1.push((
-                    core,
-                    LlcToL1::Data { line, data, excl: true, level: ServiceLevel::Llc },
-                    self.cfg.hit_latency,
-                ));
-            }
+            After::Grant { core, excl } => self.grant(line, core, excl, ServiceLevel::Llc, out),
             After::Evict => {
                 if let Some(p) = self.array.remove(line) {
                     self.stats.evictions += 1;
                     if p.dirty {
                         self.stats.writebacks += 1;
-                        out.to_bus
-                            .push((Packet::write(line, p.data, self.mc_of(line)), self.cfg.hit_latency));
+                        self.write_mem(line, p.data, out);
                     }
                 }
             }
@@ -712,34 +593,22 @@ impl Llc {
                 if self.array.remove(line).is_some() {
                     self.stats.invalidations += 1;
                 }
-                out.to_bus.push((Packet::write(line, data, self.mc_of(line)), self.cfg.hit_latency));
+                self.write_mem(line, data, out);
                 out.to_l1.push((core, LlcToL1::NtAck { id }, self.cfg.hit_latency));
             }
             After::Clwb { id, core } => {
-                let dirty_data = match self.array.peek_mut(line) {
-                    Some(l) => {
-                        l.owner = None;
-                        if l.dirty {
-                            l.dirty = false;
-                            Some(l.data)
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                };
-                match dirty_data {
-                    Some(d) => self.send_acked_write(line, d, id, core, out),
-                    None => out.to_l1.push((core, LlcToL1::ClwbAck { id }, self.cfg.hit_latency)),
+                if let Some(l) = self.array.peek_mut(line) {
+                    l.owner = None;
                 }
+                self.clwb_here(line, id, core, out);
             }
         }
     }
 
     /// Handle a packet arriving from the memory interconnect.
-    pub fn handle_pkt(&mut self, now: Cycle, pkt: Packet, out: &mut LlcOut) {
+    pub fn handle_pkt(&mut self, _now: Cycle, pkt: Packet, out: &mut LlcOut) {
         match pkt.cmd {
-            MemCmd::ReadResp => self.on_fill(now, pkt, out),
+            MemCmd::ReadResp => self.on_fill(pkt, out),
             MemCmd::MclazyAck => {
                 if let Some((core, id)) = self.pending_lazy.remove(&pkt.id) {
                     out.to_l1.push((core, LlcToL1::MclazyAck { id }, 0));
@@ -754,7 +623,7 @@ impl Llc {
         }
     }
 
-    fn on_fill(&mut self, now: Cycle, pkt: Packet, out: &mut LlcOut) {
+    fn on_fill(&mut self, pkt: Packet, out: &mut LlcOut) {
         let line = pkt.addr;
         let data = pkt.data.expect("fill carries data");
         let Some(m) = self.mshrs.get(&line.0) else {
@@ -776,28 +645,14 @@ impl Llc {
             return;
         }
         let m = self.mshrs.remove(&line.0).expect("present");
+        let lline = LlcLine { data, dirty: false, owner: None, sharers: 0, prefetched: prefetch };
+        self.array.insert(line, lline);
         // `core == usize::MAX` marks the LLC's own prefetches (no L1 is
         // waiting). An L1-initiated prefetch (`prefetch` set, real core)
         // must still be granted — the L1 holds an MSHR for it.
-        let demand = core != usize::MAX;
-        let lline = LlcLine {
-            data,
-            dirty: false,
-            owner: if excl && demand { Some(core) } else { None },
-            sharers: if !excl && demand { 1 << core } else { 0 },
-            prefetched: prefetch,
-        };
-        self.array.insert(line, lline);
-        if demand {
-            // The LLC lookup latency was charged when the fill request was
-            // sent toward memory; the response forwards without re-paying.
-            out.to_l1.push((
-                core,
-                LlcToL1::Data { line, data, excl, level: ServiceLevel::Mem },
-                0,
-            ));
+        if core != usize::MAX {
+            self.grant(line, core, excl, ServiceLevel::Mem, out);
         }
-        let _ = now;
         self.retry.extend(m.queue);
     }
 
@@ -839,19 +694,9 @@ impl Llc {
     }
 }
 
-fn line_of(msg: &L1ToLlc) -> PhysAddr {
-    match msg {
-        L1ToLlc::GetS { line, .. }
-        | L1ToLlc::GetM { line, .. }
-        | L1ToLlc::PutM { line, .. }
-        | L1ToLlc::Clwb { line, .. }
-        | L1ToLlc::NtWrite { line, .. }
-        | L1ToLlc::RecallAck { line, .. }
-        | L1ToLlc::InvalAck { line, .. } => *line,
-        L1ToLlc::Mclazy { desc, .. } => desc.dst,
-        L1ToLlc::Mcfree { addr, .. } => *addr,
-        L1ToLlc::WbRange { addr, .. } => *addr,
-    }
+/// The core indices set in a sharer mask, in ascending order.
+fn cores_in(mask: u32) -> impl Iterator<Item = usize> {
+    (0..32).filter(move |c| mask & (1 << c) != 0)
 }
 
 #[cfg(test)]
@@ -934,9 +779,9 @@ mod tests {
 
         // Acks arrive; grant fires on the last one.
         let mut out = LlcOut::default();
-        llc.handle_l1(4, L1ToLlc::InvalAck { line: PhysAddr(0x100), core: 0 }, &mut out);
+        llc.handle_l1(4, L1ToLlc::RecallAck { line: PhysAddr(0x100), data: None, core: 0 }, &mut out);
         assert!(out.to_l1.is_empty());
-        llc.handle_l1(5, L1ToLlc::InvalAck { line: PhysAddr(0x100), core: 1 }, &mut out);
+        llc.handle_l1(5, L1ToLlc::RecallAck { line: PhysAddr(0x100), data: None, core: 1 }, &mut out);
         match &out.to_l1[0].1 {
             LlcToL1::Data { excl: true, .. } => {}
             other => panic!("expected M grant, got {other:?}"),
@@ -1039,17 +884,7 @@ mod tests {
             .iter()
             .find(|(p, _)| matches!(p.cmd, MemCmd::Mclazy(_)))
             .expect("forwarded");
-        let ack = Packet {
-            id: pkt.id,
-            cmd: MemCmd::MclazyAck,
-            addr: pkt.addr,
-            data: None,
-            dest: Node::Llc,
-            is_prefetch: false,
-            core: Some(0),
-            needs_ack: false,
-            poisoned: false,
-        };
+        let ack = pkt.make_mclazy_ack();
         let mut out = LlcOut::default();
         llc.handle_pkt(3, ack, &mut out);
         assert!(out.to_l1.iter().any(|(c, m, _)| *c == 0 && matches!(m, LlcToL1::MclazyAck { id: 77 })));

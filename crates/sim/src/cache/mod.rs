@@ -80,10 +80,8 @@ pub enum L1ToLlc {
     Mclazy { desc: LazyDesc, id: UopId, core: usize },
     /// MCFREE en route to the memory controllers.
     Mcfree { addr: PhysAddr, size: u64 },
-    /// Response to a `Recall`: data if the line was dirty.
+    /// Response to a `Recall` or an `Inval`: data if the line was dirty.
     RecallAck { line: PhysAddr, data: Option<LineData>, core: usize },
-    /// Response to an `Inval`.
-    InvalAck { line: PhysAddr, core: usize },
 }
 
 /// Messages from the LLC to an L1.
@@ -91,7 +89,7 @@ pub enum L1ToLlc {
 pub enum LlcToL1 {
     /// Data grant: `excl` distinguishes GetM (M) from GetS (S) responses.
     Data { line: PhysAddr, data: LineData, excl: bool, level: ServiceLevel },
-    /// Drop the line (ack with data if dirty).
+    /// Drop the line (acked with a `RecallAck`, carrying data if dirty).
     Inval { line: PhysAddr },
     /// Downgrade to shared, returning data if dirty (`inval == false`), or
     /// drop entirely (`inval == true`). Always acked.

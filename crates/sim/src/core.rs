@@ -206,9 +206,6 @@ impl Core {
     pub fn handle_l1(&mut self, _now: Cycle, msg: L1ToCore) {
         match msg {
             L1ToCore::LoadDone { id, data, level } => {
-                if let Some(pos) = self.loads.iter().position(|l| l.id == id) {
-                    self.loads.swap_remove(pos);
-                }
                 match level {
                     ServiceLevel::L1 => {}
                     ServiceLevel::Llc => self.stats.l1_miss_loads += 1,
@@ -217,10 +214,7 @@ impl Core {
                         self.stats.mem_loads += 1;
                     }
                 }
-                self.program.on_load_complete(id, &data);
-                self.frontend_stalled = false;
-                self.load_vals.insert(id, data);
-                self.mark_done(id);
+                self.load_done(id, data);
             }
             L1ToCore::StoreDone { id } => {
                 if let Some(pos) = self.sb.iter().position(|s| s.id == id) {
@@ -366,13 +360,21 @@ impl Core {
             }
         }
         for (id, bytes) in fwd {
-            if let Some(pos) = self.loads.iter().position(|l| l.id == id) {
-                self.loads.swap_remove(pos);
-            }
-            self.program.on_load_complete(id, &bytes);
-            self.load_vals.insert(id, bytes);
-            self.mark_done(id);
+            self.load_done(id, bytes);
         }
+    }
+
+    /// Complete load `id` with `data`, whether the L1 answered it or the
+    /// store buffer forwarded it. The program may have stalled its
+    /// frontend on this value, so fetching may resume.
+    fn load_done(&mut self, id: UopId, data: Vec<u8>) {
+        if let Some(pos) = self.loads.iter().position(|l| l.id == id) {
+            self.loads.swap_remove(pos);
+        }
+        self.program.on_load_complete(id, &data);
+        self.frontend_stalled = false;
+        self.load_vals.insert(id, data);
+        self.mark_done(id);
     }
 
     fn sb_lookup(&self, addr: crate::addr::PhysAddr, size: usize, before: UopId) -> SbCheck {

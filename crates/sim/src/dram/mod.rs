@@ -41,7 +41,7 @@ use std::cell::Cell;
 /// Which channel (memory controller) services a given line, with `channels`
 /// total channels.
 pub fn channel_of(addr: PhysAddr, channels: usize) -> usize {
-    (addr.line().0 % channels as u64) as usize
+    (addr.line() % channels as u64) as usize
 }
 
 /// Outcome of a DRAM access with respect to the row buffer.
@@ -169,7 +169,7 @@ impl DramBackend {
     fn locate(&self, addr: PhysAddr) -> Loc {
         let s = &self.shifts;
         let mask = |bits: u32| (1u64 << bits) - 1;
-        let local = addr.line().0 >> s.channels;
+        let local = addr.line() >> s.channels;
         let bus = (local & mask(s.pseudo_channels)) as usize;
         let local = local >> s.pseudo_channels;
         let group = (local & mask(s.groups)) as usize;

@@ -186,21 +186,10 @@ pub struct NullEngine;
 
 impl CopyEngine for NullEngine {
     fn on_arrive(&mut self, _now: Cycle, _mcid: usize, pkt: Packet, io: &mut EngineIo) -> Verdict {
-        use crate::packet::{MemCmd, Node};
+        use crate::packet::MemCmd;
         match pkt.cmd {
             MemCmd::Mclazy(_) => {
-                let ack = Packet {
-                    id: pkt.id,
-                    cmd: MemCmd::MclazyAck,
-                    addr: pkt.addr,
-                    data: None,
-                    dest: Node::Llc,
-                    is_prefetch: false,
-                    core: pkt.core,
-                    needs_ack: false,
-                    poisoned: false,
-                };
-                io.send(ack);
+                io.send(pkt.make_mclazy_ack());
                 Verdict::Consumed
             }
             MemCmd::Mcfree(_) => Verdict::Consumed,

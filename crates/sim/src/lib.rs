@@ -65,7 +65,7 @@ pub mod uop;
 /// A point in simulated time, measured in CPU clock cycles.
 pub type Cycle = u64;
 
-pub use addr::{LineAddr, PhysAddr, CACHELINE};
+pub use addr::{PhysAddr, CACHELINE};
 pub use config::SystemConfig;
 pub use data::{LineData, SparseMem};
 pub use system::{SchedMode, System};

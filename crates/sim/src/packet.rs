@@ -196,6 +196,25 @@ impl Packet {
         }
     }
 
+    /// Build the `MclazyAck` for this MCLAZY broadcast copy.
+    ///
+    /// # Panics
+    /// Panics if `self` is not an `Mclazy` command.
+    pub fn make_mclazy_ack(&self) -> Packet {
+        assert!(matches!(self.cmd, MemCmd::Mclazy(_)), "make_mclazy_ack on non-MCLAZY");
+        Packet {
+            id: self.id,
+            cmd: MemCmd::MclazyAck,
+            addr: self.addr,
+            data: None,
+            dest: Node::Llc,
+            is_prefetch: false,
+            core: self.core,
+            needs_ack: false,
+            poisoned: false,
+        }
+    }
+
     /// Build the `WriteAck` for this write request.
     ///
     /// # Panics

@@ -65,43 +65,6 @@ impl Program for FixedProgram {
     }
 }
 
-/// Chain several programs, running them back to back on the same core.
-pub struct SeqProgram {
-    parts: Vec<Box<dyn Program>>,
-    idx: usize,
-}
-
-impl SeqProgram {
-    /// Run `parts` in order.
-    pub fn new(parts: Vec<Box<dyn Program>>) -> SeqProgram {
-        SeqProgram { parts, idx: 0 }
-    }
-}
-
-impl Program for SeqProgram {
-    fn fetch(&mut self, next_id: UopId) -> Fetch {
-        while self.idx < self.parts.len() {
-            match self.parts[self.idx].fetch(next_id) {
-                Fetch::Done => self.idx += 1,
-                other => return other,
-            }
-        }
-        Fetch::Done
-    }
-
-    fn on_load_complete(&mut self, id: UopId, data: &[u8]) {
-        if let Some(p) = self.parts.get_mut(self.idx) {
-            p.on_load_complete(id, data);
-        }
-    }
-}
-
-impl std::fmt::Debug for SeqProgram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SeqProgram({}/{} parts)", self.idx, self.parts.len())
-    }
-}
-
 /// An empty program (for cores that should stay idle).
 #[derive(Debug, Default)]
 pub struct IdleProgram;
@@ -129,19 +92,6 @@ mod tests {
         assert!(matches!(p.fetch(1), Fetch::Uop(_)));
         assert!(matches!(p.fetch(2), Fetch::Done));
         assert!(matches!(p.fetch(3), Fetch::Done));
-    }
-
-    #[test]
-    fn seq_program_chains() {
-        let mut p = SeqProgram::new(vec![
-            Box::new(FixedProgram::new(vec![ld(0)])),
-            Box::new(FixedProgram::new(vec![ld(64), ld(128)])),
-        ]);
-        let mut n = 0;
-        while let Fetch::Uop(_) = p.fetch(n) {
-            n += 1;
-        }
-        assert_eq!(n, 3);
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub struct System {
     l1_to_core: Vec<DelayQueue<L1ToCore>>,
     /// Request virtual network (GetS/GetM/Clwb/NtWrite/Mclazy/Mcfree).
     l1_to_llc: Vec<DelayQueue<L1ToLlc>>,
-    /// Response virtual network (RecallAck/InvalAck/PutM): never blocked
+    /// Response virtual network (RecallAck/PutM): never blocked
     /// by stalled requests, which would deadlock the directory.
     l1_to_llc_resp: Vec<DelayQueue<L1ToLlc>>,
     llc_to_l1: Vec<DelayQueue<LlcToL1>>,
@@ -358,29 +358,6 @@ impl System {
         self.mem.read_bytes(addr, len)
     }
 
-    /// Read bytes as the coherence protocol would see them: the owning
-    /// L1's copy wins, then the LLC, then DRAM. Test helper.
-    pub fn peek_coherent(&self, addr: PhysAddr, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        let mut a = addr;
-        let mut rem = len;
-        while rem > 0 {
-            let off = a.line_off() as usize;
-            let take = rem.min(64 - off);
-            let line = self
-                .l1s
-                .iter()
-                .rev()
-                .find_map(|l1| l1.peek_line(a).copied())
-                .or_else(|| self.llc.peek_line(a).copied())
-                .unwrap_or_else(|| self.mem.read_line(a));
-            out.extend_from_slice(line.read(off, take));
-            a = a.add(take as u64);
-            rem -= take;
-        }
-        out
-    }
-
     /// Advance one cycle, ticking every component unconditionally.
     pub fn tick(&mut self) {
         // A caller may interleave manual ticks with event-driven runs:
@@ -535,7 +512,7 @@ impl System {
             // Route by virtual network: responses must never queue
             // behind a blocked request.
             match m {
-                L1ToLlc::RecallAck { .. } | L1ToLlc::InvalAck { .. } | L1ToLlc::PutM { .. } => {
+                L1ToLlc::RecallAck { .. } | L1ToLlc::PutM { .. } => {
                     self.l1_to_llc_resp[i].push(now, m)
                 }
                 other => self.l1_to_llc[i].push(now, other),
@@ -1025,11 +1002,11 @@ impl System {
         self.mcs.iter().flat_map(|m| m.audit_reports().iter().cloned()).collect()
     }
 
-    /// Read bytes as the *materialized* logical memory image: like
-    /// [`System::peek_coherent`], but lines the copy engine still tracks
-    /// lazily are reconstructed through [`CopyEngine::peek_line`] instead
-    /// of read stale from DRAM. This is the view a demand read would
-    /// return, and the one differential checkers compare against an eager
+    /// Read bytes as the *materialized* logical memory image, the view a
+    /// demand read would return: the owning L1's copy wins, then the LLC,
+    /// then lines the copy engine still tracks lazily (reconstructed
+    /// through [`CopyEngine::peek_line`] rather than read stale from DRAM),
+    /// then DRAM. Differential checkers compare it against an eager
     /// oracle. Meaningful after a drained run (no in-flight recons).
     pub fn peek_materialized(&self, addr: PhysAddr, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
@@ -1397,7 +1374,7 @@ mod tests {
             vec![Box::new(FixedProgram::new(p0)), Box::new(FixedProgram::new(p1))],
         );
         sys.run(1_000_000).expect("finishes");
-        assert_eq!(sys.peek_coherent(PhysAddr(0x7000), 1), vec![5]);
+        assert_eq!(sys.peek_materialized(PhysAddr(0x7000), 1), vec![5]);
     }
 
     #[test]
@@ -1533,12 +1510,12 @@ mod tests {
         assert_eq!(fa, fb);
         assert!(fa.iter().sum::<u64>() > 0, "mild plan must actually inject: {fa:?}");
         assert_eq!(
-            a.peek_coherent(PhysAddr(0x9000), 40 * 64),
-            b.peek_coherent(PhysAddr(0x9000), 40 * 64)
+            a.peek_materialized(PhysAddr(0x9000), 40 * 64),
+            b.peek_materialized(PhysAddr(0x9000), 40 * 64)
         );
         // Faults degrade timing, never data.
         for i in 0..40u64 {
-            assert_eq!(a.peek_coherent(PhysAddr(0x9000 + i * 64), 1), vec![i as u8]);
+            assert_eq!(a.peek_materialized(PhysAddr(0x9000 + i * 64), 1), vec![i as u8]);
         }
     }
 

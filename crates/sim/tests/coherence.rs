@@ -52,8 +52,8 @@ fn ownership_migrates_between_writers() {
     }
     let mut sys = two_core_sys(p0, p1);
     sys.run(50_000_000).expect("finishes");
-    assert_eq!(sys.peek_coherent(PhysAddr(0x9000), 1), vec![(reps - 1) as u8]);
-    assert_eq!(sys.peek_coherent(PhysAddr(0x9008), 1), vec![(100 + reps - 1) as u8]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0x9000), 1), vec![(reps - 1) as u8]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0x9008), 1), vec![(100 + reps - 1) as u8]);
 }
 
 #[test]
@@ -69,7 +69,7 @@ fn reader_sees_writers_final_value_after_drain() {
     let mut sys = two_core_sys(p0, p1);
     sys.run(50_000_000).expect("finishes");
     assert_eq!(sys.peek(PhysAddr(0xa000), 1), vec![0xCC], "memory drained");
-    assert_eq!(sys.peek_coherent(PhysAddr(0xa000), 1), vec![0xCC]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0xa000), 1), vec![0xCC]);
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn nontemporal_store_invalidates_remote_copies() {
     let mut sys = two_core_sys(p0, p1);
     sys.poke(PhysAddr(0xb000), &[1u8; 64]);
     sys.run(50_000_000).expect("finishes");
-    assert_eq!(sys.peek_coherent(PhysAddr(0xb000), 8), vec![0x7E; 8]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0xb000), 8), vec![0x7E; 8]);
     assert_eq!(sys.peek(PhysAddr(0xb000), 8), vec![0x7E; 8], "NT wrote through");
 }
 
@@ -110,8 +110,8 @@ fn interleaved_false_sharing_preserves_both_halves() {
     p1.push(fence());
     let mut sys = two_core_sys(p0, p1);
     sys.run(50_000_000).expect("finishes");
-    assert_eq!(sys.peek_coherent(PhysAddr(0xc000), 2), vec![9, 9]);
-    assert_eq!(sys.peek_coherent(PhysAddr(0xc020), 2), vec![59, 59]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0xc000), 2), vec![9, 9]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0xc020), 2), vec![59, 59]);
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn capacity_evictions_do_not_lose_writes() {
     sys.run(100_000_000).expect("finishes");
     for i in 0..lines {
         assert_eq!(
-            sys.peek_coherent(PhysAddr(base + i * 64), 1),
+            sys.peek_materialized(PhysAddr(base + i * 64), 1),
             vec![(i % 251) as u8],
             "line {i}"
         );
@@ -178,6 +178,6 @@ fn writer_then_reader_chain_through_three_cores() {
     ];
     let mut sys = System::new(cfg, programs);
     sys.run(50_000_000).expect("finishes");
-    assert_eq!(sys.peek_coherent(PhysAddr(0xe000), 1), vec![7]);
-    assert_eq!(sys.peek_coherent(PhysAddr(0xe100), 1), vec![1]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0xe000), 1), vec![7]);
+    assert_eq!(sys.peek_materialized(PhysAddr(0xe100), 1), vec![1]);
 }

@@ -21,12 +21,15 @@
 //! * The scheduler counters in [`RunStats::sched`] add up: executed plus
 //!   skipped cycles is the run length, and `TickByTick` executes every
 //!   phase on every cycle.
+//! * A load answered from the store buffer wakes a frontend stalled on
+//!   its value exactly as an L1 answer does, so neither skipping
+//!   scheduler sleeps a core that could dispatch.
 
 use mcs_sim::config::{MemTech, SystemConfig};
 use mcs_sim::fault::FaultPlan;
-use mcs_sim::program::FixedProgram;
+use mcs_sim::program::{Fetch, FixedProgram, Program};
 use mcs_sim::stats::{RunStats, SchedStats};
-use mcs_sim::uop::{StatTag, StoreData, Uop, UopKind};
+use mcs_sim::uop::{StatTag, StoreData, Uop, UopId, UopKind};
 use mcs_sim::{PhysAddr, SchedMode, System, CACHELINE};
 
 /// A per-core workload that exercises every scheduling-relevant path:
@@ -272,4 +275,60 @@ fn scheduler_counters_add_up() {
     let (ev, _) = run_mode(&cfg, SchedMode::EventDriven);
     assert!(ev.sched.skipped_cycles > 0, "the workload's compute gaps must skip");
     assert!(ev.sched.mc_execs < ev.sched.executed_cycles * channels, "idle controllers sleep");
+}
+
+/// Stores to a line, loads it back while the store is still in the store
+/// buffer (so the load is forwarded, never sent to the L1), and stalls its
+/// frontend until that value arrives; then computes.
+#[derive(Default)]
+struct ForwardedLoad {
+    step: usize,
+    load: Option<UopId>,
+    arrived: bool,
+}
+
+impl Program for ForwardedLoad {
+    fn fetch(&mut self, next_id: UopId) -> Fetch {
+        let kind = match self.step {
+            0 => UopKind::Store {
+                addr: PhysAddr(0x4000),
+                size: 8,
+                data: StoreData::Imm(vec![7; 8]),
+                nontemporal: false,
+            },
+            1 => UopKind::Compute { cycles: 1 },
+            2 => {
+                self.load = Some(next_id);
+                UopKind::Load { addr: PhysAddr(0x4000), size: 8 }
+            }
+            _ if !self.arrived => return Fetch::Stall,
+            3..=14 => UopKind::Compute { cycles: 300 },
+            _ => return Fetch::Done,
+        };
+        self.step += 1;
+        Fetch::Uop(Uop::new(kind, StatTag::App))
+    }
+
+    fn on_load_complete(&mut self, id: UopId, data: &[u8]) {
+        if self.load == Some(id) {
+            assert_eq!(data, [7; 8], "the load is forwarded the stored value");
+            self.arrived = true;
+        }
+    }
+}
+
+#[test]
+fn forwarded_load_wakes_a_stalled_frontend() {
+    let run = |mode| {
+        let mut sys = System::new(SystemConfig::tiny(), vec![Box::new(ForwardedLoad::default())]);
+        sys.set_sched_mode(mode);
+        let stats = sys.run(1_000_000).expect("program finishes");
+        (stats, sys.now())
+    };
+    let (_, tick_now) = run(SchedMode::TickByTick);
+    let (cons, cons_now) = run(SchedMode::Conservative);
+    let (ev, ev_now) = run(SchedMode::EventDriven);
+    assert_eq!(machine(&cons), machine(&ev), "RunStats diverged");
+    assert_eq!(cons_now, tick_now, "Conservative slept a core that could dispatch");
+    assert_eq!(ev_now, tick_now, "EventDriven slept a core that could dispatch");
 }

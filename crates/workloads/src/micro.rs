@@ -353,7 +353,7 @@ mod tests {
         let g = seq_access(CopyMech::mcsquare_1k(), 8192, 1.0, true, &mut space);
         let (dst, want) = (g.dst, pattern(8192, 11));
         let (sys, _) = run_fixed(g, true);
-        assert_eq!(sys.peek_coherent(dst, 8192), want);
+        assert_eq!(sys.peek_materialized(dst, 8192), want);
     }
 
     #[test]
@@ -397,8 +397,8 @@ mod tests {
         let g = src_write_stress(512, &mut space);
         let (dst, src) = (g.dst, g.src);
         let (sys, _) = run_fixed(g, true);
-        assert_eq!(sys.peek_coherent(dst, 512), pattern(512, 23), "copy sees pre-write data");
-        assert_eq!(sys.peek_coherent(src, 64), vec![0xD1; 64], "source overwritten");
+        assert_eq!(sys.peek_materialized(dst, 512), pattern(512, 23), "copy sees pre-write data");
+        assert_eq!(sys.peek_materialized(src, 64), vec![0xD1; 64], "source overwritten");
     }
 
     #[test]

@@ -99,7 +99,7 @@ mod tests {
         let st = sys.run(500_000_000).expect("finishes");
         let cyc = marker_latencies(&st.cores[0])[0];
         let dst = PhysAddr((1 << 20) + cfgw.capacity + transfer.max(4096));
-        (throughput_bytes_per_kcycle(bytes, cyc), sys.peek_coherent(dst, 16), dst)
+        (throughput_bytes_per_kcycle(bytes, cyc), sys.peek_materialized(dst, 16), dst)
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn run(mode: CopyMode, transfer: u64, rounds: usize) -> (f64, bool) {
     let bpk = bytes as f64 / (lat as f64 / 1000.0);
     // The consumer's buffer holds the final round's payload.
     let ok = last
-        .map(|(_, d)| sys.peek_coherent(dst, 16) == d[..16].to_vec())
+        .map(|(_, d)| sys.peek_materialized(dst, 16) == d[..16].to_vec())
         .unwrap_or(false);
     (bpk, ok)
 }

@@ -52,7 +52,7 @@ fn main() {
     );
 
     // Only the accessed quarter was ever copied; the rest stays tracked.
-    let copied = sys.peek_coherent(dst, (size / 4) as usize);
+    let copied = sys.peek_materialized(dst, (size / 4) as usize);
     assert_eq!(copied, data[..(size / 4) as usize], "accessed data matches the source");
     println!("accessed quarter verified — data appears exactly as if copied eagerly");
 }

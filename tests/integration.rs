@@ -85,7 +85,7 @@ fn lazy_copy_correct_under_table1_config_with_prefetchers() {
     let dst = g.dst;
     let want = mcs_workloads::common::pattern(size as usize, 11);
     let (sys, _) = run_gen(g, SystemConfig::table1_one_core(), Some(McSquareConfig::default()));
-    assert_eq!(sys.peek_coherent(dst, size as usize), want);
+    assert_eq!(sys.peek_materialized(dst, size as usize), want);
 }
 
 #[test]
@@ -173,15 +173,15 @@ fn cow_snapshot_data_isolation() {
     let (child_pa, _) = child.translate(base).unwrap();
     assert_eq!(child_pa, pa0, "child still maps the original frame");
     assert_eq!(
-        sys.peek_coherent(child_pa, 8),
+        sys.peek_materialized(child_pa, 8),
         mcs_workloads::common::pattern(8, 7),
         "snapshot unchanged"
     );
-    let got = sys.peek_coherent(new_pa, 8);
+    let got = sys.peek_materialized(new_pa, 8);
     assert_eq!(got, vec![0xEE; 8], "parent sees its write");
     // Bytes beyond the write come from the lazy copy of the original page.
     assert_eq!(
-        sys.peek_coherent(new_pa.add(64), 8),
+        sys.peek_materialized(new_pa.add(64), 8),
         mcs_workloads::common::pattern(4096, 7)[64..72].to_vec(),
     );
 }
@@ -214,6 +214,6 @@ fn pipe_transfer_delivers_data_lazily() {
     let data = mcs_workloads::common::pattern(8192, 31);
     sys.poke(src, &data);
     let stats = sys.run(5_000_000_000).expect("finishes");
-    assert_eq!(sys.peek_coherent(dst, 8192), data, "user→kernel→user chain intact");
+    assert_eq!(sys.peek_materialized(dst, 8192), data, "user→kernel→user chain intact");
     assert!(stats.engine_counter("ctt_chain_collapses") > 0, "kernel-buffer hop collapsed");
 }
