@@ -3,8 +3,10 @@
 //! second, per bench, as hand-rolled JSON in
 //! `BENCH_sim_throughput.json`. Jobs run under `par_run`, so the JSON
 //! also records how it measured: the worker `threads` at the top level
-//! and, per bench, the scheduler's `executed_cycles`/`skipped_cycles`
-//! summed over the bench's runs (`RunStats::sched`).
+//! and, per bench, the scheduler counters of `RunStats::sched` summed
+//! over the bench's runs: executed and skipped cycles, and the phase
+//! executions per layer (`core_execs`, `l1_execs`, `llc_execs`,
+//! `mc_execs`), which show the work the sleep verdicts elide.
 //!
 //! Two properties are checked at once:
 //!
@@ -25,7 +27,7 @@ use mcs_bench::figs::{fig10_job, fig10_mechs, fig10_row, FIG10_SIZES};
 use mcs_bench::mess::{job_for, Point, Scale};
 use mcs_bench::{committed_row, marker0, BenchOpts};
 use mcs_sim::config::MemTech;
-use mcs_sim::stats::RunStats;
+use mcs_sim::stats::{RunStats, SchedStats};
 use std::time::Instant;
 
 /// One bench's measurement.
@@ -33,10 +35,8 @@ struct Sample {
     name: &'static str,
     mcycles: f64,
     wall_s: f64,
-    /// Cycles the run loops executed, summed over the bench's runs.
-    executed_cycles: u64,
-    /// Cycles the run loops skipped, summed over the bench's runs.
-    skipped_cycles: u64,
+    /// Scheduler counters, summed over the bench's runs.
+    sched: SchedStats,
 }
 
 impl Sample {
@@ -59,8 +59,17 @@ fn measure<T>(
         name,
         mcycles: (mcs_bench::sim_cycles() - cycles0) as f64 / 1e6,
         wall_s: t0.elapsed().as_secs_f64(),
-        executed_cycles: results.iter().map(|(_, s)| s.sched.executed_cycles).sum(),
-        skipped_cycles: results.iter().map(|(_, s)| s.sched.skipped_cycles).sum(),
+        sched: results.iter().fold(SchedStats::default(), |a, (_, s)| {
+            let b = &s.sched;
+            SchedStats {
+                executed_cycles: a.executed_cycles + b.executed_cycles,
+                skipped_cycles: a.skipped_cycles + b.skipped_cycles,
+                core_execs: a.core_execs + b.core_execs,
+                l1_execs: a.l1_execs + b.l1_execs,
+                llc_execs: a.llc_execs + b.llc_execs,
+                mc_execs: a.mc_execs + b.mc_execs,
+            }
+        }),
     };
     (sample, results)
 }
@@ -131,13 +140,18 @@ fn main() {
     for (i, s) in samples.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"mcycles\": {:.3}, \"wall_s\": {:.3}, \
-             \"mcycles_per_s\": {:.3}, \"executed_cycles\": {}, \"skipped_cycles\": {}}}{}\n",
+             \"mcycles_per_s\": {:.3}, \"executed_cycles\": {}, \"skipped_cycles\": {}, \
+             \"core_execs\": {}, \"l1_execs\": {}, \"llc_execs\": {}, \"mc_execs\": {}}}{}\n",
             s.name,
             s.mcycles,
             s.wall_s,
             s.throughput(),
-            s.executed_cycles,
-            s.skipped_cycles,
+            s.sched.executed_cycles,
+            s.sched.skipped_cycles,
+            s.sched.core_execs,
+            s.sched.l1_execs,
+            s.sched.llc_execs,
+            s.sched.mc_execs,
             if i + 1 < samples.len() { "," } else { "" },
         ));
     }

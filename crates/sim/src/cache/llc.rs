@@ -181,6 +181,24 @@ impl Llc {
         !self.retry.is_empty()
     }
 
+    /// Whether [`Llc::handle_l1`] would refuse `msg` without changing any
+    /// state: a `GetS`/`GetM` miss (no MSHR, not resident) while every
+    /// MSHR is in use. Its `misses` bump is undone and the LRU stamp it
+    /// advances reorders nothing, so until a response or fill frees an
+    /// MSHR, re-offering the request is a no-op. Refusals that do change
+    /// state (a hit that needs a recall or invalidation adds to `hits`)
+    /// are not covered.
+    pub(crate) fn refuses(&self, msg: &L1ToLlc) -> bool {
+        match msg {
+            L1ToLlc::GetS { line, .. } | L1ToLlc::GetM { line, .. } => {
+                self.mshrs.len() >= self.cfg.mshrs
+                    && !self.mshrs.contains_key(&line.0)
+                    && self.array.peek(*line).is_none()
+            }
+            _ => false,
+        }
+    }
+
     /// Replay deferred requests (call once per cycle before new input).
     pub fn begin_cycle(&mut self, now: Cycle, out: &mut LlcOut) {
         for _ in 0..self.retry.len() {
@@ -955,5 +973,47 @@ mod tests {
                 .any(|(p, _)| p.cmd == MemCmd::WriteReq && p.data == Some(LineData::splat(8))),
             "dirty victim written back"
         );
+    }
+
+    /// A two-MSHR LLC holding line 0x100 owned by core 0 and line 0x140
+    /// shared by core 1, with `busy` misses (lines 0x1000, 0x1040, ...)
+    /// in flight.
+    fn with_busy_mshrs(busy: u64) -> Llc {
+        let mut llc = Llc::new(CacheConfig { mshrs: 2, ..SystemConfig::tiny().llc }, 2);
+        let mut out = LlcOut::default();
+        llc.handle_l1(0, L1ToLlc::GetM { line: PhysAddr(0x100), core: 0 }, &mut out);
+        fill(&mut llc, 0x100, LineData::ZERO, &mut out);
+        llc.handle_l1(0, gets(0x140, 1), &mut out);
+        fill(&mut llc, 0x140, LineData::ZERO, &mut out);
+        for k in 0..busy {
+            assert!(llc.handle_l1(0, gets(0x1000 + 64 * k, 0), &mut out));
+        }
+        assert_eq!(llc.mshr_count(), busy as usize);
+        llc
+    }
+
+    #[test]
+    fn refuses_matches_a_no_op_refusal() {
+        let cases = [
+            ("GetS miss, MSHRs full", 2, gets(0x2000, 1), true),
+            ("GetM miss, MSHRs full", 2, L1ToLlc::GetM { line: PhysAddr(0x2000), core: 1 }, true),
+            ("miss with a free MSHR", 1, gets(0x2000, 1), false),
+            ("hit", 2, gets(0x140, 1), false),
+            ("busy line, queued", 2, gets(0x1000, 1), false),
+            ("hit owned elsewhere, MSHRs full", 2, gets(0x100, 1), false),
+        ];
+        for (what, busy, msg, expect) in cases {
+            let mut llc = with_busy_mshrs(busy);
+            let refuses = llc.refuses(&msg);
+            let (stats, mshrs) = (llc.stats.clone(), llc.mshr_count());
+            let mut out = LlcOut::default();
+            let accepted = llc.handle_l1(1, msg, &mut out);
+            let unchanged = llc.stats == stats
+                && llc.mshr_count() == mshrs
+                && out.to_l1.is_empty()
+                && out.to_bus.is_empty();
+            assert_eq!(refuses, expect, "{what}");
+            assert_eq!(refuses, !accepted && unchanged, "{what}: predicate and handler disagree");
+        }
     }
 }

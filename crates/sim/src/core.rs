@@ -190,8 +190,12 @@ impl Core {
         self.rob.len()
     }
 
-    /// Earliest future self-wakeup (skip-ahead hint): pending compute
-    /// completion or delayed load issue.
+    /// The whole-machine skip's hint: the minimum `ready_at` over every
+    /// Compute entry in the ROB, done ones included, and the `issue_after`
+    /// of any unissued load. A done compute waiting to retire makes this
+    /// `≤ now`, so it is too early to serve as a sleep verdict (see
+    /// [`Core::wake_at`]); the skip keeps it because it decides which
+    /// cycles execute (DESIGN.md §2.10, trap 3).
     pub fn next_event(&self) -> Option<Cycle> {
         let mut hint = self.rob.iter().filter_map(|e| e.ready_at).min();
         for l in &self.loads {
@@ -200,6 +204,21 @@ impl Core {
             }
         }
         hint
+    }
+
+    /// Earliest cycle at which a core that cannot act ([`Core::can_act`]
+    /// is false) has a timer of its own maturing: a not-yet-done compute
+    /// completing, or a delayed load becoming issuable. `None` = only a
+    /// message can wake it. Right after [`Core::tick`] the compute bound
+    /// is `> now`, exact if the completion scan ran and a lower bound
+    /// (so an early, never a late, wake) otherwise.
+    pub(crate) fn wake_at(&self) -> Option<Cycle> {
+        self.loads
+            .iter()
+            .filter(|l| !l.issued)
+            .map(|l| l.issue_after)
+            .chain(self.compute_ready_min)
+            .min()
     }
 
     /// Handle a response from the L1.

@@ -177,6 +177,10 @@ pub struct System {
     /// L1 `i` refused its core's head request (MSHRs full) when it last
     /// ran; until an LLC message can free an MSHR, retrying is a no-op.
     l1_refused: Vec<bool>,
+    /// The head of `l1_to_llc[i]` was a request [`Llc::refuses`] when the
+    /// LLC last ran; until the LLC runs again its state is unchanged, so
+    /// the head would be refused again and does not wake it.
+    llc_refused: Vec<bool>,
     /// Cached per-controller readiness (never `Finished`); engine
     /// background work is probed fresh each cycle via `needs_tick`, since
     /// engine state is shared across controllers.
@@ -294,6 +298,7 @@ impl System {
             core_ready: vec![Readiness::Active; n],
             core_blocks_skip: vec![true; n],
             l1_refused: vec![false; n],
+            llc_refused: vec![false; n],
             mc_ready: vec![Readiness::Active; cfg.channels],
             mc_last_elided: vec![None; cfg.channels],
             sched_stats: SchedStats::default(),
@@ -414,7 +419,7 @@ impl System {
             } else if act {
                 Readiness::Active
             } else {
-                Readiness::WakeAt(c.next_event().unwrap_or(Cycle::MAX))
+                Readiness::WakeAt(c.wake_at().unwrap_or(Cycle::MAX))
             };
             self.core_blocks_skip[i] = act || c.has_unsent_stores();
         }
@@ -430,10 +435,16 @@ impl System {
             }
         }
 
-        // 3. LLC: deferred replays or any deliverable input.
+        // 3. LLC: deferred replays or any deliverable input, except a
+        //    request head it refused when it last ran (MSHRs full): only
+        //    a response or fill can free an MSHR, and both wake it.
         if self.llc.has_retries()
             || self.bus.to_llc.peek(now).is_some()
-            || self.l1_to_llc.iter().any(|q| q.peek(now).is_some())
+            || self
+                .l1_to_llc
+                .iter()
+                .zip(&self.llc_refused)
+                .any(|(q, &refused)| !refused && q.peek(now).is_some())
             || self.l1_to_llc_resp.iter().any(|q| q.peek(now).is_some())
         {
             self.phase_llc(now);
@@ -538,6 +549,9 @@ impl System {
         for i in 0..self.l1_to_llc.len() {
             for _ in 0..8 {
                 let Some(msg) = self.l1_to_llc[i].peek(now) else { break };
+                if self.llc.refuses(msg) {
+                    break;
+                }
                 if let L1ToLlc::Mclazy { desc, .. } = msg {
                     let desc = *desc;
                     let queues: Vec<&DelayQueue<L1ToLlc>> = self
@@ -558,6 +572,10 @@ impl System {
         }
         while let Some(pkt) = self.bus.to_llc.pop(now) {
             self.llc.handle_pkt(now, pkt, &mut out);
+        }
+        // After the fills, which may have freed MSHRs this cycle.
+        for (refused, q) in self.llc_refused.iter_mut().zip(&self.l1_to_llc) {
+            *refused = q.iter().next().is_some_and(|m| self.llc.refuses(m));
         }
         for (l1, m, extra) in out.to_l1.drain(..) {
             self.llc_to_l1[l1].push_after(now, extra, m);
@@ -628,6 +646,7 @@ impl System {
         self.core_ready.fill(Readiness::Active);
         self.core_blocks_skip.fill(true);
         self.l1_refused.fill(false);
+        self.llc_refused.fill(false);
         self.mc_ready.fill(Readiness::Active);
     }
 

@@ -24,6 +24,10 @@
 //! * A load answered from the store buffer wakes a frontend stalled on
 //!   its value exactly as an L1 answer does, so neither skipping
 //!   scheduler sleeps a core that could dispatch.
+//! * `EventDriven` elides what it claims to: a core stalled behind a
+//!   load miss with done computes in its ROB sleeps until its own timers
+//!   or a message, and the LLC sleeps while every deliverable request
+//!   head waits for an MSHR.
 
 use mcs_sim::config::{MemTech, SystemConfig};
 use mcs_sim::fault::FaultPlan;
@@ -153,12 +157,12 @@ fn machine(stats: &RunStats) -> RunStats {
 }
 
 /// `EventDriven` and `Conservative` execute the same cycles and produce
-/// the same machine statistics.
+/// the same machine statistics. Returns the `EventDriven` run's stats.
 fn assert_event_matches_conservative(
     cfg: &SystemConfig,
     work: fn(usize) -> Vec<Uop>,
     what: &str,
-) {
+) -> RunStats {
     let (cons, cons_now) = run_with(cfg, SchedMode::Conservative, work);
     let (ev, ev_now) = run_with(cfg, SchedMode::EventDriven, work);
     assert_eq!(cons_now, ev_now, "{what}: final clock diverged");
@@ -168,6 +172,7 @@ fn assert_event_matches_conservative(
         (ev.sched.executed_cycles, ev.sched.skipped_cycles),
         "{what}: executed/skipped cycle counts diverged"
     );
+    ev
 }
 
 fn cfg_for(tech: MemTech, fault: FaultPlan) -> SystemConfig {
@@ -331,4 +336,47 @@ fn forwarded_load_wakes_a_stalled_frontend() {
     assert_eq!(machine(&cons), machine(&ev), "RunStats diverged");
     assert_eq!(cons_now, tick_now, "Conservative slept a core that could dispatch");
     assert_eq!(ev_now, tick_now, "EventDriven slept a core that could dispatch");
+}
+
+/// Eight load misses, each followed by computes of zero cycles: the
+/// computes are done at dispatch and fill the ROB behind the load.
+fn miss_then_done_computes(_core: usize) -> Vec<Uop> {
+    let mut uops = Vec::new();
+    for i in 0..8u64 {
+        uops.push(load(0x10_0000 + i * 0x1000));
+        for _ in 0..32 {
+            uops.push(Uop::new(UopKind::Compute { cycles: 0 }, StatTag::App));
+        }
+    }
+    uops
+}
+
+/// Each of the cores loads 48 lines of its own that no other core touches.
+fn distinct_misses(core: usize) -> Vec<Uop> {
+    let base = 0x20_0000 + (core as u64) * 0x4_0000;
+    (0..48).map(|i| load(base + i * 3 * CACHELINE)).collect()
+}
+
+#[test]
+fn a_core_behind_a_miss_sleeps_through_its_done_computes() {
+    let cfg = SystemConfig::tiny();
+    let ev = assert_event_matches_conservative(&cfg, miss_then_done_computes, "done computes");
+    let s = &ev.sched;
+    assert!(
+        s.core_execs * 2 < s.executed_cycles,
+        "a done compute is no timer: the stalled core must sleep ({s:?})"
+    );
+}
+
+#[test]
+fn the_llc_sleeps_while_request_heads_wait_for_an_mshr() {
+    let mut cfg = SystemConfig::tiny();
+    cfg.cores = 4;
+    cfg.llc.mshrs = 2;
+    let ev = assert_event_matches_conservative(&cfg, distinct_misses, "2 LLC MSHRs");
+    let s = &ev.sched;
+    assert!(
+        s.llc_execs * 4 < s.executed_cycles,
+        "refused request heads must not keep the LLC awake ({s:?})"
+    );
 }
