@@ -6,7 +6,10 @@
 //! and, per bench, the scheduler counters of `RunStats::sched` summed
 //! over the bench's runs: executed and skipped cycles, and the phase
 //! executions per layer (`core_execs`, `l1_execs`, `llc_execs`,
-//! `mc_execs`), which show the work the sleep verdicts elide.
+//! `mc_execs`), which show the work the sleep verdicts elide. The
+//! top-level `peak_rss_mb` is the process's peak resident set size
+//! (`VmHWM` in `/proc/self/status`, `null` where that file is missing),
+//! so a memory regression in the simulator's data structures shows too.
 //!
 //! Two properties are checked at once:
 //!
@@ -130,6 +133,14 @@ fn bench_mess(opts: &BenchOpts, drift: &mut u32) -> Sample {
     sample
 }
 
+/// Peak resident set size of this process in MiB (`VmHWM`), if the host
+/// reports it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(kb.split_whitespace().next()?.parse::<f64>().ok()? / 1024.0)
+}
+
 fn main() {
     let opts = BenchOpts::parse();
     let mut drift = 0u32;
@@ -159,10 +170,11 @@ fn main() {
     let tot_wall: f64 = samples.iter().map(|s| s.wall_s).sum();
     json.push_str(&format!(
         "  ],\n  \"total\": {{\"mcycles\": {:.3}, \"wall_s\": {:.3}, \
-         \"mcycles_per_s\": {:.3}}},\n  \"rows_drifted\": {}\n}}\n",
+         \"mcycles_per_s\": {:.3}}},\n  \"peak_rss_mb\": {},\n  \"rows_drifted\": {}\n}}\n",
         tot_mc,
         tot_wall,
         if tot_wall > 0.0 { tot_mc / tot_wall } else { 0.0 },
+        peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}")),
         drift,
     ));
     std::fs::write("BENCH_sim_throughput.json", &json).expect("write BENCH_sim_throughput.json");

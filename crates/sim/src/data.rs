@@ -7,7 +7,7 @@
 //! data appears to the program as if it had been copied eagerly" — rather
 //! than just measure cycles.
 
-use crate::addr::{PhysAddr, CACHELINE};
+use crate::addr::{PhysAddr, CACHELINE, PAGE_4K};
 use crate::hash::FastMap;
 use std::fmt;
 
@@ -58,13 +58,32 @@ impl fmt::Debug for LineData {
     }
 }
 
-/// A sparse byte-addressable memory image, keyed by cacheline.
+/// Bytes per page of the memory image: the base page size, so one map
+/// lookup serves a run of up to 64 lines.
+const PAGE: u64 = PAGE_4K;
+/// Lines per page of the memory image.
+const PAGE_LINES: usize = (PAGE / CACHELINE) as usize;
+/// One page of the memory image, as its 64 lines.
+type Page = [[u8; CACHELINE as usize]; PAGE_LINES];
+
+/// A sparse byte-addressable memory image, stored as 4 KB pages of lines.
 ///
-/// Unbacked lines read as zero, matching an OS that hands out zeroed pages.
+/// Writing any byte of a page backs the whole page with zeros first, so
+/// unbacked pages and the never-written bytes of backed pages both read
+/// as zero, matching an OS that hands out zeroed pages. The map holds one
+/// boxed page per touched page, keyed by page number: a line access
+/// hashes once and indexes a line within the page, a byte run copies up to
+/// a page at a time, and growing the map moves pointers, not page bytes.
 /// `SparseMem` is purely functional — all timing lives in the DRAM model.
 #[derive(Default, Clone)]
 pub struct SparseMem {
-    lines: FastMap<u64, LineData>,
+    pages: FastMap<u64, Box<Page>>,
+}
+
+/// Index within its page of the line containing `addr`.
+#[inline]
+fn page_line(addr: PhysAddr) -> usize {
+    (addr.page_off(PAGE) / CACHELINE) as usize
 }
 
 impl SparseMem {
@@ -73,45 +92,55 @@ impl SparseMem {
         Self::default()
     }
 
+    /// The page containing `addr`, if any byte of it was ever written.
+    #[inline]
+    fn page(&self, addr: PhysAddr) -> Option<&Page> {
+        self.pages.get(&(addr.0 / PAGE)).map(|p| &**p)
+    }
+
+    /// The page containing `addr`, backed with zeros if it was not yet.
+    #[inline]
+    fn page_mut(&mut self, addr: PhysAddr) -> &mut Page {
+        self.pages
+            .entry(addr.0 / PAGE)
+            .or_insert_with(|| Box::new([[0; CACHELINE as usize]; PAGE_LINES]))
+    }
+
     /// Read the full line containing `addr` (which need not be aligned).
     pub fn read_line(&self, addr: PhysAddr) -> LineData {
-        self.lines
-            .get(&addr.line_base().0)
-            .copied()
-            .unwrap_or(LineData::ZERO)
+        self.page(addr)
+            .map_or(LineData::ZERO, |p| LineData(p[page_line(addr)]))
     }
 
     /// Overwrite the full line containing `addr`.
     pub fn write_line(&mut self, addr: PhysAddr, data: LineData) {
-        self.lines.insert(addr.line_base().0, data);
+        self.page_mut(addr)[page_line(addr)] = data.0;
     }
 
-    /// Read `len` bytes starting at `addr`, crossing lines as needed.
+    /// Read `len` bytes starting at `addr`, crossing pages as needed.
     pub fn read_bytes(&self, addr: PhysAddr, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
         let mut a = addr;
-        let mut rem = len;
-        while rem > 0 {
-            let off = a.line_off() as usize;
-            let take = rem.min(CACHELINE as usize - off);
-            let line = self.read_line(a);
-            out.extend_from_slice(line.read(off, take));
+        while out.len() < len {
+            let off = a.page_off(PAGE) as usize;
+            let take = (len - out.len()).min(PAGE as usize - off);
+            match self.page(a) {
+                Some(p) => out.extend_from_slice(&p.as_flattened()[off..off + take]),
+                None => out.resize(out.len() + take, 0),
+            }
             a = a.add(take as u64);
-            rem -= take;
         }
         out
     }
 
-    /// Write `bytes` starting at `addr`, crossing lines as needed.
+    /// Write `bytes` starting at `addr`, crossing pages as needed.
     pub fn write_bytes(&mut self, addr: PhysAddr, bytes: &[u8]) {
         let mut a = addr;
         let mut src = bytes;
         while !src.is_empty() {
-            let off = a.line_off() as usize;
-            let take = src.len().min(CACHELINE as usize - off);
-            let mut line = self.read_line(a);
-            line.write(off, &src[..take]);
-            self.write_line(a, line);
+            let off = a.page_off(PAGE) as usize;
+            let take = src.len().min(PAGE as usize - off);
+            self.page_mut(a).as_flattened_mut()[off..off + take].copy_from_slice(&src[..take]);
             a = a.add(take as u64);
             src = &src[take..];
         }
@@ -120,7 +149,7 @@ impl SparseMem {
 
 impl fmt::Debug for SparseMem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SparseMem({} lines backed)", self.lines.len())
+        write!(f, "SparseMem({} pages backed)", self.pages.len())
     }
 }
 
@@ -157,6 +186,16 @@ mod tests {
         m.write_line(PhysAddr(0x247), LineData::splat(0xab)); // unaligned addr ok
         assert_eq!(m.read_line(PhysAddr(0x240)), LineData::splat(0xab));
         assert_eq!(m.read_bytes(PhysAddr(0x23f), 2), vec![0, 0xab]);
+    }
+
+    #[test]
+    fn line_write_backs_its_page_with_zeros() {
+        let mut m = SparseMem::new();
+        m.write_line(PhysAddr(0x3040), LineData::splat(5));
+        assert_eq!(format!("{m:?}"), "SparseMem(1 pages backed)");
+        assert_eq!(m.read_line(PhysAddr(0x3000)), LineData::ZERO);
+        assert_eq!(m.read_line(PhysAddr(0x3fc0)), LineData::ZERO);
+        assert_eq!(m.read_bytes(PhysAddr(0x303f), 3), vec![0, 5, 5]);
     }
 
     #[test]
