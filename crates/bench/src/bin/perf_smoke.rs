@@ -4,9 +4,10 @@
 //! `BENCH_sim_throughput.json`. Jobs run under `par_run`, so the JSON
 //! also records how it measured: the worker `threads` at the top level
 //! and, per bench, the scheduler counters of `RunStats::sched` summed
-//! over the bench's runs: executed and skipped cycles, and the phase
-//! executions per layer (`core_execs`, `l1_execs`, `llc_execs`,
-//! `mc_execs`), which show the work the sleep verdicts elide. The
+//! over the bench's runs: executed, visited (entered by the run loop)
+//! and skipped cycles, and the phase executions per layer (`core_execs`,
+//! `l1_execs`, `llc_execs`, `mc_execs`), which show the work the sleep
+//! verdicts and the agenda elide. The
 //! top-level `peak_rss_mb` is the process's peak resident set size
 //! (`VmHWM` in `/proc/self/status`, `null` where that file is missing),
 //! so a memory regression in the simulator's data structures shows too.
@@ -66,6 +67,7 @@ fn measure<T>(
             let b = &s.sched;
             SchedStats {
                 executed_cycles: a.executed_cycles + b.executed_cycles,
+                visited_cycles: a.visited_cycles + b.visited_cycles,
                 skipped_cycles: a.skipped_cycles + b.skipped_cycles,
                 core_execs: a.core_execs + b.core_execs,
                 l1_execs: a.l1_execs + b.l1_execs,
@@ -151,13 +153,15 @@ fn main() {
     for (i, s) in samples.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"mcycles\": {:.3}, \"wall_s\": {:.3}, \
-             \"mcycles_per_s\": {:.3}, \"executed_cycles\": {}, \"skipped_cycles\": {}, \
-             \"core_execs\": {}, \"l1_execs\": {}, \"llc_execs\": {}, \"mc_execs\": {}}}{}\n",
+             \"mcycles_per_s\": {:.3}, \"executed_cycles\": {}, \"visited_cycles\": {}, \
+             \"skipped_cycles\": {}, \"core_execs\": {}, \"l1_execs\": {}, \"llc_execs\": {}, \
+             \"mc_execs\": {}}}{}\n",
             s.name,
             s.mcycles,
             s.wall_s,
             s.throughput(),
             s.sched.executed_cycles,
+            s.sched.visited_cycles,
             s.sched.skipped_cycles,
             s.sched.core_execs,
             s.sched.l1_execs,

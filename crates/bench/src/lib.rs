@@ -15,7 +15,7 @@ use mcs_sim::Cycle;
 use mcs_workloads::Pokes;
 use mcsquare::{McSquareConfig, McSquareEngine};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -179,39 +179,37 @@ pub fn par_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// Run a set of independent jobs under `opts` in parallel (one OS thread
-/// each, capped at [`par_threads`]), preserving order.
+/// Run a set of independent jobs under `opts` in parallel, preserving
+/// order. [`par_threads`] workers share one queue: each takes the next
+/// job index from an atomic counter as soon as it is free, so a long job
+/// never holds the other workers at a barrier.
 pub fn par_run<T, F>(opts: &BenchOpts, points: Vec<T>, f: F) -> Vec<(T, RunStats)>
 where
-    T: Send + Clone,
+    T: Sync,
     F: Fn(&T) -> Job + Sync,
 {
-    let max_par = par_threads();
-    let mut out: Vec<Option<(T, RunStats)>> = (0..points.len()).map(|_| None).collect();
-    let mut idx = 0;
-    while idx < points.len() {
-        let chunk_end = (idx + max_par).min(points.len());
-        let chunk: Vec<(usize, T)> =
-            (idx..chunk_end).map(|i| (i, points[i].clone())).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunk
-                .into_iter()
-                .map(|(i, p)| {
-                    let f = &f;
-                    s.spawn(move || {
-                        let stats = f(&p).run(opts);
-                        (i, p, stats)
-                    })
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<RunStats>> = (0..points.len()).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..par_threads().min(points.len()))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(p) = points.get(i) else { break done };
+                        done.push((i, f(p).run(opts)));
+                    }
                 })
-                .collect();
-            for h in handles {
-                let (i, p, stats) = h.join().expect("sweep worker panicked");
-                out[i] = Some((p, stats));
+            })
+            .collect();
+        for w in workers {
+            for (i, stats) in w.join().expect("sweep worker panicked") {
+                out[i] = Some(stats);
             }
-        });
-        idx = chunk_end;
-    }
-    out.into_iter().map(|o| o.expect("filled")).collect()
+        }
+    });
+    points.into_iter().zip(out).map(|(p, o)| (p, o.expect("filled"))).collect()
 }
 
 /// A result table, printed as TSV and saved under `results/`.
@@ -415,9 +413,9 @@ mod tests {
         assert_eq!(stats.cores[0].loads, 1);
     }
 
-    #[test]
-    fn par_run_preserves_order() {
-        let points: Vec<u64> = (1..=6).collect();
+    /// Run one job per point, each loading `n` lines, and check that the
+    /// results come back in input order.
+    fn assert_par_run_in_order(points: Vec<u64>) {
         let results = par_run(&BenchOpts::default(), points.clone(), |&n| {
             let uops: Vec<Uop> = (0..n)
                 .map(|i| {
@@ -433,6 +431,18 @@ mod tests {
             assert_eq!(*p, points[i]);
             assert_eq!(st.cores[0].loads, *p);
         }
+    }
+
+    #[test]
+    fn par_run_preserves_order() {
+        assert_par_run_in_order((1..=6).collect());
+    }
+
+    #[test]
+    fn par_run_preserves_order_when_the_first_job_is_longest() {
+        // The first job runs far longer than the rest, so the other
+        // workers finish every later job before it.
+        assert_par_run_in_order(vec![4_000, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     /// A 256 KB memcpy on the pure one-core Table I machine: about 120k

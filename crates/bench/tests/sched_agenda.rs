@@ -1,0 +1,163 @@
+//! The event-driven scheduler's agenda changes which cycles the run loop
+//! enters, never what the machine does. On the jobs where it jumps the
+//! most (the Mess bandwidth–latency points, where every controller is
+//! busy) and where the engine keeps both controllers awake on every cycle
+//! (Fig. 21 at one BPQ entry), `EventDriven` must reproduce `Conservative`
+//! on every machine statistic and on the executed and skipped cycle
+//! counts, and must enter fewer cycles than it executes. (`Conservative`
+//! runs every phase on every executed cycle, so its phase-execution
+//! counts are higher by design.) The liveness watchdog, which counts
+//! executed cycles, must stop a hung machine at the same cycle under both.
+
+use mcs_bench::mess::{job_for, Point, Scale};
+use mcs_bench::{BenchOpts, Job};
+use mcs_sim::alloc::AddrSpace;
+use mcs_sim::config::{MemTech, SystemConfig};
+use mcs_sim::fault::FaultPlan;
+use mcs_sim::program::{Fetch, FixedProgram, Program};
+use mcs_sim::stats::{RunStats, SchedStats};
+use mcs_sim::system::SimError;
+use mcs_sim::uop::{StatTag, Uop, UopId, UopKind};
+use mcs_sim::{PhysAddr, SchedMode, System};
+use mcs_workloads::micro::src_write_stress;
+use mcsquare::McSquareConfig;
+
+fn run(job: impl Fn() -> Job, sched: SchedMode) -> RunStats {
+    job().run(&BenchOpts { sched, ..BenchOpts::default() })
+}
+
+/// Run `job` under both skipping schedulers and compare them.
+fn assert_agenda_exact(job: impl Fn() -> Job, what: &str) {
+    let cons = run(&job, SchedMode::Conservative);
+    let ev = run(&job, SchedMode::EventDriven);
+    let (c, e) = (cons.sched, ev.sched);
+    assert_eq!(c.visited_cycles, c.executed_cycles, "{what}: Conservative enters every cycle");
+    assert_eq!(
+        (c.executed_cycles, c.skipped_cycles),
+        (e.executed_cycles, e.skipped_cycles),
+        "{what}: executed/skipped cycle counts diverged"
+    );
+    assert!(e.visited_cycles < e.executed_cycles, "{what}: the agenda must jump cycles ({e:?})");
+    assert!(
+        e.core_execs <= c.core_execs
+            && e.l1_execs <= c.l1_execs
+            && e.llc_execs <= c.llc_execs
+            && e.mc_execs <= c.mc_execs,
+        "{what}: the agenda only elides phases ({e:?} vs {c:?})"
+    );
+    let machine = |s: &RunStats| RunStats { sched: SchedStats::default(), ..s.clone() };
+    assert_eq!(machine(&cons), machine(&ev), "{what}: RunStats diverged");
+}
+
+/// The smoke-scale Mess points of one technology at its largest burst,
+/// with memcpy and with (MC)² copies.
+fn assert_mess_exact(tech: MemTech) {
+    let sc = Scale::smoke();
+    for lazy in [false, true] {
+        let p = Point { tech, lazy, burst: 32 };
+        assert_agenda_exact(|| job_for(&p, &sc), &format!("mess {tech:?} lazy={lazy}"));
+    }
+}
+
+#[test]
+fn mess_smoke_ddr4_matches_conservative() {
+    assert_mess_exact(MemTech::Ddr4);
+}
+
+#[test]
+fn mess_smoke_ddr5_matches_conservative() {
+    assert_mess_exact(MemTech::Ddr5);
+}
+
+#[test]
+fn mess_smoke_hbm2_matches_conservative() {
+    assert_mess_exact(MemTech::Hbm2);
+}
+
+#[test]
+fn fig21_one_bpq_entry_matches_conservative() {
+    assert_agenda_exact(
+        || {
+            let g = src_write_stress(256 << 10, &mut AddrSpace::dram_3gb());
+            let mc2 = McSquareConfig { bpq_entries: 1, ..McSquareConfig::default() };
+            Job::single(SystemConfig::table1_one_core(), Some(mc2), g.uops, g.pokes)
+        },
+        "fig21 256 KB, BPQ 1",
+    );
+}
+
+/// Four loads, then a frontend that stalls forever: the machine goes
+/// quiet with the program unfinished and nothing left to wake it.
+struct LoadsThenHang {
+    left: u64,
+}
+
+impl Program for LoadsThenHang {
+    fn fetch(&mut self, _next_id: UopId) -> Fetch {
+        if self.left == 0 {
+            return Fetch::Stall;
+        }
+        self.left -= 1;
+        let addr = PhysAddr(0x1000 + self.left * 4096);
+        Fetch::Uop(Uop::new(UopKind::Load { addr, size: 8 }, StatTag::App))
+    }
+}
+
+fn livelock(build: impl Fn() -> System, window: u64, sched: SchedMode) -> SimError {
+    let mut sys = build();
+    sys.set_sched_mode(sched);
+    sys.run_with_watchdog(5_000_000, window).expect_err("the machine hangs")
+}
+
+fn assert_same_livelock(build: impl Fn() -> System, window: u64, what: &str) {
+    let cons = livelock(&build, window, SchedMode::Conservative);
+    let ev = livelock(&build, window, SchedMode::EventDriven);
+    assert!(matches!(cons, SimError::Livelock { .. }), "{what}: {cons}");
+    assert_eq!(cons, ev, "{what}: the watchdog fired differently");
+}
+
+#[test]
+fn watchdog_fires_at_the_same_cycle_on_a_hung_program() {
+    // Nothing is due after the loads: one jump crosses the window.
+    assert_same_livelock(
+        || System::new(SystemConfig::tiny(), vec![Box::new(LoadsThenHang { left: 4 })]),
+        2_000,
+        "hung program",
+    );
+    // Refresh windows wake the controllers without progress, so the
+    // watchdog counts several jumped spans and the visits between them.
+    assert_same_livelock(
+        || {
+            let cfg = SystemConfig::builder().cores(1).refresh(true).build();
+            System::new(cfg, vec![Box::new(LoadsThenHang { left: 4 })])
+        },
+        200_000,
+        "hung program with refresh",
+    );
+}
+
+#[test]
+fn watchdog_fires_at_the_same_cycle_on_a_stalled_controller() {
+    assert_same_livelock(
+        || {
+            let mut cfg = SystemConfig::tiny();
+            cfg.fault = FaultPlan {
+                seed: 1,
+                mc_stall_rate: 1.0,
+                mc_stall_cycles: 10_000_000,
+                ..FaultPlan::none()
+            };
+            let uops = (0..4u64)
+                .map(|i| {
+                    Uop::new(
+                        UopKind::Load { addr: PhysAddr(0x1000 + i * 4096), size: 8 },
+                        StatTag::App,
+                    )
+                })
+                .collect();
+            System::new(cfg, vec![Box::new(FixedProgram::new(uops))])
+        },
+        2_000,
+        "stalled controller",
+    );
+}

@@ -221,6 +221,11 @@ impl McStats {
 pub struct SchedStats {
     /// Cycles the run loop executed (at least one phase considered).
     pub executed_cycles: u64,
+    /// Executed cycles the run loop entered. The event-driven loop jumps
+    /// over executed cycles in which no component is due and accounts
+    /// them without entering them; the other schedulers enter every
+    /// executed cycle, so there this equals `executed_cycles`.
+    pub visited_cycles: u64,
     /// Cycles jumped over by whole-machine idle skip-ahead.
     /// `executed_cycles + skipped_cycles` equals [`RunStats::cycles`].
     pub skipped_cycles: u64,
@@ -271,9 +276,10 @@ impl fmt::Display for RunStats {
         let s = &self.sched;
         writeln!(
             f,
-            "cycles: {} (executed={} skipped={}; execs core={} l1={} llc={} mc={})",
+            "cycles: {} (executed={} visited={} skipped={}; execs core={} l1={} llc={} mc={})",
             self.cycles,
             s.executed_cycles,
+            s.visited_cycles,
             s.skipped_cycles,
             s.core_execs,
             s.l1_execs,
@@ -391,6 +397,7 @@ mod tests {
             cycles: 10,
             sched: SchedStats {
                 executed_cycles: 7,
+                visited_cycles: 4,
                 skipped_cycles: 3,
                 core_execs: 5,
                 l1_execs: 4,
@@ -403,7 +410,7 @@ mod tests {
         let first = s.lines().next().expect("summary line");
         assert_eq!(
             first,
-            "cycles: 10 (executed=7 skipped=3; execs core=5 l1=4 llc=2 mc=6)"
+            "cycles: 10 (executed=7 visited=4 skipped=3; execs core=5 l1=4 llc=2 mc=6)"
         );
     }
 

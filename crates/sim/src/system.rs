@@ -11,7 +11,7 @@ use crate::data::{LineData, SparseMem};
 use crate::engine::{CopyEngine, NullEngine};
 use crate::link::DelayQueue;
 use crate::mc::MemCtrl;
-use crate::packet::LazyDesc;
+use crate::packet::{LazyDesc, Node};
 use crate::program::Program;
 use crate::stats::{RunStats, SchedStats};
 use crate::addr::{lines_of, PhysAddr};
@@ -117,15 +117,19 @@ pub enum SchedMode {
     /// scheduler).
     Conservative,
     /// Execute the same cycle set as [`SchedMode::Conservative`], but
-    /// within each executed cycle skip components that provably cannot
-    /// act, batching their idle accounting. The default.
+    /// run only components that provably can act, batching the idle
+    /// accounting of the others. An agenda of per-component due cycles,
+    /// lowered whenever a message is sent, lets the loop enter only the
+    /// executed cycles in which some component is due; it accounts the
+    /// cycles in between without entering them. The default.
     #[default]
     EventDriven,
 }
 
 /// Cached readiness of a component, valid until it next executes: all
 /// scheduling-relevant state of a core mutates only inside its own phase
-/// (inbox arrival is covered separately by a queue peek), so the verdict
+/// (inbox arrival is covered separately: the sender posts a wake on the
+/// agenda, and the inbox is peeked when it comes due), so the verdict
 /// computed right after an execution holds for every elided cycle since.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Readiness {
@@ -138,6 +142,33 @@ enum Readiness {
     /// elided cycles are not idle-accounted (a finished core's tick is a
     /// no-op, not a stall).
     Finished,
+}
+
+impl Readiness {
+    /// Whether the component has work of its own at `now`.
+    fn ready(self, now: Cycle) -> bool {
+        match self {
+            Readiness::Active => true,
+            Readiness::WakeAt(w) => w <= now,
+            Readiness::Finished => false,
+        }
+    }
+
+    /// Its self-wake on the agenda, once looked at in cycle `now`.
+    fn wake(self, now: Cycle) -> Cycle {
+        match self {
+            Readiness::Active => now + 1,
+            Readiness::WakeAt(w) => w,
+            Readiness::Finished => Cycle::MAX,
+        }
+    }
+}
+
+/// The agenda entry a link posts for its receiver: the cycle its head
+/// becomes deliverable (`Cycle::MAX` when empty). FIFO links never hold a
+/// head later than a newer message, so this bounds every queued arrival.
+fn head<T>(q: &DelayQueue<T>) -> Cycle {
+    q.next_ready().unwrap_or(Cycle::MAX)
 }
 
 /// A complete simulated machine.
@@ -189,6 +220,20 @@ pub struct System {
     /// last ran (replayed by [`MemCtrl::replay_elided`] before it next
     /// runs).
     mc_last_elided: Vec<Option<Cycle>>,
+    /// The agenda: for each component, a lower bound on the first cycle
+    /// at which its run predicate can hold. A sender lowers the
+    /// receiver's entry when it pushes a message; a component's own entry
+    /// is recomputed from its cached readiness and inbound queue heads
+    /// each time the event-driven loop looks at it. 0 = look next cycle.
+    due_core: Vec<Cycle>,
+    due_l1: Vec<Cycle>,
+    due_llc: Cycle,
+    due_mc: Vec<Cycle>,
+    /// Cores whose program has not finished.
+    unfinished: usize,
+    /// Messages on every core, cache and bus link, counted where they
+    /// are pushed and popped.
+    in_flight: usize,
     /// Always-on scheduler counters, reported in [`RunStats::sched`].
     sched_stats: SchedStats,
     /// Per-phase output buffers, reused across cycles so the hot loop
@@ -278,6 +323,7 @@ impl System {
             (0..n).map(|_| DelayQueue::new(lat)).collect()
         }
         let n = cfg.cores;
+        let unfinished = cores.iter().filter(|c| !c.finished()).count();
         System {
             now: 0,
             cores,
@@ -301,6 +347,12 @@ impl System {
             llc_refused: vec![false; n],
             mc_ready: vec![Readiness::Active; cfg.channels],
             mc_last_elided: vec![None; cfg.channels],
+            due_core: vec![0; n],
+            due_l1: vec![0; n],
+            due_llc: 0,
+            due_mc: vec![0; cfg.channels],
+            unfinished,
+            in_flight: 0,
             sched_stats: SchedStats::default(),
             scratch_core: CoreOut::default(),
             scratch_l1: L1Out::default(),
@@ -324,15 +376,23 @@ impl System {
                 extra += self.cfg.fault.link_jitter_cycles;
             }
             if lf.dup.roll(self.cfg.fault.link_dup_rate) && dup_safe(&pkt) {
-                let dup = pkt.clone();
-                #[cfg(feature = "check-invariants")]
-                self.checker.observe_send(&dup);
-                self.bus.send(now, dup, extra + 1);
+                self.post_bus(now, pkt.clone(), extra + 1);
             }
         }
+        self.post_bus(now, pkt, extra);
+    }
+
+    /// Route one packet onto the bus and post its receiver's wake.
+    fn post_bus(&mut self, now: Cycle, pkt: crate::packet::Packet, extra: Cycle) {
         #[cfg(feature = "check-invariants")]
         self.checker.observe_send(&pkt);
+        let dest = pkt.dest;
         self.bus.send(now, pkt, extra);
+        self.in_flight += 1;
+        match dest {
+            Node::Llc => self.due_llc = self.due_llc.min(head(&self.bus.to_llc)),
+            Node::Mc(j) => self.due_mc[j] = self.due_mc[j].min(head(&self.bus.to_mc[j])),
+        }
     }
 
     /// Current simulated time.
@@ -384,112 +444,159 @@ impl System {
         self.tick_epilogue(now);
     }
 
-    /// Advance one cycle, skipping components that provably cannot act.
-    /// Executes exactly the same architectural events as [`System::tick`]
-    /// at this cycle; elided cores have their per-cycle accounting batched
-    /// and replayed by [`Core::account_idle`] before they next run.
-    fn tick_event(&mut self) {
+    /// Execute cycle `now` under the agenda: look only at components whose
+    /// agenda entry has come due, and run each exactly when the reference
+    /// predicate holds for it (cached readiness, a deliverable inbox, the
+    /// refusal flags). The agenda only chooses what gets checked, so this
+    /// executes the same architectural events as [`System::tick`] at this
+    /// cycle. Elided cores have their per-cycle accounting batched and
+    /// replayed by [`Core::account_idle`] before they next run.
+    fn visit(&mut self) {
         let now = self.now;
 
         // 1. Cores. A core can act only when its inbox has a deliverable
         //    response, it has internal work, or an internal timer (compute
-        //    completion, delayed load issue) has matured. The cached
-        //    verdict makes the elided-cycle check O(1).
+        //    completion, delayed load issue) has matured.
         for i in 0..self.cores.len() {
-            let ready = match self.core_ready[i] {
-                Readiness::Active => true,
-                Readiness::WakeAt(w) => w <= now,
-                Readiness::Finished => false,
-            };
-            if !ready && self.l1_to_core[i].peek(now).is_none() {
-                if self.core_ready[i] != Readiness::Finished {
-                    if self.idle_pending[i] == 0 {
-                        self.idle_first[i] = now;
-                    }
-                    self.idle_pending[i] += 1;
-                }
-                continue;
-            }
-            self.flush_idle_core(i);
-            self.phase_core(now, i);
-            let c = &self.cores[i];
-            let act = c.can_act();
-            self.core_ready[i] = if c.finished() {
-                Readiness::Finished
-            } else if act {
-                Readiness::Active
+            let due = self.due_core[i] <= now;
+            if due && (self.core_ready[i].ready(now) || self.l1_to_core[i].peek(now).is_some()) {
+                self.flush_idle_core(i);
+                self.phase_core(now, i);
+                let c = &self.cores[i];
+                let act = c.can_act();
+                self.core_ready[i] = if c.finished() {
+                    Readiness::Finished
+                } else if act {
+                    Readiness::Active
+                } else {
+                    Readiness::WakeAt(c.wake_at().unwrap_or(Cycle::MAX))
+                };
+                self.core_blocks_skip[i] = act || c.has_unsent_stores();
             } else {
-                Readiness::WakeAt(c.wake_at().unwrap_or(Cycle::MAX))
-            };
-            self.core_blocks_skip[i] = act || c.has_unsent_stores();
+                self.idle_core(i, now, 1);
+            }
+            if due {
+                self.due_core[i] = self.core_ready[i].wake(now).min(head(&self.l1_to_core[i]));
+            }
         }
 
         // 2. L1s are purely message-driven: no input, no work. A refused
         //    core request blocks its queue until an LLC message (a fill)
         //    frees an MSHR, so only LLC input wakes a refused L1.
         for i in 0..self.l1s.len() {
-            if self.llc_to_l1[i].peek(now).is_some()
-                || (!self.l1_refused[i] && self.core_to_l1[i].peek(now).is_some())
-            {
+            if self.due_l1[i] > now {
+                continue;
+            }
+            if self.l1_inbox(i) <= now {
                 self.l1_refused[i] = self.phase_l1(now, i);
             }
+            self.due_l1[i] = self.l1_inbox(i);
         }
 
         // 3. LLC: deferred replays or any deliverable input, except a
         //    request head it refused when it last ran (MSHRs full): only
         //    a response or fill can free an MSHR, and both wake it.
-        if self.llc.has_retries()
-            || self.bus.to_llc.peek(now).is_some()
-            || self
-                .l1_to_llc
-                .iter()
-                .zip(&self.llc_refused)
-                .any(|(q, &refused)| !refused && q.peek(now).is_some())
-            || self.l1_to_llc_resp.iter().any(|q| q.peek(now).is_some())
-        {
-            self.phase_llc(now);
+        if self.due_llc <= now {
+            if self.llc.has_retries() || self.llc_inbox() <= now {
+                self.phase_llc(now);
+            }
+            let retry = if self.llc.has_retries() { now + 1 } else { Cycle::MAX };
+            self.due_llc = self.llc_inbox().min(retry);
         }
 
         // 4. MCs: deliverable input, a due completion, refresh window or
         //    request issue, or engine background work. The cached
         //    readiness covers controller-internal state (valid until the
-        //    controller next ticks); `needs_tick` is probed fresh every
-        //    cycle because the engine's state is shared and another
-        //    controller's phase may have changed it. Refresh windows count
-        //    as work so `sync` applies them (and stats/trace see them) at
-        //    exactly the cycles the full tick would. Blocked input still
-        //    wakes the controller through the peek, so its input-stall
-        //    count stays exact.
+        //    controller next ticks). Engine state is shared and changes
+        //    only inside controller phases, so `needs_tick` is re-probed
+        //    for a controller that is not due only after another one ran
+        //    in this cycle, and after such a cycle every controller it
+        //    holds for is put on the agenda for the next one. Refresh
+        //    windows count as work so `sync` applies them (and stats/trace
+        //    see them) at exactly the cycles the full tick would. Blocked
+        //    input stays at the head of the controller's queue, so it
+        //    keeps the controller due and its input-stall count exact.
+        let mut mc_ran = false;
         for i in 0..self.mcs.len() {
-            let ready = match self.mc_ready[i] {
-                Readiness::Active => true,
-                Readiness::WakeAt(w) => w <= now,
-                Readiness::Finished => unreachable!("controllers never finish"),
+            let due = self.due_mc[i] <= now;
+            let run = if due {
+                self.mc_ready[i].ready(now)
+                    || self.bus.to_mc[i].peek(now).is_some()
+                    || self.engine.needs_tick(i)
+            } else {
+                mc_ran && self.engine.needs_tick(i)
             };
-            if ready || self.bus.to_mc[i].peek(now).is_some() || self.engine.needs_tick(i) {
+            if run {
                 self.phase_mc(now, i);
                 self.mc_ready[i] = match self.mcs[i].readiness() {
                     None => Readiness::Active,
                     Some(w) => Readiness::WakeAt(w),
                 };
+                mc_ran = true;
             } else {
                 self.mc_last_elided[i] = Some(now);
+            }
+            if due || run {
+                self.due_mc[i] = self.mc_ready[i].wake(now).min(head(&self.bus.to_mc[i]));
+            }
+        }
+        if mc_ran {
+            for i in 0..self.mcs.len() {
+                if self.engine.needs_tick(i) {
+                    self.due_mc[i] = self.due_mc[i].min(now + 1);
+                }
             }
         }
 
         self.tick_epilogue(now);
     }
 
+    /// The first cycle at which L1 `i` has a message it can take: any LLC
+    /// message, or its core's head request unless it refused that head.
+    fn l1_inbox(&self, i: usize) -> Cycle {
+        let core = if self.l1_refused[i] { Cycle::MAX } else { head(&self.core_to_l1[i]) };
+        head(&self.llc_to_l1[i]).min(core)
+    }
+
+    /// The first cycle at which the LLC has a message it can take: a fill,
+    /// a response, or a request head it did not refuse when it last ran.
+    fn llc_inbox(&self) -> Cycle {
+        let requests = self.l1_to_llc.iter().zip(&self.llc_refused);
+        let requests = requests.filter(|(_, &refused)| !refused).map(|(q, _)| head(q));
+        let responses = self.l1_to_llc_resp.iter().map(head);
+        requests.chain(responses).fold(head(&self.bus.to_llc), Cycle::min)
+    }
+
+    /// Batch `k` elided cycles starting at `first` into core `i`'s idle
+    /// accounting (a finished core's elided cycles are not accounted).
+    fn idle_core(&mut self, i: usize, first: Cycle, k: u64) {
+        if self.core_ready[i] != Readiness::Finished {
+            if self.idle_pending[i] == 0 {
+                self.idle_first[i] = first;
+            }
+            self.idle_pending[i] += k;
+        }
+    }
+
     /// Phase 1 for core `i`: consume L1 responses, then advance.
     fn phase_core(&mut self, now: Cycle, i: usize) {
         self.sched_stats.core_execs += 1;
         while let Some(msg) = self.l1_to_core[i].pop(now) {
+            self.in_flight -= 1;
             self.cores[i].handle_l1(now, msg);
         }
+        let was_finished = self.cores[i].finished();
         let mut out = std::mem::take(&mut self.scratch_core);
         self.cores[i].tick(now, &mut out);
-        for m in out.to_l1.drain(..) {
-            self.core_to_l1[i].push(now, m);
+        if !was_finished && self.cores[i].finished() {
+            self.unfinished -= 1;
+        }
+        if !out.to_l1.is_empty() {
+            self.in_flight += out.to_l1.len();
+            for m in out.to_l1.drain(..) {
+                self.core_to_l1[i].push(now, m);
+            }
+            self.due_l1[i] = self.due_l1[i].min(self.l1_inbox(i));
         }
         self.scratch_core = out;
     }
@@ -503,6 +610,7 @@ impl System {
         self.sched_stats.l1_execs += 1;
         let mut out = std::mem::take(&mut self.scratch_l1);
         while let Some(msg) = self.llc_to_l1[i].pop(now) {
+            self.in_flight -= 1;
             self.l1s[i].handle_llc(now, msg, &mut out);
         }
         let mut refused = false;
@@ -511,23 +619,32 @@ impl System {
             let msg = msg.clone();
             if self.l1s[i].handle_core(now, &msg, &mut out) {
                 let _ = self.core_to_l1[i].pop(now);
+                self.in_flight -= 1;
             } else {
                 refused = true;
                 break;
             }
         }
-        for (m, extra) in out.to_core.drain(..) {
-            self.l1_to_core[i].push_after(now, extra, m);
-        }
-        for m in out.to_llc.drain(..) {
-            // Route by virtual network: responses must never queue
-            // behind a blocked request.
-            match m {
-                L1ToLlc::RecallAck { .. } | L1ToLlc::PutM { .. } => {
-                    self.l1_to_llc_resp[i].push(now, m)
-                }
-                other => self.l1_to_llc[i].push(now, other),
+        if !out.to_core.is_empty() {
+            self.in_flight += out.to_core.len();
+            for (m, extra) in out.to_core.drain(..) {
+                self.l1_to_core[i].push_after(now, extra, m);
             }
+            self.due_core[i] = self.due_core[i].min(head(&self.l1_to_core[i]));
+        }
+        if !out.to_llc.is_empty() {
+            self.in_flight += out.to_llc.len();
+            for m in out.to_llc.drain(..) {
+                // Route by virtual network: responses must never queue
+                // behind a blocked request.
+                match m {
+                    L1ToLlc::RecallAck { .. } | L1ToLlc::PutM { .. } => {
+                        self.l1_to_llc_resp[i].push(now, m)
+                    }
+                    other => self.l1_to_llc[i].push(now, other),
+                }
+            }
+            self.due_llc = self.due_llc.min(self.llc_inbox());
         }
         self.scratch_l1 = out;
         refused
@@ -541,6 +658,7 @@ impl System {
         // Responses first: they are always accepted and unblock MSHRs.
         for i in 0..self.l1_to_llc_resp.len() {
             while let Some(msg) = self.l1_to_llc_resp[i].pop(now) {
+                self.in_flight -= 1;
                 let accepted = self.llc.handle_l1(now, msg, &mut out);
                 debug_assert!(accepted, "responses are always accepted");
             }
@@ -559,26 +677,34 @@ impl System {
                         .iter()
                         .collect();
                     Self::snoop_mclazy(&mut self.l1s, &mut self.llc, &queues, desc, &mut out);
-                    // The snoop mutates L1s outside their own phase.
+                    // The snoop mutates L1s outside their own phase, so a
+                    // refused core request may now be accepted.
                     self.l1_refused.fill(false);
+                    for l1 in 0..self.l1s.len() {
+                        self.due_l1[l1] = self.due_l1[l1].min(self.l1_inbox(l1));
+                    }
                 }
                 let msg = self.l1_to_llc[i].peek(now).expect("still there").clone();
                 if self.llc.handle_l1(now, msg, &mut out) {
                     let _ = self.l1_to_llc[i].pop(now);
+                    self.in_flight -= 1;
                 } else {
                     break;
                 }
             }
         }
         while let Some(pkt) = self.bus.to_llc.pop(now) {
+            self.in_flight -= 1;
             self.llc.handle_pkt(now, pkt, &mut out);
         }
         // After the fills, which may have freed MSHRs this cycle.
         for (refused, q) in self.llc_refused.iter_mut().zip(&self.l1_to_llc) {
             *refused = q.iter().next().is_some_and(|m| self.llc.refuses(m));
         }
+        self.in_flight += out.to_l1.len();
         for (l1, m, extra) in out.to_l1.drain(..) {
             self.llc_to_l1[l1].push_after(now, extra, m);
+            self.due_l1[l1] = self.due_l1[l1].min(self.l1_inbox(l1));
         }
         for (pkt, extra) in out.to_bus.drain(..) {
             self.send_bus(now, pkt, extra);
@@ -595,7 +721,9 @@ impl System {
         let mut out = std::mem::take(&mut self.scratch_mc);
         // Split-borrow: temporarily take the input queue.
         let mut input = std::mem::replace(&mut self.bus.to_mc[i], DelayQueue::new(0));
+        let queued = input.len();
         self.mcs[i].tick(now, &mut input, self.engine.as_mut(), &mut self.mem, &mut out);
+        self.in_flight -= queued - input.len();
         self.bus.to_mc[i] = input;
         for (pkt, extra) in out.drain(..) {
             self.send_bus(now, pkt, extra);
@@ -619,8 +747,56 @@ impl System {
         #[cfg(feature = "trace")]
         self.trace_sample(now);
 
+        self.sched_stats.visited_cycles += 1;
         self.sched_stats.executed_cycles += 1;
         self.now += 1;
+    }
+
+    /// Account the cycles `[now, to)` that the event-driven loop jumps:
+    /// no component is due in them, so the reference loop would execute
+    /// each one and find nothing to run. They count as executed cycles,
+    /// elided for every core and controller. The machine state is frozen
+    /// across them, so one audit stands for the per-cycle ones, and the
+    /// trace series samples each epoch boundary the span crosses at the
+    /// first cycle at or after it, as the per-cycle loop would.
+    fn jump_to(&mut self, to: Cycle) {
+        let from = self.now;
+        let span = to - from;
+        #[cfg(feature = "check-invariants")]
+        {
+            assert!(
+                self.skip_gate().is_none(),
+                "invariant violation (scheduler): a whole-machine skip is due at the \
+                 start of the jumped span [{from}, {to})"
+            );
+            let ticks = self.checker.ticks;
+            self.checker.ticks += span;
+            if self.checker.ticks / 1024 > ticks / 1024 {
+                self.validate_invariants(false);
+            }
+        }
+        #[cfg(feature = "trace")]
+        while let Some(at) = mcs_trace::with_sink(|sink| sink.series.next_at.max(from)) {
+            if at >= to {
+                break;
+            }
+            self.trace_sample(at);
+        }
+        for i in 0..self.cores.len() {
+            self.idle_core(i, from, span);
+        }
+        self.mc_last_elided.fill(Some(to - 1));
+        self.sched_stats.executed_cycles += span;
+        self.now = to;
+    }
+
+    /// The first cycle at which any component is due.
+    fn next_due(&self) -> Cycle {
+        self.due_core
+            .iter()
+            .chain(&self.due_l1)
+            .chain(&self.due_mc)
+            .fold(self.due_llc, |d, &c| d.min(c))
     }
 
     /// Replay core `i`'s batched idle accounting (no-op when none).
@@ -648,6 +824,10 @@ impl System {
         self.l1_refused.fill(false);
         self.llc_refused.fill(false);
         self.mc_ready.fill(Readiness::Active);
+        self.due_core.fill(0);
+        self.due_l1.fill(0);
+        self.due_llc = 0;
+        self.due_mc.fill(0);
     }
 
     /// Push one interval sample per memory controller into the armed
@@ -751,12 +931,68 @@ impl System {
             && self.bus.to_mc.iter().all(|q| q.peek(at).is_none())
     }
 
+    /// Whether the machine has drained: every program finished, no
+    /// message on any link, and no controller, LLC or engine work left.
+    /// The two running counts settle the common case without a scan.
     fn all_done(&self) -> bool {
-        self.cores.iter().all(|c| c.finished())
-            && self.quiescent_links(Cycle::MAX)
+        #[cfg(feature = "check-invariants")]
+        self.check_counts();
+        self.unfinished == 0
+            && self.in_flight == 0
             && self.mcs.iter().all(|m| m.idle())
             && !self.llc.busy()
             && !self.engine.busy()
+    }
+
+    /// The running counts agree with a scan of the cores and the links.
+    #[cfg(feature = "check-invariants")]
+    fn check_counts(&self) {
+        fn lens<T>(qs: &[DelayQueue<T>]) -> usize {
+            qs.iter().map(|q| q.len()).sum()
+        }
+        let queued = lens(&self.core_to_l1)
+            + lens(&self.l1_to_core)
+            + lens(&self.l1_to_llc)
+            + lens(&self.l1_to_llc_resp)
+            + lens(&self.llc_to_l1)
+            + self.bus.to_llc.len()
+            + lens(&self.bus.to_mc);
+        assert_eq!(
+            self.in_flight, queued,
+            "invariant violation (scheduler): messages counted in flight vs queued \
+             on the links, at cycle {}",
+            self.now
+        );
+        let unfinished = self.cores.iter().filter(|c| !c.finished()).count();
+        assert_eq!(
+            self.unfinished, unfinished,
+            "invariant violation (scheduler): unfinished cores counted vs scanned, at cycle {}",
+            self.now
+        );
+    }
+
+    /// The whole-machine skip's target, if it fires now: every core is
+    /// stalled on external events, and those events are all in the
+    /// future. The cheap all-cores-inactive gate runs first so
+    /// configurations that cannot skip (an active core) never pay for
+    /// the link scan. Under the event-driven scheduler the cached flags
+    /// give the same answer in O(cores): `has_internal_work` at a core's
+    /// last execution cannot change while it is elided.
+    fn skip_gate(&self) -> Option<Cycle> {
+        let cores_inactive = match self.sched {
+            SchedMode::TickByTick => false,
+            SchedMode::EventDriven => self.core_blocks_skip.iter().all(|b| !b),
+            SchedMode::Conservative => self
+                .cores
+                .iter()
+                .enumerate()
+                .all(|(i, c)| self.idle_pending[i] > 0 || c.finished() || !c.has_internal_work()),
+        };
+        if cores_inactive {
+            self.skip_target()
+        } else {
+            None
+        }
     }
 
     fn skip_target(&self) -> Option<Cycle> {
@@ -816,7 +1052,9 @@ impl System {
     /// LLC hits/misses) for `window` consecutive executed ticks while work
     /// is still outstanding, the run aborts with [`SimError::Livelock`]
     /// carrying per-component queue snapshots. Ticks, not cycles: idle
-    /// skip-ahead jumps (which are legitimate waits) never trip it.
+    /// skip-ahead jumps (which are legitimate waits) never trip it, while
+    /// the executed cycles the event-driven agenda jumps count as ticks,
+    /// so it fires at the same cycle under every scheduler.
     ///
     /// # Errors
     /// [`SimError::Timeout`] or [`SimError::Livelock`].
@@ -863,16 +1101,19 @@ impl System {
         watchdog: Option<Cycle>,
     ) -> Result<RunStats, SimError> {
         let start = self.now;
+        let end = start.saturating_add(max_cycles);
         let mut stable = 0u32;
         let mut last_metric = self.progress_metric();
         let mut idle_ticks: Cycle = 0;
         // External setters (fault plans, mode switches) may have touched
         // component state since the last run: start from a clean slate.
         self.reset_readiness();
-        while self.now - start < max_cycles {
-            match self.sched {
-                SchedMode::EventDriven => self.tick_event(),
-                _ => self.tick(),
+        let agenda = self.sched == SchedMode::EventDriven;
+        while self.now < end {
+            if agenda {
+                self.visit();
+            } else {
+                self.tick();
             }
             if let Some(window) = watchdog {
                 let m = self.progress_metric();
@@ -882,14 +1123,7 @@ impl System {
                 } else {
                     idle_ticks += 1;
                     if idle_ticks >= window && !self.all_done() {
-                        self.flush_idle();
-                        return Err(SimError::Livelock {
-                            at: self.now,
-                            idle_for: idle_ticks,
-                            unfinished: self.unfinished_cores(),
-                            mc_queues: self.mc_queue_snapshot(),
-                            cores: self.core_snapshot(),
-                        });
+                        return Err(self.livelock(idle_ticks));
                     }
                 }
             }
@@ -902,48 +1136,35 @@ impl System {
                     self.validate_invariants(true);
                     return Ok(self.collect_stats());
                 }
-            } else {
-                stable = 0;
-                // Conservative idle skip: every core is stalled on external
-                // events, and those events are all in the future. The cheap
-                // all-cores-inactive gate runs first so configurations that
-                // cannot skip (an active core) never pay for the link scan.
-                // Under the event-driven scheduler the cached flags give the
-                // same answer in O(cores): `has_internal_work` at a core's
-                // last execution cannot change while it is elided.
-                let cores_inactive = match self.sched {
-                    SchedMode::TickByTick => false,
-                    SchedMode::EventDriven => self.core_blocks_skip.iter().all(|b| !b),
-                    SchedMode::Conservative => self
-                        .cores
-                        .iter()
-                        .enumerate()
-                        .all(|(i, c)| self.idle_pending[i] > 0 || c.finished() || !c.has_internal_work()),
-                };
-                if cores_inactive {
-                    if let Some(target) = self.skip_target() {
-                        // With the watchdog armed, a skip of a whole
-                        // observation window means nothing in the
-                        // machine can act for `window` cycles while
-                        // work is outstanding (e.g. an injected stall
-                        // parked traffic inside a controller): that is
-                        // a livelock, not a wait — report it rather
-                        // than silently jumping over it.
-                        if let Some(window) = watchdog {
-                            if target.saturating_sub(self.now) >= window {
-                                self.flush_idle();
-                                return Err(SimError::Livelock {
-                                    at: self.now,
-                                    idle_for: target - self.now,
-                                    unfinished: self.unfinished_cores(),
-                                    mc_queues: self.mc_queue_snapshot(),
-                                    cores: self.core_snapshot(),
-                                });
-                            }
+                continue;
+            }
+            stable = 0;
+            if let Some(target) = self.skip_gate() {
+                // With the watchdog armed, a skip of a whole observation
+                // window means nothing in the machine can act for
+                // `window` cycles while work is outstanding (e.g. an
+                // injected stall parked traffic inside a controller):
+                // that is a livelock, not a wait — report it rather than
+                // silently jumping over it.
+                if watchdog.is_some_and(|window| target - self.now >= window) {
+                    return Err(self.livelock(target - self.now));
+                }
+                self.sched_stats.skipped_cycles += target - self.now;
+                self.now = target;
+            } else if agenda {
+                // Jump to the next cycle where some component is due.
+                // The skip cannot fire inside the span (DESIGN.md §2.10),
+                // and each jumped cycle is an idle tick for the watchdog.
+                let to = self.next_due().min(end);
+                if to > self.now {
+                    if let Some(window) = watchdog {
+                        if idle_ticks + (to - self.now) >= window {
+                            self.jump_to(self.now + (window - idle_ticks));
+                            return Err(self.livelock(window));
                         }
-                        self.sched_stats.skipped_cycles += target - self.now;
-                        self.now = target;
+                        idle_ticks += to - self.now;
                     }
+                    self.jump_to(to);
                 }
             }
         }
@@ -954,6 +1175,19 @@ impl System {
             mc_queues: self.mc_queue_snapshot(),
             cores: self.core_snapshot(),
         })
+    }
+
+    /// Stop a run for the liveness watchdog after `idle_for` cycles
+    /// without forward progress.
+    fn livelock(&mut self, idle_for: Cycle) -> SimError {
+        self.flush_idle();
+        SimError::Livelock {
+            at: self.now,
+            idle_for,
+            unfinished: self.unfinished_cores(),
+            mc_queues: self.mc_queue_snapshot(),
+            cores: self.core_snapshot(),
+        }
     }
 
     /// Diagnostic snapshot of blocking state (for debugging stuck
@@ -1352,6 +1586,30 @@ mod tests {
         b.set_sched_mode(SchedMode::EventDriven);
         let sb = b.run(1_000_000).unwrap();
         assert_eq!(sa.cycles, sb.cycles, "skip-ahead must not change timing");
+    }
+
+    #[test]
+    fn manual_tick_between_event_driven_runs_matches_conservative() {
+        // A run cut short by its budget, one manual tick, then a run to
+        // completion: the manual tick runs every component outside the
+        // agenda, and the second `run` rebuilds its agenda from scratch.
+        // The machine must end exactly as under `Conservative`.
+        let run = |mode| {
+            let mut cfg = SystemConfig::tiny();
+            cfg.cores = 2;
+            let p0: Vec<Uop> = (0..16u64).map(|i| ld(0x10000 + i * 4096, 8)).collect();
+            let p1: Vec<Uop> = (0..16u64).map(|i| st(0x40000 + i * 64, &[i as u8])).collect();
+            let mut sys = System::new(
+                cfg,
+                vec![Box::new(FixedProgram::new(p0)), Box::new(FixedProgram::new(p1))],
+            );
+            sys.set_sched_mode(mode);
+            assert!(matches!(sys.run(60), Err(SimError::Timeout { .. })));
+            sys.tick();
+            let stats = sys.run(1_000_000).expect("finishes");
+            (RunStats { sched: SchedStats::default(), ..stats }, sys.now())
+        };
+        assert_eq!(run(SchedMode::Conservative), run(SchedMode::EventDriven));
     }
 
     #[test]

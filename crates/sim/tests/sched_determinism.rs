@@ -269,6 +269,7 @@ fn scheduler_counters_add_up() {
         tick.sched,
         SchedStats {
             executed_cycles: tick.cycles,
+            visited_cycles: tick.cycles,
             skipped_cycles: 0,
             core_execs: tick.cycles * cores,
             l1_execs: tick.cycles * cores,
