@@ -1,5 +1,5 @@
-//! Shared construction of Table I, the Fig. 10 and Fig. 12 sweeps, and
-//! the Fig. 10 rows of the memory-technology sweep.
+//! Shared construction of Table I, the Fig. 10, Fig. 12 and Fig. 21
+//! sweeps, and the Fig. 10 rows of the memory-technology sweep.
 //!
 //! The figure binaries and the byte-identity regression test
 //! (`tests/trace_identity.rs`) must agree exactly on how each point is
@@ -11,7 +11,7 @@ use crate::{f3, fmt_size, marker0, ns, Job, Table};
 use mcs_sim::alloc::AddrSpace;
 use mcs_sim::config::{MemTech, SystemConfig};
 use mcs_sim::stats::RunStats;
-use mcs_workloads::micro::{copy_latency, seq_access};
+use mcs_workloads::micro::{copy_latency, seq_access, src_write_stress};
 use mcs_workloads::CopyMech;
 use mcsquare::ctt::ENTRY_BYTES;
 use mcsquare::McSquareConfig;
@@ -69,6 +69,29 @@ pub fn fig10_job(mech: &CopyMech, size: u64, touch: bool) -> Job {
 pub fn fig10_row(size: u64, lats: &[u64]) -> Vec<String> {
     let mut row = vec![fmt_size(size)];
     row.extend(lats.iter().map(|&l| f3(ns(l))));
+    row
+}
+
+/// Buffer sizes of the Fig. 21 sweep.
+pub const FIG21_SIZES: [u64; 5] = [16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20];
+
+/// BPQ sizes of the Fig. 21 sweep; the first is each row's baseline.
+pub const FIG21_BPQS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// Build the Fig. 21 job: overwrite `size` bytes of lazily copied
+/// source with `bpq` BPQ entries per controller.
+pub fn fig21_job(size: u64, bpq: usize) -> Job {
+    let g = src_write_stress(size, &mut AddrSpace::dram_3gb());
+    let mc2 = McSquareConfig { bpq_entries: bpq, ..McSquareConfig::default() };
+    Job::single(SystemConfig::table1_one_core(), Some(mc2), g.uops, g.pokes)
+}
+
+/// Format one Fig. 21 row from the runtimes (marker 0, in cycles) at each
+/// of [`FIG21_BPQS`], normalised to the first.
+pub fn fig21_row(size: u64, lats: &[u64]) -> Vec<String> {
+    let base = lats[0] as f64;
+    let mut row = vec![fmt_size(size)];
+    row.extend(lats.iter().map(|&l| f3(l as f64 / base)));
     row
 }
 

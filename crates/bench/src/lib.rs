@@ -76,7 +76,15 @@ impl Job {
     /// # Panics
     /// Panics if the simulation exceeds the cycle budget (a bug, not a
     /// measurement).
-    pub fn run(mut self, opts: &BenchOpts) -> RunStats {
+    pub fn run(self, opts: &BenchOpts) -> RunStats {
+        self.run_numbered(opts, take_job_numbers(1))
+    }
+
+    /// [`Job::run`] as this process's job number `seq`, which names its
+    /// trace files.
+    fn run_numbered(mut self, opts: &BenchOpts, seq: u64) -> RunStats {
+        #[cfg(not(feature = "trace"))]
+        let _ = seq;
         let _ = wall_start();
         let mut cfg = self.cfg;
         if opts.refresh {
@@ -113,7 +121,7 @@ impl Job {
         #[cfg(feature = "trace")]
         if let Some(base) = &opts.trace {
             if let Some(sink) = mcs_trace::take() {
-                write_trace_outputs(base, &sink);
+                write_trace_outputs(base, seq, &sink);
             }
         }
         stats
@@ -152,14 +160,26 @@ pub fn print_sim_throughput() {
     );
 }
 
+/// Job numbers handed out so far in this process (see
+/// [`take_job_numbers`]).
+static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Reserve `n` consecutive job numbers and return the first. Numbers
+/// are taken when jobs are issued, not when they finish: a [`Job::run`]
+/// takes one, and a [`par_run`] one block for all its jobs in input
+/// order, so a job's number does not depend on how its sweep's workers
+/// interleave.
+fn take_job_numbers(n: usize) -> u64 {
+    JOB_SEQ.fetch_add(n as u64, Ordering::Relaxed)
+}
+
 /// Write the armed trace sink's three consumer outputs next to `base`
 /// (the `--trace=<base>` path): a Perfetto-loadable Chrome trace, the
 /// epoch-sampled time series, and the per-class latency histograms. Each
-/// job of a sweep gets its own numbered file set.
+/// job of a sweep gets its own file set, numbered `seq`.
 #[cfg(feature = "trace")]
-fn write_trace_outputs(base: &str, sink: &mcs_trace::TraceSink) {
-    static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
-    let stem = format!("{base}.job{}", JOB_SEQ.fetch_add(1, Ordering::Relaxed));
+fn write_trace_outputs(base: &str, seq: u64, sink: &mcs_trace::TraceSink) {
+    let stem = format!("{base}.job{seq}");
     write_or_panic(
         Path::new(&format!("{stem}.trace.json")),
         &mcs_trace::chrome::to_chrome_json(sink, CYCLES_PER_NS),
@@ -182,12 +202,14 @@ pub fn par_threads() -> usize {
 /// Run a set of independent jobs under `opts` in parallel, preserving
 /// order. [`par_threads`] workers share one queue: each takes the next
 /// job index from an atomic counter as soon as it is free, so a long job
-/// never holds the other workers at a barrier.
+/// never holds the other workers at a barrier. Traced jobs are numbered
+/// in input order.
 pub fn par_run<T, F>(opts: &BenchOpts, points: Vec<T>, f: F) -> Vec<(T, RunStats)>
 where
     T: Sync,
     F: Fn(&T) -> Job + Sync,
 {
+    let first = take_job_numbers(points.len());
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<RunStats>> = (0..points.len()).map(|_| None).collect();
     std::thread::scope(|s| {
@@ -198,7 +220,7 @@ where
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(p) = points.get(i) else { break done };
-                        done.push((i, f(p).run(opts)));
+                        done.push((i, f(p).run_numbered(opts, first + i as u64)));
                     }
                 })
             })
@@ -338,9 +360,10 @@ pub struct BenchOpts {
     /// not carry a plan of their own (empty = inject nothing).
     pub fault: FaultPlan,
     /// `--trace=PATH`: arm event tracing around each job and write
-    /// `<PATH>.jobN.trace.json` plus companion series/histogram TSVs; see
-    /// DESIGN.md, "Observability layer". Ignored when the `trace` feature
-    /// is off.
+    /// `<PATH>.jobN.trace.json` plus companion series/histogram TSVs,
+    /// where `N` numbers the process's jobs in the order they were issued;
+    /// see DESIGN.md, "Observability layer". Ignored when the `trace`
+    /// feature is off.
     pub trace: Option<String>,
     /// `--sched=`: how the run loop advances simulated time.
     pub sched: SchedMode,

@@ -1,14 +1,18 @@
 //! The event-driven scheduler's agenda changes which cycles the run loop
 //! enters, never what the machine does. On the jobs where it jumps the
 //! most (the Mess bandwidth–latency points, where every controller is
-//! busy) and where the engine keeps both controllers awake on every cycle
-//! (Fig. 21 at one BPQ entry), `EventDriven` must reproduce `Conservative`
-//! on every machine statistic and on the executed and skipped cycle
-//! counts, and must enter fewer cycles than it executes. (`Conservative`
-//! runs every phase on every executed cycle, so its phase-execution
-//! counts are higher by design.) The liveness watchdog, which counts
-//! executed cycles, must stop a hung machine at the same cycle under both.
+//! busy), where source writes wait for a full BPQ (Fig. 21 at one entry,
+//! also with injected controller stalls, so that a controller sleeping
+//! with a parked write wakes on the far side of a stall window), and
+//! where eight cores wait to send CLWBs behind their stores (Fig. 16's
+//! (MC)² MVCC), `EventDriven` must reproduce `Conservative` on every
+//! machine statistic and on the executed and skipped cycle counts, and
+//! must enter fewer cycles than it executes. (`Conservative` runs every
+//! phase on every executed cycle, so its phase-execution counts are
+//! higher by design.) The liveness watchdog, which counts executed
+//! cycles, must stop a hung machine at the same cycle under both.
 
+use mcs_bench::figs::fig21_job;
 use mcs_bench::mess::{job_for, Point, Scale};
 use mcs_bench::{BenchOpts, Job};
 use mcs_sim::alloc::AddrSpace;
@@ -19,15 +23,17 @@ use mcs_sim::stats::{RunStats, SchedStats};
 use mcs_sim::system::SimError;
 use mcs_sim::uop::{StatTag, Uop, UopId, UopKind};
 use mcs_sim::{PhysAddr, SchedMode, System};
-use mcs_workloads::micro::src_write_stress;
+use mcs_workloads::mvcc::{mvcc_multithread, MvccConfig, UpdateKind};
+use mcs_workloads::{CopyMech, Pokes};
 use mcsquare::McSquareConfig;
 
 fn run(job: impl Fn() -> Job, sched: SchedMode) -> RunStats {
     job().run(&BenchOpts { sched, ..BenchOpts::default() })
 }
 
-/// Run `job` under both skipping schedulers and compare them.
-fn assert_agenda_exact(job: impl Fn() -> Job, what: &str) {
+/// Run `job` under both skipping schedulers and compare them. Returns
+/// the `Conservative` and `EventDriven` statistics.
+fn assert_agenda_exact(job: impl Fn() -> Job, what: &str) -> (RunStats, RunStats) {
     let cons = run(&job, SchedMode::Conservative);
     let ev = run(&job, SchedMode::EventDriven);
     let (c, e) = (cons.sched, ev.sched);
@@ -47,6 +53,7 @@ fn assert_agenda_exact(job: impl Fn() -> Job, what: &str) {
     );
     let machine = |s: &RunStats| RunStats { sched: SchedStats::default(), ..s.clone() };
     assert_eq!(machine(&cons), machine(&ev), "{what}: RunStats diverged");
+    (cons, ev)
 }
 
 /// The smoke-scale Mess points of one technology at its largest burst,
@@ -74,15 +81,63 @@ fn mess_smoke_hbm2_matches_conservative() {
     assert_mess_exact(MemTech::Hbm2);
 }
 
+/// Fig. 21's source-overwrite job at one BPQ entry, under `fault`.
+fn fig21_bpq1(size: u64, fault: &FaultPlan) -> Job {
+    let mut job = fig21_job(size, 1);
+    job.cfg.fault = fault.clone();
+    job
+}
+
 #[test]
 fn fig21_one_bpq_entry_matches_conservative() {
+    let (cons, ev) =
+        assert_agenda_exact(|| fig21_bpq1(256 << 10, &FaultPlan::none()), "fig21 256 KB, BPQ 1");
+    // A write waiting for the BPQ parks its controller: the controllers
+    // run on a small fraction of the cycles they run under `Conservative`.
+    let (c, e) = (cons.sched.mc_execs, ev.sched.mc_execs);
+    assert!(e * 10 < c, "fig21 BPQ 1: {e} controller executions vs {c} under Conservative");
+    assert!(cons.engine["bpq_full_retries"] > 0, "the BPQ must fill");
+}
+
+#[test]
+fn fig21_one_bpq_entry_with_mc_stalls_matches_conservative() {
+    let stalls =
+        FaultPlan { seed: 9, mc_stall_rate: 0.02, mc_stall_cycles: 40, ..FaultPlan::none() };
+    let (cons, _) = assert_agenda_exact(|| fig21_bpq1(64 << 10, &stalls), "fig21 64 KB, BPQ 1, stalls");
+    let (mut stalled, mut input_stalled) = (0, 0);
+    for mc in &cons.mcs {
+        stalled += mc.fault_stall_cycles;
+        input_stalled += mc.input_stall_cycles;
+    }
+    assert!(stalled > 0 && input_stalled > 0, "stall windows and BPQ waits must both occur");
+}
+
+#[test]
+fn fig16_eight_core_mcsquare_matches_conservative() {
+    // Every core copies tuples with (MC)²: each copy writes its source
+    // back with CLWBs that wait behind the core's own stores.
     assert_agenda_exact(
         || {
-            let g = src_write_stress(256 << 10, &mut AddrSpace::dram_3gb());
-            let mc2 = McSquareConfig { bpq_entries: 1, ..McSquareConfig::default() };
-            Job::single(SystemConfig::table1_one_core(), Some(mc2), g.uops, g.pokes)
+            let wcfg = MvccConfig {
+                tuples: 16,
+                tuple_size: 4096,
+                txns: 6,
+                kind: UpdateKind::Rmw,
+                update_frac: 0.25,
+                ..MvccConfig::default()
+            };
+            let mech = CopyMech::McSquare { threshold: 0 };
+            let progs = mvcc_multithread(mech, &wcfg, 8, &mut AddrSpace::dram_3gb());
+            let mut pokes = Pokes::default();
+            let mut programs: Vec<Box<dyn Program>> = Vec::new();
+            for (uops, p) in progs {
+                programs.push(Box::new(FixedProgram::new(uops)));
+                pokes.0.extend(p.0);
+            }
+            let cfg = SystemConfig { cores: 8, ..SystemConfig::table1() };
+            Job { cfg, mc2: Some(McSquareConfig::default()), programs, pokes, max_cycles: 1 << 32 }
         },
-        "fig21 256 KB, BPQ 1",
+        "fig16 8 cores, (MC)² 25%",
     );
 }
 

@@ -156,9 +156,21 @@ pub struct McSquareEngine {
     /// through every call.
     #[cfg(feature = "trace")]
     now: Cycle,
+    /// Bumped whenever the engine's state may have changed: on every
+    /// `on_dram_read`, every `on_arrive` not answered [`Verdict::Wait`],
+    /// and every `tick` that emits I/O or changes a drain job.
+    version: u64,
+    /// `version` at the start of controller `i`'s last `tick`: while the
+    /// two agree, that tick would find the state it left and do nothing.
+    seen: Vec<u64>,
+    /// Controller `i` was answered [`Verdict::Wait`] since its last
+    /// `tick`: a state change may let its parked packet in.
+    waiting: Vec<bool>,
     /// BPQ entries `(mcid, line)` that were releasable at the previous
-    /// `validate` call. `bpq_release_tick` runs every cycle, so an entry
-    /// still releasable a full validation period later is stuck.
+    /// `validate` call. A controller with a releasable entry ticks until
+    /// it releases it (the entry keeps `needs_tick` true across the state
+    /// change that made it releasable), so an entry still releasable a
+    /// full validation period later is stuck.
     #[cfg(feature = "check-invariants")]
     releasable_memo: mcs_sim::hash::FastSet<(usize, u64)>,
 }
@@ -180,6 +192,9 @@ impl McSquareEngine {
             n: Counters::default(),
             fault: None,
             mutation: ChaosMutation::None,
+            version: 0,
+            seen: vec![0; channels],
+            waiting: vec![false; channels],
             #[cfg(feature = "trace")]
             now: 0,
             #[cfg(feature = "check-invariants")]
@@ -487,7 +502,8 @@ impl McSquareEngine {
         // Broadcast arming: consume copies until the last controller's
         // arrives; only then is the table updated.
         let rem = self.arming.entry(pkt.id).or_insert(self.channels as u32);
-        if *rem > 0 {
+        let armed_now = *rem > 0;
+        if armed_now {
             *rem -= 1;
         }
         if *rem > 0 {
@@ -496,13 +512,15 @@ impl McSquareEngine {
         // Stall while any BPQ holds lines of either buffer (Fig. 9:
         // "prospective copies involving S1 or S2 are stalled"), or while
         // in-flight reconstructions still read lines the new copy will
-        // redefine.
+        // redefine. Once armed, the refusal depends on engine state only;
+        // the call that completed the arming changed state, so it is a
+        // plain retry.
         if self.bpq_overlap_any(desc.src, desc.size)
             || self.bpq_overlap_any(desc.dst, desc.size)
             || self.pinned_overlap(desc.dst, desc.size)
         {
             self.n.bpq_full_retries += 1;
-            return Verdict::Retry(pkt);
+            return if armed_now { Verdict::Retry(pkt) } else { Verdict::Wait(pkt) };
         }
         #[cfg(feature = "trace")]
         let collapses_pre = self.ctt.stats.chain_collapses;
@@ -626,8 +644,10 @@ impl McSquareEngine {
         if !deps.is_empty() || self.pins.contains_key(&line.0) || self.bpqs[mcid].contains(line) {
             let data = pkt.data.expect("write carries data");
             if !self.bpqs[mcid].insert(line, data) {
+                // The refusal depends on engine state only (the CTT,
+                // the pins and this BPQ), so the controller may park.
                 self.n.bpq_full_retries += 1;
-                return Verdict::Retry(pkt);
+                return Verdict::Wait(pkt);
             }
             if pkt.needs_ack {
                 io.send(pkt.make_write_ack());
@@ -704,7 +724,9 @@ impl McSquareEngine {
         }
     }
 
-    fn drain_tick(&mut self, mcid: usize, io: &mut EngineIo) {
+    /// Launch and advance controller `mcid`'s drain jobs. Returns whether
+    /// any job was added, advanced or finished.
+    fn drain_tick(&mut self, mcid: usize, io: &mut EngineIo) -> bool {
         /// Lines one drain job keeps in flight. Kept small so the total
         /// outstanding asynchronous copies per controller is governed by
         /// `parallel_free` and never swamps the read queue — the paper
@@ -712,6 +734,7 @@ impl McSquareEngine {
         /// controller, restricting the memory bandwidth interference"
         /// (§V-C).
         const DRAIN_WINDOW: usize = 2;
+        let mut changed = false;
         // Launch new jobs while above the threshold (§III-A1: start lazy
         // copying at 50% occupancy, smallest entries first, bounded
         // parallelism per controller).
@@ -734,6 +757,7 @@ impl McSquareEngine {
                 // drain walks whole destination lines.
                 let cursor = PhysAddr(range.start).line_base().0;
                 self.drains[mcid].push(DrainJob { range, cursor });
+                changed = true;
             }
         }
         let mut j = 0;
@@ -748,6 +772,7 @@ impl McSquareEngine {
                 if !self.ctt.covers_dst(line, CACHELINE) && !self.recons.contains_key(&line.0)
                 {
                     self.drains[mcid][j].cursor = line.0 + CACHELINE;
+                    changed = true;
                 } else {
                     break;
                 }
@@ -759,6 +784,7 @@ impl McSquareEngine {
             if cur >= end {
                 self.drains[mcid].remove(j);
                 self.n.drained_entries += 1;
+                changed = true;
                 continue;
             }
             // Keep up to DRAIN_WINDOW line copies in flight for this job.
@@ -771,17 +797,20 @@ impl McSquareEngine {
                 } else if self.ctt.covers_dst(l, CACHELINE) {
                     self.start_recon(mcid, l, ReconCause::Drain, None, io);
                     inflight += 1;
+                    changed = true;
                 }
                 line += CACHELINE;
             }
             j += 1;
         }
-
+        changed
     }
 
-    fn bpq_release_tick(&mut self, mcid: usize, io: &mut EngineIo) {
+    /// Release controller `mcid`'s BPQ entries whose copies are done.
+    /// Returns whether any was released.
+    fn bpq_release_tick(&mut self, mcid: usize, io: &mut EngineIo) -> bool {
         if self.bpqs[mcid].is_empty() {
-            return;
+            return false;
         }
         let ctt = &self.ctt;
         let pins = &self.pins;
@@ -796,9 +825,11 @@ impl McSquareEngine {
                 at: self.now,
             });
         }
+        let released = !ready.is_empty();
         for e in ready {
             io.dram_write(e.line, e.data);
         }
+        released
     }
 }
 
@@ -808,7 +839,7 @@ impl CopyEngine for McSquareEngine {
         {
             self.now = _now;
         }
-        match pkt.cmd {
+        let verdict = match pkt.cmd {
             MemCmd::Mclazy(desc) => self.on_mclazy(mcid, pkt.clone(), desc, io),
             MemCmd::Mcfree(FreeDesc { addr, size }) => {
                 self.ctt.free_contained(addr, size);
@@ -834,7 +865,13 @@ impl CopyEngine for McSquareEngine {
                 Verdict::Consumed
             }
             _ => Verdict::Pass(pkt),
+        };
+        if matches!(verdict, Verdict::Wait(_)) {
+            self.waiting[mcid] = true;
+        } else {
+            self.version += 1;
         }
+        verdict
     }
 
     fn on_dram_read(
@@ -851,6 +888,7 @@ impl CopyEngine for McSquareEngine {
         {
             self.now = _now;
         }
+        self.version += 1;
         match self.tags.remove(&tag).expect("unknown engine tag") {
             TagKind::Frag { dest_line, dest_off, len, src_off } => {
                 let bytes = data.read(src_off as usize, len as usize).to_vec();
@@ -882,17 +920,32 @@ impl CopyEngine for McSquareEngine {
         {
             self.now = _now;
         }
-        self.bpq_release_tick(mcid, io);
-        self.drain_tick(mcid, io);
+        self.seen[mcid] = self.version;
+        self.waiting[mcid] = false;
+        let released = self.bpq_release_tick(mcid, io);
+        if self.drain_tick(mcid, io) | released {
+            self.version += 1;
+        }
     }
 
     fn needs_tick(&self, mcid: usize) -> bool {
-        // Mirrors what tick() would do for this controller: release BPQ
-        // entries, advance in-flight drain jobs, or launch new ones when
-        // CTT occupancy is at the drain threshold.
-        !self.bpqs[mcid].is_empty()
-            || !self.drains[mcid].is_empty()
-            || self.ctt.occupancy() >= self.cfg.drain_threshold
+        // A tick is a function of engine state: with no change since this
+        // controller's last tick began (so that tick changed nothing
+        // either), another would do nothing. Otherwise: a parked packet
+        // may now pass, or tick() may release BPQ entries, advance
+        // in-flight drain jobs, or launch new ones at the drain threshold.
+        self.version != self.seen[mcid]
+            && (self.waiting[mcid]
+                || !self.bpqs[mcid].is_empty()
+                || !self.drains[mcid].is_empty()
+                || self.ctt.occupancy() >= self.cfg.drain_threshold)
+    }
+
+    fn on_waits_elided(&mut self, _now: Cycle, cycles: u64, mcid: usize, _pkt: &Packet) {
+        // Both `Wait` paths only count the refusal (and `on_arrive` marks
+        // the controller waiting).
+        self.n.bpq_full_retries += cycles;
+        self.waiting[mcid] |= cycles > 0;
     }
 
     fn busy(&self) -> bool {
@@ -1226,8 +1279,100 @@ mod tests {
         assert!(matches!(e.on_arrive(0, 0, write_pkt(0x10000, 0, 1), &mut io), Verdict::Consumed));
         assert!(matches!(e.on_arrive(0, 0, write_pkt(0x10080, 0, 2), &mut io), Verdict::Consumed));
         match e.on_arrive(0, 0, write_pkt(0x10100, 0, 3), &mut io) {
-            Verdict::Retry(_) => {}
-            other => panic!("full BPQ must back-pressure: {other:?}"),
+            Verdict::Wait(_) => {}
+            other => panic!("full BPQ must park the write: {other:?}"),
+        }
+    }
+
+    /// An engine that forwards only the required trait methods, so it
+    /// gets the default `on_waits_elided` (as a wrapper that forwards
+    /// only the methods it knows about does).
+    #[derive(Debug)]
+    struct DefaultWaits(McSquareEngine);
+
+    impl CopyEngine for DefaultWaits {
+        fn on_arrive(&mut self, now: Cycle, mcid: usize, pkt: Packet, io: &mut EngineIo) -> Verdict {
+            self.0.on_arrive(now, mcid, pkt, io)
+        }
+
+        fn on_dram_read(
+            &mut self,
+            now: Cycle,
+            mcid: usize,
+            tag: u64,
+            addr: PhysAddr,
+            data: LineData,
+            poisoned: bool,
+            io: &mut EngineIo,
+        ) {
+            self.0.on_dram_read(now, mcid, tag, addr, data, poisoned, io)
+        }
+    }
+
+    /// Two engines in one state, for each `Wait` path: a write to a source
+    /// line at a full BPQ, and an armed MCLAZY whose source a BPQ holds.
+    /// Returns each engine with the packet it was told to wait on and the
+    /// controller that asked.
+    fn waiting_twins() -> Vec<(McSquareEngine, McSquareEngine, Packet, usize)> {
+        let full_bpq = || {
+            let mut e = engine(); // tiny: bpq 2 entries
+            insert(&mut e, 0x2000, 0x10000, 64);
+            insert(&mut e, 0x2080, 0x10080, 64);
+            insert(&mut e, 0x2100, 0x10100, 64);
+            let mut io = EngineIo::default();
+            for (i, src) in [0x10000, 0x10080].into_iter().enumerate() {
+                let v = e.on_arrive(0, 0, write_pkt(src, 0, i as u8), &mut io);
+                assert!(matches!(v, Verdict::Consumed));
+            }
+            e
+        };
+        // Copy out of a held source line: armed on the second copy, whose
+        // call changed state and is a plain retry.
+        let mclazy = mclazy_pkt(0x40000, 0x10000, 64, 0);
+        let blocked_mclazy = || {
+            let mut e = full_bpq();
+            let mut io = EngineIo::default();
+            assert!(matches!(e.on_arrive(0, 0, mclazy.clone(), &mut io), Verdict::Consumed));
+            assert!(matches!(e.on_arrive(0, 1, mclazy.clone(), &mut io), Verdict::Retry(_)));
+            e
+        };
+        vec![
+            (full_bpq(), full_bpq(), write_pkt(0x10100, 0, 3), 0),
+            (blocked_mclazy(), blocked_mclazy(), mclazy.clone(), 1),
+        ]
+    }
+
+    #[test]
+    fn wait_paths_are_pure_and_park_until_the_state_changes() {
+        for (mut e, _, pkt, mcid) in waiting_twins() {
+            let mut io = EngineIo::default();
+            e.tick(1, mcid, &mut io);
+            assert!(!e.needs_tick(mcid), "nothing changed since the tick");
+            let before = e.counters_map();
+            let v = e.on_arrive(2, mcid, pkt.clone(), &mut io);
+            assert!(matches!(v, Verdict::Wait(_)), "{pkt:?}: {v:?}");
+            assert!(io.dram_reads.is_empty() && io.dram_writes.is_empty() && io.sends.is_empty());
+            let after = e.counters_map();
+            assert_eq!(after["bpq_full_retries"], before["bpq_full_retries"] + 1);
+            assert!(!e.needs_tick(mcid), "a refusal alone is no news");
+            // Any other state change is news for a waiting controller.
+            assert!(matches!(e.on_arrive(3, 1 - mcid, read_pkt(0x80000, 0), &mut io), Verdict::Pass(_)));
+            assert!(e.needs_tick(mcid), "{pkt:?}: the state changed");
+        }
+    }
+
+    #[test]
+    fn waits_elided_override_equals_the_default_re_ask() {
+        for (fast, slow, pkt, mcid) in waiting_twins() {
+            let (mut fast, mut slow) = (fast, DefaultWaits(slow));
+            fast.on_waits_elided(5, 7, mcid, &pkt);
+            slow.on_waits_elided(5, 7, mcid, &pkt);
+            assert_eq!(fast.counters_map(), slow.0.counters_map(), "{pkt:?}");
+            assert_eq!(
+                (fast.version, fast.needs_tick(mcid)),
+                (slow.0.version, slow.0.needs_tick(mcid)),
+                "{pkt:?}"
+            );
         }
     }
 

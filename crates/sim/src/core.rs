@@ -430,25 +430,31 @@ impl Core {
         SbCheck::Clear
     }
 
+    /// Whether an unsent writeback can be sent now: no older store still
+    /// in the store buffer overlaps its target range. Such a store leaves
+    /// the buffer on its `StoreDone` or, if non-temporal, when this core
+    /// sends it in `issue_stores`; the first is a message that wakes the
+    /// core, the second happens in one of its own ticks. The buffer is in
+    /// program order, so the scan stops at the first younger store.
+    fn clwb_can_send(&self, c: &PendingClwb) -> bool {
+        let (lo, hi) = if c.size == 0 {
+            (c.addr.line_base().0, c.addr.line_base().0 + crate::addr::CACHELINE)
+        } else {
+            (c.addr.line_base().0, c.addr.0 + c.size)
+        };
+        !self
+            .sb
+            .iter()
+            .take_while(|s| s.id < c.id)
+            .any(|s| s.addr.0 < hi && s.addr.0 + s.size as u64 > lo)
+    }
+
     fn issue_clwbs(&mut self, out: &mut CoreOut) {
         for i in 0..self.clwbs.len() {
-            if self.clwbs[i].sent {
+            if self.clwbs[i].sent || !self.clwb_can_send(&self.clwbs[i]) {
                 continue;
             }
-            let addr = self.clwbs[i].addr;
-            let size = self.clwbs[i].size;
-            // Writebacks wait for older pending stores to the target range.
-            let (lo, hi) = if size == 0 {
-                (addr.line_base().0, addr.line_base().0 + crate::addr::CACHELINE)
-            } else {
-                (addr.line_base().0, addr.0 + size)
-            };
-            let conflict = self.sb.iter().any(|s| {
-                s.id < self.clwbs[i].id && s.addr.0 < hi && s.addr.0 + s.size as u64 > lo
-            });
-            if conflict {
-                continue;
-            }
+            let (addr, size) = (self.clwbs[i].addr, self.clwbs[i].size);
             self.clwbs[i].sent = true;
             if size == 0 {
                 out.to_l1.push(CoreToL1::Clwb { id: self.clwbs[i].id, addr });
@@ -627,7 +633,10 @@ impl Core {
     /// per-core elision test. Unsent stores count only when the send head
     /// can send now: it carries its data, or the load it copies from has
     /// completed. A head waiting on a load in flight is woken by that
-    /// load's `LoadDone` instead.
+    /// load's `LoadDone` instead. Likewise an unsent CLWB counts only when
+    /// no older store overlaps its range; otherwise that store leaves on a
+    /// `StoreDone`, which wakes the core, or on the core's own send of a
+    /// non-temporal store, after which `can_act` is asked again.
     pub(crate) fn can_act(&self) -> bool {
         if self.finished {
             return false;
@@ -645,21 +654,17 @@ impl Core {
                 return true; // the send head can go (sent entries form a prefix)
             }
         }
-        if self.clwbs.iter().any(|c| !c.sent) {
+        if self.clwbs.iter().any(|c| !c.sent && self.clwb_can_send(c)) {
             return true;
         }
         if self.loads.iter().any(|l| !l.issued) {
             return true; // may issue (or is a conflict resolved by SB drain)
         }
-        if !self.program_done
+        !self.program_done
             && !self.fence_blocked
             && self.rob.len() < self.cfg.rob_size
             && self.held.is_none()
-            && !self.frontend_stalled
-        {
-            return true; // can fetch a new uop
-        }
-        false
+            && !self.frontend_stalled // can fetch a new uop
     }
 
     /// Whether any store-buffer entry has not been sent to the L1 yet.
@@ -667,11 +672,16 @@ impl Core {
         self.sb.len() > self.sb_sent_prefix
     }
 
-    /// [`Core::can_act`], or some store is unsent even though its data
-    /// is not ready. Gates the whole-machine idle skip-ahead, which must
-    /// not jump while this holds.
+    /// Whether any CLWB or WbRange has not been sent to the L1 yet.
+    pub(crate) fn has_unsent_clwbs(&self) -> bool {
+        self.clwbs.iter().any(|c| !c.sent)
+    }
+
+    /// [`Core::can_act`], or some store or writeback is unsent even though
+    /// it cannot go yet. Gates the whole-machine idle skip-ahead, which
+    /// must not jump while this holds (DESIGN.md §2.10, trap 1).
     pub fn has_internal_work(&self) -> bool {
-        self.can_act() || self.has_unsent_stores()
+        self.can_act() || self.has_unsent_stores() || self.has_unsent_clwbs()
     }
 
     fn try_dispatch(

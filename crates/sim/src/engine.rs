@@ -29,6 +29,13 @@ pub enum Verdict {
     /// blocking everything behind it. This is the §III-A back-pressure
     /// whose stalls Fig. 20b counts.
     Retry(Packet),
+    /// Refused like [`Verdict::Retry`], and the refusal is a pure function
+    /// of engine state: asked again before the engine's state changes, the
+    /// engine would refuse again, with no effect but its own retry
+    /// counters. The controller queues the packet as for `Retry` and may
+    /// stop re-asking until [`CopyEngine::needs_tick`] reports a change;
+    /// the re-asks it skipped go to [`CopyEngine::on_waits_elided`].
+    Wait(Packet),
 }
 
 /// Side-effect collector handed to the engine on every call.
@@ -119,20 +126,46 @@ pub trait CopyEngine: std::fmt::Debug {
         io: &mut EngineIo,
     );
 
-    /// Called once per cycle per controller for background work
-    /// (asynchronous CTT draining, BPQ release).
+    /// Called on every cycle a controller executes, before it takes input,
+    /// for background work (asynchronous CTT draining, BPQ release).
     fn tick(&mut self, now: Cycle, mcid: usize, io: &mut EngineIo) {
         let _ = (now, mcid, io);
     }
 
-    /// Whether [`CopyEngine::tick`] could do any work for controller
-    /// `mcid` right now. The event-driven scheduler only elides a
-    /// controller's tick when this is false, so the default errs towards
-    /// `true`; engines whose `tick` is a no-op (or conditional on state
-    /// they can inspect cheaply) should override it.
+    /// Whether controller `mcid` could see anything new from the engine
+    /// if it ran now: its [`CopyEngine::tick`] could do work, or a packet
+    /// it was last told to [`Verdict::Wait`] on could now be accepted. The
+    /// event-driven scheduler elides a controller's tick only when this is
+    /// false, so the default errs towards `true`; an engine should return
+    /// false once its state has not changed since that controller's last
+    /// `tick`, since the same state gives the same (empty) answers.
     fn needs_tick(&self, mcid: usize) -> bool {
         let _ = mcid;
         true
+    }
+
+    /// Account `cycles` consecutive cycles, the first at `now`, on which
+    /// controller `mcid` did not re-ask [`CopyEngine::on_arrive`] about
+    /// `pkt`, last answered with [`Verdict::Wait`], because the engine's
+    /// state had not changed. The default re-asks once per cycle and
+    /// checks that each answer is `Wait` again, so it is exact for any
+    /// engine, including a wrapper that forwards only `on_arrive`; an
+    /// engine whose `Wait` path only counts can override it with the
+    /// count.
+    ///
+    /// # Panics
+    /// Panics if a re-ask is not answered with `Wait`: the refusal was not
+    /// a pure function of engine state.
+    fn on_waits_elided(&mut self, now: Cycle, cycles: u64, mcid: usize, pkt: &Packet) {
+        for k in 0..cycles {
+            let mut io = EngineIo::default();
+            let verdict = self.on_arrive(now + k, mcid, pkt.clone(), &mut io);
+            assert!(
+                matches!(verdict, Verdict::Wait(_)),
+                "an elided wait at controller {mcid}, cycle {}, was answered {verdict:?}",
+                now + k
+            );
+        }
     }
 
     /// True while the engine has in-flight work; keeps the simulation

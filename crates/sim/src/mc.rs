@@ -108,6 +108,13 @@ pub struct MemCtrl {
     /// Packets the engine asked to retry; reprocessed before new input so
     /// a blocked MCLAZY never head-of-line-blocks engine-critical traffic.
     retry_q: VecDeque<Packet>,
+    /// The `retry_q` head was answered [`Verdict::Wait`] when last asked:
+    /// until the engine's state changes, re-asking it each cycle only
+    /// counts, so [`Self::readiness`] lets the controller sleep.
+    parked: bool,
+    /// The cycle of the last [`Self::tick`]; a parked controller re-asked
+    /// its head on every cycle since (see [`Self::replay_elided`]).
+    last_tick: Cycle,
     /// Engine reads satisfied by WPQ forwarding, delivered next tick
     /// (tag, line, data, poisoned).
     engine_fwd: Vec<(u64, PhysAddr, LineData, bool)>,
@@ -139,6 +146,8 @@ impl MemCtrl {
             wpq: VecDeque::new(),
             inflight: Vec::new(),
             retry_q: VecDeque::new(),
+            parked: false,
+            last_tick: 0,
             engine_fwd: Vec::new(),
             draining: false,
             fault: None,
@@ -210,18 +219,21 @@ impl MemCtrl {
     }
 
     /// The event-driven scheduler's cached readiness verdict: `None` means
-    /// the controller has immediate work and must tick every cycle;
-    /// `Some(wake)` means ticking before cycle `wake` changes nothing
-    /// except the drain-mode hysteresis, which [`Self::replay_elided`]
-    /// restores. `wake` is the earliest of an in-flight completion, a
-    /// refresh window, and the first cycle a queued request can issue
+    /// the controller has immediate work and must tick every cycle (a
+    /// forwarded engine read, or a retry the engine did not answer with
+    /// [`Verdict::Wait`]); `Some(wake)` means ticking before cycle `wake`
+    /// changes nothing except what [`Self::replay_elided`] restores: the
+    /// drain-mode hysteresis and a parked head's per-cycle stall counts.
+    /// `wake` is the earliest of an in-flight completion, a refresh
+    /// window, and the first cycle a queued request can issue
     /// ([`Cycle::MAX`] if none is pending). Valid until the controller
     /// next ticks — all controller state mutates only inside
     /// [`Self::tick`]. Input arrival is the caller's side of the predicate
-    /// (the input queue lives in the interconnect), and engine background
-    /// work is covered by [`CopyEngine::needs_tick`].
+    /// (the input queue lives in the interconnect), and so is a change of
+    /// engine state, which [`CopyEngine::needs_tick`] reports: it covers
+    /// both engine background work and a parked head that may now pass.
     pub fn readiness(&self) -> Option<Cycle> {
-        if !self.retry_q.is_empty() || !self.engine_fwd.is_empty() {
+        if !self.engine_fwd.is_empty() || (!self.retry_q.is_empty() && !self.parked) {
             return None;
         }
         let wake = self
@@ -253,16 +265,34 @@ impl MemCtrl {
     /// Apply what the executed cycles this controller was elided for
     /// would have done to its state; call before [`Self::tick`] when it
     /// was elided at least once since it last ticked, the last time at
-    /// `last_elided`. The event-driven schedule runs a controller holding
-    /// queued requests on every executed cycle, and each such cycle past
-    /// an injected stall re-ran the drain-mode hysteresis on unchanged
-    /// queues. The hysteresis is idempotent on fixed queues, so one
-    /// application stands for all of them.
-    pub fn replay_elided(&mut self, last_elided: Cycle) {
+    /// `last_elided`. The reference schedule runs a controller on every
+    /// executed cycle, and each elided one did at most two things:
+    ///
+    /// * Past an injected stall, with requests queued, it re-ran the
+    ///   drain-mode hysteresis on unchanged queues. The hysteresis is
+    ///   idempotent on fixed queues, so one application stands for all.
+    /// * With a parked retry head, it either counted a fault-stall cycle
+    ///   (before the stall window's end) or re-asked the head and was
+    ///   told [`Verdict::Wait`] again (from then on: an input stall, and
+    ///   [`CopyEngine::on_waits_elided`] for the engine). A queued retry
+    ///   forbids the whole-machine skip ([`Self::next_event`]), so every
+    ///   cycle since [`Self::tick`] last ran was elided, and the stall
+    ///   window cannot move while the controller sleeps.
+    pub fn replay_elided(&mut self, last_elided: Cycle, engine: &mut dyn CopyEngine) {
+        let stall_until = self.fault.as_ref().map_or(0, |f| f.stall_until);
         let queued = !self.rpq.is_empty() || !self.wpq.is_empty();
-        let stalled = self.fault.as_ref().is_some_and(|f| last_elided < f.stall_until);
-        if queued && !stalled {
+        if queued && last_elided >= stall_until {
             self.update_drain_mode();
+        }
+        if self.parked {
+            let (first, end) = (self.last_tick + 1, last_elided + 1);
+            let waits_from = stall_until.clamp(first, end);
+            self.stats.fault_stall_cycles += waits_from - first;
+            self.stats.input_stall_cycles += end - waits_from;
+            if end > waits_from {
+                let head = self.retry_q.front().expect("a parked controller has a retry head");
+                engine.on_waits_elided(waits_from, end - waits_from, self.id, head);
+            }
         }
     }
 
@@ -336,6 +366,7 @@ impl MemCtrl {
         mem: &mut SparseMem,
         out: &mut Vec<(Packet, Cycle)>,
     ) {
+        self.last_tick = now;
         // Apply elapsed refresh windows before any readiness check.
         self.dram.sync(now);
         #[cfg(feature = "trace")]
@@ -451,7 +482,9 @@ impl MemCtrl {
     ) {
         // Injected transient stall: the input port (and DRAM scheduler)
         // is paused; the fault hook rolls per accepted packet, so the
-        // schedule is identical with and without idle skip-ahead.
+        // schedule is identical with and without idle skip-ahead. The
+        // retry head is not asked, so it is not parked.
+        self.parked = false;
         if let Some(f) = &self.fault {
             if now < f.stall_until {
                 if !self.retry_q.is_empty() || input.peek(now).is_some() {
@@ -467,9 +500,11 @@ impl MemCtrl {
         for _ in 0..self.retry_q.len() {
             let Some(pkt) = self.retry_q.pop_front() else { break };
             let mut io = self.fresh_io();
-            match engine.on_arrive(now, self.id, pkt, &mut io) {
+            let verdict = engine.on_arrive(now, self.id, pkt, &mut io);
+            self.parked = matches!(verdict, Verdict::Wait(_));
+            match verdict {
                 Verdict::Consumed => {}
-                Verdict::Retry(pkt) => {
+                Verdict::Retry(pkt) | Verdict::Wait(pkt) => {
                     self.apply_io(now, io, out);
                     self.retry_q.push_front(pkt);
                     self.stats.input_stall_cycles += 1;
@@ -508,11 +543,15 @@ impl MemCtrl {
             }
             let mut io = self.fresh_io();
             let verdict = engine.on_arrive(now, self.id, pkt, &mut io);
+            let wait = matches!(verdict, Verdict::Wait(_));
             self.apply_io(now, io, out);
             match verdict {
                 Verdict::Consumed => {}
-                Verdict::Retry(pkt) => {
+                Verdict::Retry(pkt) | Verdict::Wait(pkt) => {
                     self.stats.input_stall_cycles += 1;
+                    if self.retry_q.is_empty() {
+                        self.parked = wait;
+                    }
                     self.retry_q.push_back(pkt);
                 }
                 Verdict::Pass(pkt) => self.enqueue(now, pkt, out),
@@ -1011,12 +1050,13 @@ mod tests {
         mc: &mut MemCtrl,
         now: Cycle,
         input: &mut DelayQueue<Packet>,
+        engine: &mut dyn CopyEngine,
         mem: &mut SparseMem,
         log: &mut Log,
     ) {
         let before = (mc.stats.reads, mc.stats.writes);
         let mut out = Vec::new();
-        mc.tick(now, input, &mut NullEngine, mem, &mut out);
+        mc.tick(now, input, engine, mem, &mut out);
         if (mc.stats.reads, mc.stats.writes) != before {
             log.issues.push((now, mc.stats.reads, mc.stats.writes));
         }
@@ -1048,82 +1088,225 @@ mod tests {
         sched
     }
 
-    #[test]
-    fn elided_controller_matches_one_ticked_every_cycle() {
-        // A twin driven only at its `readiness` wake cycles, at cycles with
-        // deliverable input, and (as the event-driven scheduler does) with
-        // the elided cycles replayed before it next ticks, must issue and
-        // respond exactly like a controller ticked every cycle.
-        // The state the replay restores (read queue just emptied, writes
-        // between the watermarks, new reads arriving while the twin
-        // sleeps) is rare per run, so many short runs are checked; every
-        // third one adds injected stalls.
-        const DRAIN: Cycle = 3_000;
-        let stalls =
-            FaultPlan { seed: 5, mc_stall_rate: 0.05, mc_stall_cycles: 25, ..FaultPlan::none() };
-        for seed in 1..=24 {
-            let plan = if seed % 3 == 0 { stalls.clone() } else { FaultPlan::none() };
-            let horizon = 3_000;
-            let traffic = random_traffic(seed, horizon);
-            // Slow bursts and a refresh window every 700 cycles leave the
-            // twin idle stretches to sleep through.
-            let dram = DramConfig {
-                banks: 4,
-                row_bytes: 1024,
-                t_rcd: 10,
-                t_rp: 10,
-                t_cl: 10,
-                t_burst: 4,
-                t_refi: 700,
-                t_rfc: 40,
-                ..DramConfig::default()
-            };
-            let (mut every, mut every_in, mut every_mem, _) = mk_with(dram.clone());
-            let (mut twin, mut twin_in, mut twin_mem, _) = mk_with(dram);
-            every.set_fault_plan(&plan);
-            twin.set_fault_plan(&plan);
-            let (mut every_log, mut twin_log) = (Log::default(), Log::default());
-            let (mut wpq_peak, mut wpq_low_after_peak) = (0, usize::MAX);
-            let mut next = traffic.iter().peekable();
-            let mut wake = Some(0);
-            let mut last_elided = None;
-            let mut woken = 0;
-            for now in 0..horizon + DRAIN {
-                while let Some((_, pkt)) = next.next_if(|(at, _)| *at == now) {
-                    every_in.push(now, pkt.clone());
-                    twin_in.push(now, pkt.clone());
-                }
-                tick_logged(&mut every, now, &mut every_in, &mut every_mem, &mut every_log);
-                let wpq = every.wpq_occupancy().0;
-                wpq_peak = wpq_peak.max(wpq);
-                if wpq_peak as f64 >= every.cfg.wpq_drain_hi * every.cfg.wpq_cap as f64 {
-                    wpq_low_after_peak = wpq_low_after_peak.min(wpq);
-                }
-                if wake.is_none_or(|w| w <= now) || twin_in.peek(now).is_some() {
-                    if let Some(last) = last_elided.take() {
-                        twin.replay_elided(last);
-                    }
-                    tick_logged(&mut twin, now, &mut twin_in, &mut twin_mem, &mut twin_log);
-                    wake = twin.readiness();
-                    woken += 1;
-                } else {
-                    last_elided = Some(now);
+    /// A copy engine that parks every write while its gate is closed. A
+    /// read of line 8k closes the gate and a read of line 8k + 4 opens it,
+    /// each a change of engine state; everything else passes. It counts what it is asked, and
+    /// keeps the default `on_waits_elided`, which re-asks each elided
+    /// wait and panics unless it is answered `Wait` again.
+    #[derive(Debug, Default)]
+    struct GateEngine {
+        closed: bool,
+        version: u64,
+        seen: u64,
+        waiting: bool,
+        waits: u64,
+        passes: u64,
+    }
+
+    impl CopyEngine for GateEngine {
+        fn on_arrive(&mut self, _: Cycle, _: usize, pkt: Packet, _: &mut EngineIo) -> Verdict {
+            if pkt.cmd == MemCmd::WriteReq && self.closed {
+                self.waits += 1;
+                self.waiting = true;
+                return Verdict::Wait(pkt);
+            }
+            if pkt.cmd == MemCmd::ReadReq {
+                match pkt.addr.0 / 64 % 8 {
+                    0 => self.closed = true,
+                    4 => self.closed = false,
+                    _ => {}
                 }
             }
-            let cap = every.cfg.wpq_cap as f64;
-            let high = wpq_peak as f64 >= every.cfg.wpq_drain_hi * cap;
-            assert!(high, "seed {seed}: WPQ peaked at {wpq_peak}, below the high watermark");
+            self.passes += 1;
+            self.version += 1;
+            Verdict::Pass(pkt)
+        }
+
+        fn on_dram_read(
+            &mut self,
+            _: Cycle,
+            _: usize,
+            _: u64,
+            _: PhysAddr,
+            _: LineData,
+            _: bool,
+            _: &mut EngineIo,
+        ) {
+            unreachable!("the gate issues no DRAM reads");
+        }
+
+        fn tick(&mut self, _: Cycle, _: usize, _: &mut EngineIo) {
+            self.seen = self.version;
+            self.waiting = false;
+        }
+
+        fn needs_tick(&self, _: usize) -> bool {
+            self.waiting && self.version != self.seen
+        }
+    }
+
+    /// One twin run: a controller ticked every cycle next to a twin driven
+    /// only at its `readiness` wake cycles, at cycles with deliverable
+    /// input, and when its engine reports news (`needs_tick`), with the
+    /// elided cycles replayed before it next ticks, as the event-driven
+    /// scheduler does. Each side has its own engine.
+    struct Twins<E> {
+        every: MemCtrl,
+        twin: MemCtrl,
+        every_log: Log,
+        twin_log: Log,
+        every_eng: E,
+        twin_eng: E,
+        /// Cycles the twin ticked.
+        woken: Cycle,
+        /// The every-cycle controller's WPQ peak, and its lowest
+        /// occupancy after reaching the high watermark.
+        wpq_peak: usize,
+        wpq_low_after_peak: usize,
+        /// Cycles the twin slept through with a parked retry head, and
+        /// how many of those lay inside an injected stall window.
+        parked_elided: u64,
+        parked_stalled: u64,
+    }
+
+    /// Cycles of random traffic in a twin run, and the quiet cycles after.
+    const HORIZON: Cycle = 3_000;
+    const DRAIN: Cycle = 3_000;
+
+    fn run_twins<E: CopyEngine>(
+        traffic: &[(Cycle, Packet)],
+        plan: &FaultPlan,
+        engine: impl Fn() -> E,
+    ) -> Twins<E> {
+        // Slow bursts and a refresh window every 700 cycles leave the
+        // twin idle stretches to sleep through.
+        let dram = DramConfig {
+            banks: 4,
+            row_bytes: 1024,
+            t_rcd: 10,
+            t_rp: 10,
+            t_cl: 10,
+            t_burst: 4,
+            t_refi: 700,
+            t_rfc: 40,
+            ..DramConfig::default()
+        };
+        let (mut every, mut every_in, mut every_mem, _) = mk_with(dram.clone());
+        let (mut twin, mut twin_in, mut twin_mem, _) = mk_with(dram);
+        every.set_fault_plan(plan);
+        twin.set_fault_plan(plan);
+        let (mut every_eng, mut twin_eng) = (engine(), engine());
+        let (mut every_log, mut twin_log) = (Log::default(), Log::default());
+        let (mut wpq_peak, mut wpq_low_after_peak) = (0, usize::MAX);
+        let (mut parked_elided, mut parked_stalled) = (0, 0);
+        let mut next = traffic.iter().peekable();
+        let mut wake = Some(0);
+        let mut last_elided = None;
+        let mut woken = 0;
+        for now in 0..HORIZON + DRAIN {
+            while let Some((_, pkt)) = next.next_if(|(at, _)| *at == now) {
+                every_in.push(now, pkt.clone());
+                twin_in.push(now, pkt.clone());
+            }
+            tick_logged(&mut every, now, &mut every_in, &mut every_eng, &mut every_mem, &mut every_log);
+            let wpq = every.wpq_occupancy().0;
+            wpq_peak = wpq_peak.max(wpq);
+            if wpq_peak as f64 >= every.cfg.wpq_drain_hi * every.cfg.wpq_cap as f64 {
+                wpq_low_after_peak = wpq_low_after_peak.min(wpq);
+            }
+            if wake.is_none_or(|w| w <= now)
+                || twin_in.peek(now).is_some()
+                || twin_eng.needs_tick(twin.id)
+            {
+                if let Some(last) = last_elided.take() {
+                    twin.replay_elided(last, &mut twin_eng);
+                }
+                tick_logged(&mut twin, now, &mut twin_in, &mut twin_eng, &mut twin_mem, &mut twin_log);
+                wake = twin.readiness();
+                woken += 1;
+            } else {
+                last_elided = Some(now);
+                if twin.parked {
+                    parked_elided += 1;
+                    parked_stalled += u64::from(twin.fault.as_ref().is_some_and(|f| now < f.stall_until));
+                }
+            }
+        }
+        Twins {
+            every,
+            twin,
+            every_log,
+            twin_log,
+            every_eng,
+            twin_eng,
+            woken,
+            wpq_peak,
+            wpq_low_after_peak,
+            parked_elided,
+            parked_stalled,
+        }
+    }
+
+    /// Every third seed adds injected stalls.
+    fn twin_plan(seed: u64) -> FaultPlan {
+        if seed.is_multiple_of(3) {
+            FaultPlan { seed: 5, mc_stall_rate: 0.05, mc_stall_cycles: 25, ..FaultPlan::none() }
+        } else {
+            FaultPlan::none()
+        }
+    }
+
+    /// The twins issued, responded and counted alike, and the twin slept.
+    fn assert_twins_agree<E>(seed: u64, t: &Twins<E>) {
+        let asleep = t.woken < (HORIZON + DRAIN) / 2;
+        assert!(asleep, "seed {seed}: the twin must sleep ({} ticks)", t.woken);
+        assert!(t.every.idle() && t.twin.idle(), "seed {seed}: traffic must drain");
+        assert_eq!(t.every_log.issues, t.twin_log.issues, "seed {seed}: issue order diverged");
+        assert_eq!(t.every_log.resps, t.twin_log.resps, "seed {seed}: responses diverged");
+        assert_eq!(t.every.stats, t.twin.stats, "seed {seed}: McStats diverged");
+    }
+
+    #[test]
+    fn elided_controller_matches_one_ticked_every_cycle() {
+        // The state the drain-mode replay restores (read queue just
+        // emptied, writes between the watermarks, new reads arriving
+        // while the twin sleeps) is rare per run, so many short runs are
+        // checked.
+        for seed in 1..=24 {
+            let t = run_twins(&random_traffic(seed, HORIZON), &twin_plan(seed), || NullEngine);
+            let cap = t.every.cfg.wpq_cap as f64;
+            let high = t.wpq_peak as f64 >= t.every.cfg.wpq_drain_hi * cap;
+            assert!(high, "seed {seed}: WPQ peaked at {}, below the high watermark", t.wpq_peak);
             assert!(
-                (wpq_low_after_peak as f64) <= every.cfg.wpq_drain_lo * cap,
+                (t.wpq_low_after_peak as f64) <= t.every.cfg.wpq_drain_lo * cap,
                 "seed {seed}: WPQ never drained below the low watermark"
             );
-            let asleep = woken < (horizon + DRAIN) / 2;
-            assert!(asleep, "seed {seed}: the twin must sleep ({woken} ticks)");
-            assert!(every.idle() && twin.idle(), "seed {seed}: traffic must drain");
-            assert_eq!(every_log.issues, twin_log.issues, "seed {seed}: issue order diverged");
-            assert_eq!(every_log.resps, twin_log.resps, "seed {seed}: responses diverged");
-            assert_eq!(every.stats, twin.stats, "seed {seed}: McStats diverged");
+            assert_twins_agree(seed, &t);
         }
+    }
+
+    #[test]
+    fn parked_controller_matches_one_ticked_every_cycle() {
+        // Writes wait at a closed gate, so the twin sleeps with a parked
+        // retry head until a read reopens it; its elided re-asks (and,
+        // inside a stall window, its fault-stall cycles) are replayed on
+        // wake. The default `on_waits_elided` re-asks each elided cycle,
+        // so both engines must end with the same counts.
+        let (mut parked, mut stalled) = (0, 0);
+        for seed in 1..=24 {
+            // A last read opens the gate, so every write drains.
+            let mut traffic = random_traffic(seed, HORIZON);
+            let end = traffic.last().map_or(0, |(at, _)| at + 1);
+            traffic.push((end, Packet::read(PhysAddr(4 * 64), Node::Mc(0))));
+            let t = run_twins(&traffic, &twin_plan(seed), GateEngine::default);
+            assert_twins_agree(seed, &t);
+            let counts = |e: &GateEngine| (e.waits, e.passes, e.closed);
+            assert_eq!(counts(&t.every_eng), counts(&t.twin_eng), "seed {seed}: engines diverged");
+            parked += t.parked_elided;
+            stalled += t.parked_stalled;
+        }
+        assert!(parked > 1_000, "the twin must sleep parked ({parked} cycles)");
+        assert!(stalled > 0, "parked spans must cross injected stall windows");
     }
 
     #[test]

@@ -212,9 +212,10 @@ pub struct System {
     /// LLC last ran; until the LLC runs again its state is unchanged, so
     /// the head would be refused again and does not wake it.
     llc_refused: Vec<bool>,
-    /// Cached per-controller readiness (never `Finished`); engine
-    /// background work is probed fresh each cycle via `needs_tick`, since
-    /// engine state is shared across controllers.
+    /// Cached per-controller readiness (never `Finished`). Engine state is
+    /// shared across controllers, so whether the engine has news for a
+    /// controller (`CopyEngine::needs_tick`) is asked separately, whenever
+    /// a controller phase may have changed it (step 4 of `visit`).
     mc_ready: Vec<Readiness>,
     /// Last executed cycle at which controller `i` was elided since it
     /// last ran (replayed by [`MemCtrl::replay_elided`] before it next
@@ -471,7 +472,7 @@ impl System {
                 } else {
                     Readiness::WakeAt(c.wake_at().unwrap_or(Cycle::MAX))
                 };
-                self.core_blocks_skip[i] = act || c.has_unsent_stores();
+                self.core_blocks_skip[i] = act || c.has_unsent_stores() || c.has_unsent_clwbs();
             } else {
                 self.idle_core(i, now, 1);
             }
@@ -505,7 +506,8 @@ impl System {
         }
 
         // 4. MCs: deliverable input, a due completion, refresh window or
-        //    request issue, or engine background work. The cached
+        //    request issue, or news from the engine (background work, or
+        //    a change that may let a parked retry in). The cached
         //    readiness covers controller-internal state (valid until the
         //    controller next ticks). Engine state is shared and changes
         //    only inside controller phases, so `needs_tick` is re-probed
@@ -716,7 +718,7 @@ impl System {
     fn phase_mc(&mut self, now: Cycle, i: usize) {
         self.sched_stats.mc_execs += 1;
         if let Some(last) = self.mc_last_elided[i].take() {
-            self.mcs[i].replay_elided(last);
+            self.mcs[i].replay_elided(last, self.engine.as_mut());
         }
         let mut out = std::mem::take(&mut self.scratch_mc);
         // Split-borrow: temporarily take the input queue.
