@@ -1,9 +1,11 @@
 //! # mcs-bench — benchmark harness for the (MC)² evaluation
 //!
-//! Provides the plumbing every figure binary shares: building and running
-//! simulated systems (optionally with the (MC)² engine), parallel
-//! parameter sweeps, and tab-separated result tables written to stdout and
+//! Provides the plumbing every figure shares: building and running
+//! simulated systems (optionally with the (MC)² engine), one parallel
+//! work queue, and tab-separated result tables written to stdout and
 //! `results/figXX.tsv`, mirroring the paper artifact's output layout.
+//! [`figs::FIGURES`] describes each figure as data; the `reproduce`
+//! binary runs them.
 
 use mcs_sim::config::SystemConfig;
 use mcs_sim::fault::FaultPlan;
@@ -16,7 +18,6 @@ use mcs_workloads::Pokes;
 use mcsquare::{McSquareConfig, McSquareEngine};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 pub mod figs;
@@ -67,6 +68,19 @@ impl Job {
         }
     }
 
+    /// Multi-core job on the Table I machine with one core per
+    /// `(uops, pokes)` program, the pokes merged in core order.
+    pub fn multi_core(mc2: Option<McSquareConfig>, progs: Vec<(Vec<Uop>, Pokes)>) -> Job {
+        let cfg = SystemConfig { cores: progs.len(), ..SystemConfig::table1() };
+        let mut pokes = Pokes::default();
+        let mut programs: Vec<Box<dyn Program>> = Vec::with_capacity(progs.len());
+        for (uops, p) in progs {
+            programs.push(Box::new(FixedProgram::new(uops)));
+            pokes.0.extend(p.0);
+        }
+        Job { cfg, mc2, programs, pokes, max_cycles: 40_000_000_000 }
+    }
+
     /// Run to completion under `opts`: `refresh` enables DRAM refresh at
     /// the technology's canonical interval, `fault` arms its plan when the
     /// job's own plan is empty, `sched` selects the tick scheduler, and
@@ -85,7 +99,6 @@ impl Job {
     fn run_numbered(mut self, opts: &BenchOpts, seq: u64) -> RunStats {
         #[cfg(not(feature = "trace"))]
         let _ = seq;
-        let _ = wall_start();
         let mut cfg = self.cfg;
         if opts.refresh {
             cfg.dram = cfg.dram.with_refresh();
@@ -117,7 +130,6 @@ impl Job {
             Ok(stats) => stats,
             Err(e) => panic!("simulation stuck: {e}\n{}", sys.debug_dump()),
         };
-        SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
         #[cfg(feature = "trace")]
         if let Some(base) = &opts.trace {
             if let Some(sink) = mcs_trace::take() {
@@ -126,38 +138,6 @@ impl Job {
         }
         stats
     }
-}
-
-/// Cumulative simulated cycles across every [`Job::run`] of this process.
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative simulated cycles across every [`Job::run`] so far — the
-/// numerator of the throughput figure. `perf_smoke` samples this around
-/// each benchmark to attribute cycles per bench.
-pub fn sim_cycles() -> u64 {
-    SIM_CYCLES.load(Ordering::Relaxed)
-}
-
-fn wall_start() -> &'static Instant {
-    static WALL_START: OnceLock<Instant> = OnceLock::new();
-    WALL_START.get_or_init(Instant::now)
-}
-
-/// Print the simulator's throughput — simulated cycles per wall-clock
-/// second since the first job started — to stderr (so TSV output on
-/// stdout stays clean). Every figure binary calls this as its last step.
-pub fn print_sim_throughput() {
-    let cycles = SIM_CYCLES.load(Ordering::Relaxed);
-    let wall = wall_start().elapsed().as_secs_f64();
-    if cycles == 0 || wall <= 0.0 {
-        return;
-    }
-    eprintln!(
-        "# simulated {:.3} Gcycles in {:.1} s wall ({:.1} Mcycles/s)",
-        cycles as f64 / 1e9,
-        wall,
-        cycles as f64 / wall / 1e6,
-    );
 }
 
 /// Job numbers handed out so far in this process (see
@@ -199,39 +179,51 @@ pub fn par_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// Run a set of independent jobs under `opts` in parallel, preserving
-/// order. [`par_threads`] workers share one queue: each takes the next
-/// job index from an atomic counter as soon as it is free, so a long job
-/// never holds the other workers at a barrier. Traced jobs are numbered
-/// in input order.
-pub fn par_run<T, F>(opts: &BenchOpts, points: Vec<T>, f: F) -> Vec<(T, RunStats)>
-where
-    T: Sync,
-    F: Fn(&T) -> Job + Sync,
-{
-    let first = take_job_numbers(points.len());
+/// A simulation job not yet built: a worker calls it when it takes the
+/// job, so a queue holds about one built job per worker at a time.
+pub type JobFn = Box<dyn Fn() -> Job + Send + Sync>;
+
+/// One finished job of a [`par_run`] queue.
+pub struct Ran {
+    /// The job's statistics.
+    pub stats: RunStats,
+    /// When a worker took the job (before building it).
+    pub start: Instant,
+    /// When the job finished.
+    pub end: Instant,
+}
+
+/// Build and run `jobs` under `opts` in parallel, returning their
+/// results in input order. [`par_threads`] workers share one queue: each
+/// takes the next job index from an atomic counter as soon as it is free,
+/// so a long job never holds the other workers at a barrier. Traced jobs
+/// are numbered in input order.
+pub fn par_run(opts: &BenchOpts, jobs: &[JobFn]) -> Vec<Ran> {
+    let first = take_job_numbers(jobs.len());
     let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<RunStats>> = (0..points.len()).map(|_| None).collect();
+    let mut out: Vec<Option<Ran>> = (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..par_threads().min(points.len()))
+        let workers: Vec<_> = (0..par_threads().min(jobs.len()))
             .map(|_| {
                 s.spawn(|| {
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(p) = points.get(i) else { break done };
-                        done.push((i, f(p).run_numbered(opts, first + i as u64)));
+                        let Some(build) = jobs.get(i) else { break done };
+                        let start = Instant::now();
+                        let stats = build().run_numbered(opts, first + i as u64);
+                        done.push((i, Ran { stats, start, end: Instant::now() }));
                     }
                 })
             })
             .collect();
         for w in workers {
-            for (i, stats) in w.join().expect("sweep worker panicked") {
-                out[i] = Some(stats);
+            for (i, ran) in w.join().expect("sweep worker panicked") {
+                out[i] = Some(ran);
             }
         }
     });
-    points.into_iter().zip(out).map(|(p, o)| (p, o.expect("filled"))).collect()
+    out.into_iter().map(|o| o.expect("filled")).collect()
 }
 
 /// A result table, printed as TSV and saved under `results/`.
@@ -245,6 +237,8 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Rows.
     pub rows: Vec<Vec<String>>,
+    /// `#` lines printed after the table on stdout but not saved.
+    pub footer: Vec<String>,
 }
 
 impl Table {
@@ -255,6 +249,7 @@ impl Table {
             caption: caption.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            footer: Vec::new(),
         }
     }
 
@@ -276,10 +271,17 @@ impl Table {
         s
     }
 
-    /// Print to stdout and save to `results/<name>.tsv`.
-    pub fn emit(&self) {
+    /// Print to stdout, footer included, and save to
+    /// `results/<name>.tsv` when `save`.
+    pub fn emit(&self, save: bool) {
         let text = self.render();
         print!("{text}");
+        for line in &self.footer {
+            println!("{line}");
+        }
+        if !save {
+            return;
+        }
         let dir = Path::new("results");
         if let Err(e) = std::fs::create_dir_all(dir) {
             panic!("cannot create {}: {e}", dir.display());
@@ -342,16 +344,18 @@ pub fn throughput_kops(stats: &RunStats, txns_per_core: usize, cores: usize) -> 
     (txns_per_core * cores) as f64 / (cycles as f64 / (CYCLES_PER_NS * 1e9)) / 1e3
 }
 
-/// Options shared by every figure binary, parsed from the command line.
-/// Every binary calls [`BenchOpts::parse`] first thing in `main` and
-/// passes the result to each [`Job::run`] (usually through [`par_run`]).
+/// Options of a `reproduce` run, parsed from its command line and passed
+/// to each [`Job::run`] (usually through [`par_run`]).
 ///
-/// Recognised flags: `--smoke`, `--refresh`, `--faults`, `--trace=PATH`,
-/// `--sched=tick|conservative|event`. Unknown arguments are ignored
-/// (binaries may define their own).
+/// Recognised flags: `--only FIGS`, `--smoke`, `--refresh`, `--faults`,
+/// `--trace=PATH`, `--sched=tick|conservative|event`.
 #[derive(Clone, Debug, Default)]
 pub struct BenchOpts {
-    /// `--smoke`: the seconds-long CI variant of a sweep.
+    /// `--only FIGS`: the comma-separated figures to run, by
+    /// [`figs::Figure::name`]; empty runs every figure.
+    pub only: Vec<String>,
+    /// `--smoke`: the seconds-long CI variant of a sweep. Its tables go to
+    /// stdout only, so the committed full-scale files stay as they are.
     pub smoke: bool,
     /// `--refresh`: enable DRAM refresh at each technology's canonical
     /// interval (off by default so published numbers are reproduced).
@@ -369,23 +373,31 @@ pub struct BenchOpts {
     pub sched: SchedMode,
 }
 
-impl BenchOpts {
-    /// Parse the process arguments.
-    pub fn parse() -> BenchOpts {
-        BenchOpts::from_args(std::env::args().skip(1))
-    }
+/// The flags [`BenchOpts::from_args`] accepts, as its errors list them.
+const USAGE: &str = "--only FIGS, --smoke, --refresh, --faults, --trace=PATH, \
+                     --sched=tick|conservative|event";
 
+impl BenchOpts {
     /// Parse from an explicit argument list.
     ///
-    /// # Panics
-    /// Panics on an unknown `--sched=` mode.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> BenchOpts {
+    /// # Errors
+    /// An unknown argument, an unknown `--sched=` mode or an `--only`
+    /// without figures; the message names the valid choices.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
         let mut opts = BenchOpts::default();
-        for a in args {
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
                 "--refresh" => opts.refresh = true,
                 "--faults" => opts.fault = FaultPlan::mild(0xFA17),
+                "--only" => {
+                    let list = args.next().unwrap_or_default();
+                    opts.only = list.split(',').filter(|f| !f.is_empty()).map(String::from).collect();
+                    if opts.only.is_empty() {
+                        return Err("--only needs a comma-separated list of figures".into());
+                    }
+                }
                 s if s.starts_with("--trace=") => {
                     let p = &s["--trace=".len()..];
                     opts.trace = (!p.is_empty()).then(|| p.to_string());
@@ -395,13 +407,17 @@ impl BenchOpts {
                         "tick" => SchedMode::TickByTick,
                         "conservative" => SchedMode::Conservative,
                         "event" => SchedMode::EventDriven,
-                        other => panic!("unknown --sched mode {other:?} (tick|conservative|event)"),
+                        other => {
+                            return Err(format!(
+                                "unknown --sched mode {other:?} (tick|conservative|event)"
+                            ))
+                        }
                     };
                 }
-                _ => {} // binaries may define their own arguments
+                other => return Err(format!("unknown argument {other:?}; valid: {USAGE}")),
             }
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -425,35 +441,24 @@ mod tests {
     use mcs_sim::addr::PhysAddr;
     use mcs_sim::uop::{StatTag, UopKind};
 
+    /// A tiny-machine job loading `n` lines.
+    fn loads(n: u64) -> Job {
+        let load =
+            |i| Uop::new(UopKind::Load { addr: PhysAddr(0x1000 + i * 64), size: 8 }, StatTag::App);
+        Job::single(SystemConfig::tiny(), None, (0..n).map(load).collect(), Pokes::default())
+    }
+
     #[test]
     fn single_job_runs() {
-        let uops = vec![Uop::new(
-            UopKind::Load { addr: PhysAddr(0x1000), size: 8 },
-            StatTag::App,
-        )];
-        let stats = Job::single(SystemConfig::tiny(), None, uops, Pokes::default())
-            .run(&BenchOpts::default());
-        assert_eq!(stats.cores[0].loads, 1);
+        assert_eq!(loads(1).run(&BenchOpts::default()).cores[0].loads, 1);
     }
 
     /// Run one job per point, each loading `n` lines, and check that the
     /// results come back in input order.
     fn assert_par_run_in_order(points: Vec<u64>) {
-        let results = par_run(&BenchOpts::default(), points.clone(), |&n| {
-            let uops: Vec<Uop> = (0..n)
-                .map(|i| {
-                    Uop::new(
-                        UopKind::Load { addr: PhysAddr(0x1000 + i * 64), size: 8 },
-                        StatTag::App,
-                    )
-                })
-                .collect();
-            Job::single(SystemConfig::tiny(), None, uops, Pokes::default())
-        });
-        for (i, (p, st)) in results.iter().enumerate() {
-            assert_eq!(*p, points[i]);
-            assert_eq!(st.cores[0].loads, *p);
-        }
+        let jobs: Vec<JobFn> = points.iter().map(|&n| -> JobFn { Box::new(move || loads(n)) }).collect();
+        let results = par_run(&BenchOpts::default(), &jobs);
+        assert_eq!(results.iter().map(|r| r.stats.cores[0].loads).collect::<Vec<_>>(), points);
     }
 
     #[test]
@@ -481,33 +486,41 @@ mod tests {
         Job::single(SystemConfig::table1_one_core(), None, g.uops, g.pokes)
     }
 
-    fn args(flags: &[&str]) -> BenchOpts {
+    fn parse(flags: &[&str]) -> Result<BenchOpts, String> {
         BenchOpts::from_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    fn args(flags: &[&str]) -> BenchOpts {
+        parse(flags).expect("valid arguments")
     }
 
     #[test]
     fn from_args_parses_every_flag() {
         let o = args(&["--smoke", "--refresh", "--faults", "--trace=out/t", "--sched=tick"]);
-        assert!(o.smoke && o.refresh);
+        assert!(o.smoke && o.refresh && o.only.is_empty());
         assert_eq!(o.fault, FaultPlan::mild(0xFA17));
         assert_eq!(o.trace.as_deref(), Some("out/t"));
         assert_eq!(o.sched, SchedMode::TickByTick);
         assert_eq!(args(&["--sched=conservative"]).sched, SchedMode::Conservative);
         assert_eq!(args(&["--sched=event"]).sched, SchedMode::EventDriven);
         assert_eq!(args(&["--trace="]).trace, None);
+        assert_eq!(args(&["--only", "fig10,fig21"]).only, ["fig10", "fig21"]);
     }
 
     #[test]
-    fn from_args_ignores_unknown_arguments() {
-        let o = args(&["--size=4096", "positional", "--watchdog=100"]);
-        assert!(!o.smoke && !o.refresh && o.fault.is_empty() && o.trace.is_none());
-        assert_eq!(o.sched, SchedMode::EventDriven);
+    fn from_args_rejects_unknown_arguments() {
+        for bad in [&["--smok"][..], &["positional"], &["--size=4096", "--smoke"]] {
+            let err = parse(bad).expect_err("an unknown argument must be rejected");
+            assert!(err.contains(bad[0]) && err.contains("--smoke"), "{err}");
+        }
+        let err = parse(&["--only"]).expect_err("--only without figures");
+        assert!(err.contains("--only"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "unknown --sched mode")]
     fn from_args_rejects_bad_sched() {
-        args(&["--sched=fast"]);
+        let err = parse(&["--sched=fast"]).expect_err("an unknown mode must be rejected");
+        assert!(err.contains("unknown --sched mode"), "{err}");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! memcpy (64 B load + store per line) or through (MC)² (MCLAZY, then
 //! reads of the lazy destination).
 //!
-//! Lives in the library (rather than the `mess_curves` binary) so the
-//! `perf_smoke` throughput benchmark can re-simulate the exact committed
-//! points and byte-compare its rows against `results/mess_curves.tsv`.
+//! The `mess_curves` figure ([`crate::figs::FIGURES`]), the scheduler
+//! tests and the `perfbench` host-speed benchmark all build their points
+//! here, so they simulate the same jobs and format the same rows.
 
 use crate::{f3, marker0, ns, Job, CYCLES_PER_NS};
 use mcs_sim::addr::{PhysAddr, CACHELINE};
@@ -312,8 +312,9 @@ fn total_accesses(stats: &RunStats) -> u64 {
         .sum()
 }
 
-/// Format one TSV data row exactly as `mess_curves` emits it, so callers
-/// can byte-compare re-simulated rows against the committed file.
+/// Format one TSV data row exactly as the `mess_curves` figure emits it,
+/// so callers can byte-compare re-simulated rows against the committed
+/// file.
 pub fn row_for(p: &Point, sc: &Scale, stats: &RunStats) -> Vec<String> {
     let bytes = total_accesses(stats) * CACHELINE;
     let bw_gbps = bytes as f64 * CYCLES_PER_NS / stats.cycles as f64;

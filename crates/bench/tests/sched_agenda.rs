@@ -24,7 +24,7 @@ use mcs_sim::system::SimError;
 use mcs_sim::uop::{StatTag, Uop, UopId, UopKind};
 use mcs_sim::{PhysAddr, SchedMode, System};
 use mcs_workloads::mvcc::{mvcc_multithread, MvccConfig, UpdateKind};
-use mcs_workloads::{CopyMech, Pokes};
+use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
 
 fn run(job: impl Fn() -> Job, sched: SchedMode) -> RunStats {
@@ -128,14 +128,7 @@ fn fig16_eight_core_mcsquare_matches_conservative() {
             };
             let mech = CopyMech::McSquare { threshold: 0 };
             let progs = mvcc_multithread(mech, &wcfg, 8, &mut AddrSpace::dram_3gb());
-            let mut pokes = Pokes::default();
-            let mut programs: Vec<Box<dyn Program>> = Vec::new();
-            for (uops, p) in progs {
-                programs.push(Box::new(FixedProgram::new(uops)));
-                pokes.0.extend(p.0);
-            }
-            let cfg = SystemConfig { cores: 8, ..SystemConfig::table1() };
-            Job { cfg, mc2: Some(McSquareConfig::default()), programs, pokes, max_cycles: 1 << 32 }
+            Job::multi_core(Some(McSquareConfig::default()), progs)
         },
         "fig16 8 cores, (MC)² 25%",
     );

@@ -4,7 +4,7 @@
 //! running the same jobs one after another does.
 #![cfg(feature = "trace")]
 
-use mcs_bench::{par_run, BenchOpts, Job};
+use mcs_bench::{par_run, BenchOpts, Job, JobFn};
 use mcs_sim::config::SystemConfig;
 use mcs_sim::uop::{StatTag, Uop, UopKind};
 use mcs_sim::PhysAddr;
@@ -59,7 +59,8 @@ fn par_run_numbers_trace_files_in_input_order() {
     assert_eq!(want.len(), sizes.len());
     for sweep in ["a", "b"] {
         let dir = root.join(sweep);
-        par_run(&traced(&dir), sizes.clone(), |&n| loads(n));
+        let jobs: Vec<JobFn> = sizes.iter().map(|&n| -> JobFn { Box::new(move || loads(n)) }).collect();
+        par_run(&traced(&dir), &jobs);
         let (_, got) = series_in_order(&dir);
         assert!(got == want, "sweep {sweep}: a job's trace files took another job's number");
     }
