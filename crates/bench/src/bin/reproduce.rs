@@ -1,8 +1,8 @@
 //! Reproduce the evaluation's tables and figures:
 //!
 //! ```text
-//! reproduce [--only FIG,FIG,…] [--smoke] [--refresh] [--faults]
-//!           [--trace=PATH] [--sched=tick|conservative|event]
+//! reproduce [--only FIG,FIG,…] [--smoke] [--trace=PATH]
+//!           [--sched=tick|conservative|event]
 //! ```
 //!
 //! Every selected figure of [`mcs_bench::figs::FIGURES`] (all of them by

@@ -8,7 +8,6 @@
 //! binary runs them.
 
 use mcs_sim::config::SystemConfig;
-use mcs_sim::fault::FaultPlan;
 use mcs_sim::program::{FixedProgram, Program};
 use mcs_sim::stats::RunStats;
 use mcs_sim::system::{SchedMode, System};
@@ -17,7 +16,7 @@ use mcs_sim::Cycle;
 use mcs_workloads::Pokes;
 use mcsquare::{McSquareConfig, McSquareEngine};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 pub mod figs;
@@ -81,31 +80,22 @@ impl Job {
         Job { cfg, mc2, programs, pokes, max_cycles: 40_000_000_000 }
     }
 
-    /// Run to completion under `opts`: `refresh` enables DRAM refresh at
-    /// the technology's canonical interval, `fault` arms its plan when the
-    /// job's own plan is empty, `sched` selects the tick scheduler, and
-    /// `trace` (with the `trace` feature) writes the job's trace outputs.
-    /// With [`BenchOpts::default`] the job runs exactly as configured.
+    /// Run to completion as it is configured, under `opts`: `sched`
+    /// selects the tick scheduler, and `trace` (with the `trace` feature)
+    /// writes the job's trace outputs, numbered 0.
     ///
     /// # Panics
     /// Panics if the simulation exceeds the cycle budget (a bug, not a
     /// measurement).
     pub fn run(self, opts: &BenchOpts) -> RunStats {
-        self.run_numbered(opts, take_job_numbers(1))
+        self.run_numbered(opts, 0)
     }
 
-    /// [`Job::run`] as this process's job number `seq`, which names its
-    /// trace files.
-    fn run_numbered(mut self, opts: &BenchOpts, seq: u64) -> RunStats {
+    /// [`Job::run`] as job number `seq`, which names its trace files.
+    fn run_numbered(mut self, opts: &BenchOpts, seq: usize) -> RunStats {
         #[cfg(not(feature = "trace"))]
         let _ = seq;
         let mut cfg = self.cfg;
-        if opts.refresh {
-            cfg.dram = cfg.dram.with_refresh();
-        }
-        if !opts.fault.is_empty() && cfg.fault.is_empty() {
-            cfg.fault = opts.fault.clone();
-        }
         while self.programs.len() < cfg.cores {
             self.programs.push(Box::new(mcs_sim::program::IdleProgram));
         }
@@ -140,25 +130,12 @@ impl Job {
     }
 }
 
-/// Job numbers handed out so far in this process (see
-/// [`take_job_numbers`]).
-static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Reserve `n` consecutive job numbers and return the first. Numbers
-/// are taken when jobs are issued, not when they finish: a [`Job::run`]
-/// takes one, and a [`par_run`] one block for all its jobs in input
-/// order, so a job's number does not depend on how its sweep's workers
-/// interleave.
-fn take_job_numbers(n: usize) -> u64 {
-    JOB_SEQ.fetch_add(n as u64, Ordering::Relaxed)
-}
-
 /// Write the armed trace sink's three consumer outputs next to `base`
 /// (the `--trace=<base>` path): a Perfetto-loadable Chrome trace, the
 /// epoch-sampled time series, and the per-class latency histograms. Each
 /// job of a sweep gets its own file set, numbered `seq`.
 #[cfg(feature = "trace")]
-fn write_trace_outputs(base: &str, seq: u64, sink: &mcs_trace::TraceSink) {
+fn write_trace_outputs(base: &str, seq: usize, sink: &mcs_trace::TraceSink) {
     let stem = format!("{base}.job{seq}");
     write_or_panic(
         Path::new(&format!("{stem}.trace.json")),
@@ -197,9 +174,8 @@ pub struct Ran {
 /// results in input order. [`par_threads`] workers share one queue: each
 /// takes the next job index from an atomic counter as soon as it is free,
 /// so a long job never holds the other workers at a barrier. Traced jobs
-/// are numbered in input order.
+/// are numbered by their index in `jobs`, whichever worker runs them.
 pub fn par_run(opts: &BenchOpts, jobs: &[JobFn]) -> Vec<Ran> {
-    let first = take_job_numbers(jobs.len());
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<Ran>> = (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|s| {
@@ -211,7 +187,7 @@ pub fn par_run(opts: &BenchOpts, jobs: &[JobFn]) -> Vec<Ran> {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(build) = jobs.get(i) else { break done };
                         let start = Instant::now();
-                        let stats = build().run_numbered(opts, first + i as u64);
+                        let stats = build().run_numbered(opts, i);
                         done.push((i, Ran { stats, start, end: Instant::now() }));
                     }
                 })
@@ -347,8 +323,8 @@ pub fn throughput_kops(stats: &RunStats, txns_per_core: usize, cores: usize) -> 
 /// Options of a `reproduce` run, parsed from its command line and passed
 /// to each [`Job::run`] (usually through [`par_run`]).
 ///
-/// Recognised flags: `--only FIGS`, `--smoke`, `--refresh`, `--faults`,
-/// `--trace=PATH`, `--sched=tick|conservative|event`.
+/// Recognised flags: `--only FIGS`, `--smoke`, `--trace=PATH`,
+/// `--sched=tick|conservative|event`.
 #[derive(Clone, Debug, Default)]
 pub struct BenchOpts {
     /// `--only FIGS`: the comma-separated figures to run, by
@@ -357,15 +333,9 @@ pub struct BenchOpts {
     /// `--smoke`: the seconds-long CI variant of a sweep. Its tables go to
     /// stdout only, so the committed full-scale files stay as they are.
     pub smoke: bool,
-    /// `--refresh`: enable DRAM refresh at each technology's canonical
-    /// interval (off by default so published numbers are reproduced).
-    pub refresh: bool,
-    /// `--faults`: the mild every-class fault plan, armed on jobs that do
-    /// not carry a plan of their own (empty = inject nothing).
-    pub fault: FaultPlan,
     /// `--trace=PATH`: arm event tracing around each job and write
     /// `<PATH>.jobN.trace.json` plus companion series/histogram TSVs,
-    /// where `N` numbers the process's jobs in the order they were issued;
+    /// where `N` is the job's index in its [`par_run`] queue;
     /// see DESIGN.md, "Observability layer". Ignored when the `trace`
     /// feature is off.
     pub trace: Option<String>,
@@ -374,8 +344,7 @@ pub struct BenchOpts {
 }
 
 /// The flags [`BenchOpts::from_args`] accepts, as its errors list them.
-const USAGE: &str = "--only FIGS, --smoke, --refresh, --faults, --trace=PATH, \
-                     --sched=tick|conservative|event";
+const USAGE: &str = "--only FIGS, --smoke, --trace=PATH, --sched=tick|conservative|event";
 
 impl BenchOpts {
     /// Parse from an explicit argument list.
@@ -389,8 +358,6 @@ impl BenchOpts {
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
-                "--refresh" => opts.refresh = true,
-                "--faults" => opts.fault = FaultPlan::mild(0xFA17),
                 "--only" => {
                     let list = args.next().unwrap_or_default();
                     opts.only = list.split(',').filter(|f| !f.is_empty()).map(String::from).collect();
@@ -473,8 +440,8 @@ mod tests {
         assert_par_run_in_order(vec![4_000, 1, 2, 3, 4, 5, 6, 7]);
     }
 
-    /// A 256 KB memcpy on the pure one-core Table I machine: about 120k
-    /// cycles, so it spans several DDR4 refresh intervals.
+    /// A 256 KB memcpy on the pure one-core Table I machine (about 120k
+    /// cycles).
     fn copy_job() -> Job {
         let mut space = mcs_sim::alloc::AddrSpace::dram_3gb();
         let g = mcs_workloads::micro::copy_latency(
@@ -496,9 +463,8 @@ mod tests {
 
     #[test]
     fn from_args_parses_every_flag() {
-        let o = args(&["--smoke", "--refresh", "--faults", "--trace=out/t", "--sched=tick"]);
-        assert!(o.smoke && o.refresh && o.only.is_empty());
-        assert_eq!(o.fault, FaultPlan::mild(0xFA17));
+        let o = args(&["--smoke", "--trace=out/t", "--sched=tick"]);
+        assert!(o.smoke && o.only.is_empty());
         assert_eq!(o.trace.as_deref(), Some("out/t"));
         assert_eq!(o.sched, SchedMode::TickByTick);
         assert_eq!(args(&["--sched=conservative"]).sched, SchedMode::Conservative);
@@ -521,20 +487,6 @@ mod tests {
     fn from_args_rejects_bad_sched() {
         let err = parse(&["--sched=fast"]).expect_err("an unknown mode must be rejected");
         assert!(err.contains("unknown --sched mode"), "{err}");
-    }
-
-    #[test]
-    fn refresh_option_enables_refresh() {
-        let opts = BenchOpts { refresh: true, ..BenchOpts::default() };
-        let stats = copy_job().run(&opts);
-        assert!(stats.mcs.iter().map(|m| m.refreshes).sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn fault_option_arms_the_plan() {
-        let opts = BenchOpts { fault: FaultPlan::mild(0xFA17), ..BenchOpts::default() };
-        let stats = copy_job().run(&opts);
-        assert!(stats.mcs.iter().map(|m| m.fault_events()).sum::<u64>() > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Traced jobs name their files by the order they were issued, not the
-//! order they finished: a `par_run` sweep whose first job is its longest
-//! must write that job's files under the sweep's first number, exactly as
-//! running the same jobs one after another does.
+//! Traced jobs name their files by their index in the `par_run` queue,
+//! not by the order they finished: a sweep whose first job is its longest
+//! must write that job's files as job 0, and each job's files must equal
+//! those of the same job run on its own.
 #![cfg(feature = "trace")]
 
 use mcs_bench::{par_run, BenchOpts, Job, JobFn};
@@ -25,9 +25,9 @@ fn traced(dir: &Path) -> BenchOpts {
     BenchOpts { trace: Some(dir.join("t").display().to_string()), ..BenchOpts::default() }
 }
 
-/// The series TSVs under `dir`, in job-number order, with the first
-/// number; the numbers must be consecutive.
-fn series_in_order(dir: &Path) -> (u64, Vec<String>) {
+/// The series TSVs under `dir`, in job-number order; the numbers must
+/// run from 0 without a gap.
+fn series_in_order(dir: &Path) -> Vec<String> {
     let mut files: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
         .expect("read trace dir")
         .map(|e| e.expect("dir entry").path())
@@ -38,30 +38,30 @@ fn series_in_order(dir: &Path) -> (u64, Vec<String>) {
         })
         .collect();
     files.sort();
-    let first = files.first().expect("trace files written").0;
     for (k, (n, _)) in files.iter().enumerate() {
-        assert_eq!(*n, first + k as u64, "job numbers in {dir:?} are not consecutive");
+        assert_eq!(*n, k as u64, "job numbers in {dir:?} do not count from 0");
     }
-    (first, files.iter().map(|(_, p)| std::fs::read_to_string(p).expect("read")).collect())
+    files.iter().map(|(_, p)| std::fs::read_to_string(p).expect("read")).collect()
 }
 
 #[test]
-fn par_run_numbers_trace_files_in_input_order() {
+fn par_run_numbers_trace_files_by_queue_index() {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_numbering");
     let _ = std::fs::remove_dir_all(&root);
     // The first job is the longest, so other workers finish theirs first.
-    let sizes = vec![6_000u64, 40, 80, 120, 160];
-    let serial = traced(&root.join("serial"));
-    for &n in &sizes {
-        loads(n).run(&serial);
+    let sizes = [6_000u64, 40, 80, 120, 160];
+    let mut want = Vec::new();
+    for (k, &n) in sizes.iter().enumerate() {
+        let dir = root.join(format!("alone{k}"));
+        loads(n).run(&traced(&dir));
+        want.extend(series_in_order(&dir));
     }
-    let (_, want) = series_in_order(&root.join("serial"));
     assert_eq!(want.len(), sizes.len());
     for sweep in ["a", "b"] {
         let dir = root.join(sweep);
         let jobs: Vec<JobFn> = sizes.iter().map(|&n| -> JobFn { Box::new(move || loads(n)) }).collect();
         par_run(&traced(&dir), &jobs);
-        let (_, got) = series_in_order(&dir);
+        let got = series_in_order(&dir);
         assert!(got == want, "sweep {sweep}: a job's trace files took another job's number");
     }
 }

@@ -15,7 +15,7 @@ use mcs_sim::addr::PhysAddr;
 use mcs_sim::config::SystemConfig;
 use mcs_sim::fault::FaultPlan;
 use mcs_sim::program::FixedProgram;
-use mcs_sim::system::System;
+use mcs_sim::system::{SchedMode, SimError, System};
 use mcs_sim::uop::{StatTag, StoreData, Uop, UopKind};
 use mcsquare::config::McSquareConfig;
 use mcsquare::engine::McSquareEngine;
@@ -41,25 +41,17 @@ fn pattern(len: usize, seed: u8) -> Vec<u8> {
     (0..len).map(|i| (i as u64 * 131 + seed as u64).wrapping_rem(251) as u8).collect()
 }
 
-/// Tick the system to completion, auditing every `stride` cycles —
-/// coarse enough to be fast, fine enough to catch transient states the
-/// production 1024-cycle cadence would step over.
+/// Run the reference tick loop to completion in slices of `stride`
+/// cycles, auditing after each slice — coarse enough to be fast, fine
+/// enough to catch transient states the production 1024-cycle cadence
+/// would step over. `run` audits the drained machine itself.
 fn run_audited(sys: &mut System, stride: u64, max_cycles: u64) {
-    let mut since_done = 0u32;
-    for i in 0..max_cycles {
-        sys.tick();
-        if i % stride == 0 {
-            sys.validate_invariants(false);
-        }
-        // Mirror System::run's quiescence detection via public probes:
-        // once stats stop changing and the engine reports no activity the
-        // run is over. Simpler: rely on cores_finished + a settle window.
-        if sys.cores_finished() {
-            since_done += 1;
-            if since_done > 2_000 {
-                sys.validate_invariants(true);
-                return;
-            }
+    sys.set_sched_mode(SchedMode::TickByTick);
+    while sys.now() < max_cycles {
+        match sys.run(stride) {
+            Ok(_) => return,
+            Err(SimError::Timeout { .. }) => sys.validate_invariants(false),
+            Err(e) => panic!("{e}"),
         }
     }
     panic!("workload did not finish within {max_cycles} cycles");

@@ -677,13 +677,6 @@ impl Core {
         self.clwbs.iter().any(|c| !c.sent)
     }
 
-    /// [`Core::can_act`], or some store or writeback is unsent even though
-    /// it cannot go yet. Gates the whole-machine idle skip-ahead, which
-    /// must not jump while this holds (DESIGN.md §2.10, trap 1).
-    pub fn has_internal_work(&self) -> bool {
-        self.can_act() || self.has_unsent_stores() || self.has_unsent_clwbs()
-    }
-
     fn try_dispatch(
         &mut self,
         now: Cycle,

@@ -218,7 +218,7 @@ impl MemCtrl {
         hint
     }
 
-    /// The event-driven scheduler's cached readiness verdict: `None` means
+    /// The event-driven scheduler's sleep verdict: `None` means
     /// the controller has immediate work and must tick every cycle (a
     /// forwarded engine read, or a retry the engine did not answer with
     /// [`Verdict::Wait`]); `Some(wake)` means ticking before cycle `wake`
@@ -263,10 +263,12 @@ impl MemCtrl {
     }
 
     /// Apply what the executed cycles this controller was elided for
-    /// would have done to its state; call before [`Self::tick`] when it
-    /// was elided at least once since it last ticked, the last time at
-    /// `last_elided`. The reference schedule runs a controller on every
-    /// executed cycle, and each elided one did at most two things:
+    /// would have done to its state; call before [`Self::tick`] with the
+    /// last executed cycle, `last_executed`. A no-op when the controller
+    /// ticked in that cycle; otherwise it was elided on every executed
+    /// cycle since it last ticked. The reference schedule runs a
+    /// controller on every executed cycle, and each elided one did at
+    /// most two things:
     ///
     /// * Past an injected stall, with requests queued, it re-ran the
     ///   drain-mode hysteresis on unchanged queues. The hysteresis is
@@ -278,14 +280,17 @@ impl MemCtrl {
     ///   forbids the whole-machine skip ([`Self::next_event`]), so every
     ///   cycle since [`Self::tick`] last ran was elided, and the stall
     ///   window cannot move while the controller sleeps.
-    pub fn replay_elided(&mut self, last_elided: Cycle, engine: &mut dyn CopyEngine) {
+    pub fn replay_elided(&mut self, last_executed: Cycle, engine: &mut dyn CopyEngine) {
+        if last_executed <= self.last_tick {
+            return;
+        }
         let stall_until = self.fault.as_ref().map_or(0, |f| f.stall_until);
         let queued = !self.rpq.is_empty() || !self.wpq.is_empty();
-        if queued && last_elided >= stall_until {
+        if queued && last_executed >= stall_until {
             self.update_drain_mode();
         }
         if self.parked {
-            let (first, end) = (self.last_tick + 1, last_elided + 1);
+            let (first, end) = (self.last_tick + 1, last_executed + 1);
             let waits_from = stall_until.clamp(first, end);
             self.stats.fault_stall_cycles += waits_from - first;
             self.stats.input_stall_cycles += end - waits_from;
@@ -1201,7 +1206,6 @@ mod tests {
         let (mut parked_elided, mut parked_stalled) = (0, 0);
         let mut next = traffic.iter().peekable();
         let mut wake = Some(0);
-        let mut last_elided = None;
         let mut woken = 0;
         for now in 0..HORIZON + DRAIN {
             while let Some((_, pkt)) = next.next_if(|(at, _)| *at == now) {
@@ -1218,18 +1222,16 @@ mod tests {
                 || twin_in.peek(now).is_some()
                 || twin_eng.needs_tick(twin.id)
             {
-                if let Some(last) = last_elided.take() {
+                // As the system does: every cycle here is executed.
+                if let Some(last) = now.checked_sub(1) {
                     twin.replay_elided(last, &mut twin_eng);
                 }
                 tick_logged(&mut twin, now, &mut twin_in, &mut twin_eng, &mut twin_mem, &mut twin_log);
                 wake = twin.readiness();
                 woken += 1;
-            } else {
-                last_elided = Some(now);
-                if twin.parked {
-                    parked_elided += 1;
-                    parked_stalled += u64::from(twin.fault.as_ref().is_some_and(|f| now < f.stall_until));
-                }
+            } else if twin.parked {
+                parked_elided += 1;
+                parked_stalled += u64::from(twin.fault.as_ref().is_some_and(|f| now < f.stall_until));
             }
         }
         Twins {

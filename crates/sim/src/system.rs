@@ -126,44 +126,6 @@ pub enum SchedMode {
     EventDriven,
 }
 
-/// Cached readiness of a component, valid until it next executes: all
-/// scheduling-relevant state of a core mutates only inside its own phase
-/// (inbox arrival is covered separately: the sender posts a wake on the
-/// agenda, and the inbox is peeked when it comes due), so the verdict
-/// computed right after an execution holds for every elided cycle since.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Readiness {
-    /// Has immediate internal work: must execute every cycle.
-    Active,
-    /// Nothing to do before this cycle (`Cycle::MAX` = only external
-    /// input can wake it).
-    WakeAt(Cycle),
-    /// The core ran its program to completion: never self-wakes and its
-    /// elided cycles are not idle-accounted (a finished core's tick is a
-    /// no-op, not a stall).
-    Finished,
-}
-
-impl Readiness {
-    /// Whether the component has work of its own at `now`.
-    fn ready(self, now: Cycle) -> bool {
-        match self {
-            Readiness::Active => true,
-            Readiness::WakeAt(w) => w <= now,
-            Readiness::Finished => false,
-        }
-    }
-
-    /// Its self-wake on the agenda, once looked at in cycle `now`.
-    fn wake(self, now: Cycle) -> Cycle {
-        match self {
-            Readiness::Active => now + 1,
-            Readiness::WakeAt(w) => w,
-            Readiness::Finished => Cycle::MAX,
-        }
-    }
-}
-
 /// The agenda entry a link posts for its receiver: the cycle its head
 /// becomes deliverable (`Cycle::MAX` when empty). FIFO links never hold a
 /// head later than a newer message, so this bounds every queued arrival.
@@ -196,14 +158,13 @@ pub struct System {
     idle_pending: Vec<u64>,
     /// First cycle of core `i`'s current elision streak.
     idle_first: Vec<Cycle>,
-    /// Cached per-core readiness, recomputed after each execution of the
-    /// core's phase. `Active` is the safe reset value (never elides).
-    core_ready: Vec<Readiness>,
-    /// [`Core::has_internal_work`] at core `i`'s last execution: the
-    /// whole-machine skip gate. Looser than `core_ready` (a store waiting
-    /// on a load in flight blocks skipping but not elision), which keeps
-    /// the set of executed cycles independent of how precisely components
-    /// are elided.
+    /// Whether core `i` could act, or held an unsent store or writeback,
+    /// after its last execution: the whole-machine skip gate, under both
+    /// skipping schedulers. Looser than the core's sleep verdict (a store
+    /// waiting on a load in flight blocks skipping but not elision), which
+    /// keeps the set of executed cycles independent of how precisely
+    /// components are elided; the skip must not jump while it holds
+    /// (DESIGN.md §2.10, trap 1).
     core_blocks_skip: Vec<bool>,
     /// L1 `i` refused its core's head request (MSHRs full) when it last
     /// ran; until an LLC message can free an MSHR, retrying is a no-op.
@@ -212,20 +173,23 @@ pub struct System {
     /// LLC last ran; until the LLC runs again its state is unchanged, so
     /// the head would be refused again and does not wake it.
     llc_refused: Vec<bool>,
-    /// Cached per-controller readiness (never `Finished`). Engine state is
-    /// shared across controllers, so whether the engine has news for a
-    /// controller (`CopyEngine::needs_tick`) is asked separately, whenever
-    /// a controller phase may have changed it (step 4 of `visit`).
-    mc_ready: Vec<Readiness>,
-    /// Last executed cycle at which controller `i` was elided since it
-    /// last ran (replayed by [`MemCtrl::replay_elided`] before it next
-    /// runs).
-    mc_last_elided: Vec<Option<Cycle>>,
+    /// Controller `i`'s own wake, from [`MemCtrl::readiness`] when it last
+    /// ran: the cycle after that run if it had immediate work. Valid until
+    /// it next runs. Engine state is shared across controllers, so whether
+    /// the engine has news for a controller (`CopyEngine::needs_tick`) is
+    /// asked separately, whenever a controller phase may have changed it
+    /// (step 4 of `visit`).
+    mc_wake: Vec<Cycle>,
+    /// The last executed cycle. A controller that did not run in it was
+    /// elided on every executed cycle since it last ran, which
+    /// [`MemCtrl::replay_elided`] replays before it next runs.
+    last_executed: Option<Cycle>,
     /// The agenda: for each component, a lower bound on the first cycle
-    /// at which its run predicate can hold. A sender lowers the
-    /// receiver's entry when it pushes a message; a component's own entry
-    /// is recomputed from its cached readiness and inbound queue heads
-    /// each time the event-driven loop looks at it. 0 = look next cycle.
+    /// at which it has work. A sender lowers the receiver's entry when it
+    /// pushes a message; a component's own entry is recomputed from its
+    /// state and inbound queue heads each time the event-driven loop
+    /// looks at it. A core runs exactly when its entry is due. 0 = look
+    /// next cycle.
     due_core: Vec<Cycle>,
     due_l1: Vec<Cycle>,
     due_llc: Cycle,
@@ -342,12 +306,11 @@ impl System {
             sched: SchedMode::EventDriven,
             idle_pending: vec![0; n],
             idle_first: vec![0; n],
-            core_ready: vec![Readiness::Active; n],
             core_blocks_skip: vec![true; n],
             l1_refused: vec![false; n],
             llc_refused: vec![false; n],
-            mc_ready: vec![Readiness::Active; cfg.channels],
-            mc_last_elided: vec![None; cfg.channels],
+            mc_wake: vec![0; cfg.channels],
+            last_executed: None,
             due_core: vec![0; n],
             due_l1: vec![0; n],
             due_llc: 0,
@@ -424,13 +387,8 @@ impl System {
         self.mem.read_bytes(addr, len)
     }
 
-    /// Advance one cycle, ticking every component unconditionally.
-    pub fn tick(&mut self) {
-        // A caller may interleave manual ticks with event-driven runs:
-        // settle any batched idle accounting before executing everything,
-        // and drop the cached readiness verdicts (`Active` never elides).
-        self.flush_idle();
-        self.reset_readiness();
+    /// Execute cycle `now` the reference way: every component runs.
+    fn tick(&mut self) {
         let now = self.now;
         for i in 0..self.cores.len() {
             self.phase_core(now, i);
@@ -447,38 +405,36 @@ impl System {
 
     /// Execute cycle `now` under the agenda: look only at components whose
     /// agenda entry has come due, and run each exactly when the reference
-    /// predicate holds for it (cached readiness, a deliverable inbox, the
-    /// refusal flags). The agenda only chooses what gets checked, so this
-    /// executes the same architectural events as [`System::tick`] at this
-    /// cycle. Elided cores have their per-cycle accounting batched and
-    /// replayed by [`Core::account_idle`] before they next run.
+    /// predicate holds for it (a timer or immediate work of its own, a
+    /// deliverable inbox, the refusal flags). The agenda only chooses what
+    /// gets checked, so this executes the same architectural events as
+    /// [`System::tick`] at this cycle. Elided cores have their per-cycle
+    /// accounting batched and replayed by [`Core::account_idle`] before
+    /// they next run.
     fn visit(&mut self) {
         let now = self.now;
 
         // 1. Cores. A core can act only when its inbox has a deliverable
         //    response, it has internal work, or an internal timer (compute
-        //    completion, delayed load issue) has matured.
+        //    completion, delayed load issue) has matured. Its entry is the
+        //    earliest of these, and every sender lowers it to the head it
+        //    pushed, so a due core always has one of them.
         for i in 0..self.cores.len() {
-            let due = self.due_core[i] <= now;
-            if due && (self.core_ready[i].ready(now) || self.l1_to_core[i].peek(now).is_some()) {
-                self.flush_idle_core(i);
-                self.phase_core(now, i);
-                let c = &self.cores[i];
-                let act = c.can_act();
-                self.core_ready[i] = if c.finished() {
-                    Readiness::Finished
-                } else if act {
-                    Readiness::Active
-                } else {
-                    Readiness::WakeAt(c.wake_at().unwrap_or(Cycle::MAX))
-                };
-                self.core_blocks_skip[i] = act || c.has_unsent_stores() || c.has_unsent_clwbs();
-            } else {
+            if self.due_core[i] > now {
                 self.idle_core(i, now, 1);
+                continue;
             }
-            if due {
-                self.due_core[i] = self.core_ready[i].wake(now).min(head(&self.l1_to_core[i]));
-            }
+            self.flush_idle_core(i);
+            let act = self.phase_core(now, i);
+            let c = &self.cores[i];
+            let wake = if act {
+                now + 1
+            } else if c.finished() {
+                Cycle::MAX
+            } else {
+                c.wake_at().unwrap_or(Cycle::MAX)
+            };
+            self.due_core[i] = wake.min(head(&self.l1_to_core[i]));
         }
 
         // 2. L1s are purely message-driven: no input, no work. A refused
@@ -507,22 +463,22 @@ impl System {
 
         // 4. MCs: deliverable input, a due completion, refresh window or
         //    request issue, or news from the engine (background work, or
-        //    a change that may let a parked retry in). The cached
-        //    readiness covers controller-internal state (valid until the
-        //    controller next ticks). Engine state is shared and changes
-        //    only inside controller phases, so `needs_tick` is re-probed
-        //    for a controller that is not due only after another one ran
-        //    in this cycle, and after such a cycle every controller it
-        //    holds for is put on the agenda for the next one. Refresh
-        //    windows count as work so `sync` applies them (and stats/trace
-        //    see them) at exactly the cycles the full tick would. Blocked
+        //    a change that may let a parked retry in). `mc_wake` covers
+        //    controller-internal state (valid until the controller next
+        //    ticks). Engine state is shared and changes only inside
+        //    controller phases, so `needs_tick` is re-probed for a
+        //    controller that is not due only after another one ran in
+        //    this cycle, and after such a cycle every controller it holds
+        //    for is put on the agenda for the next one. Refresh windows
+        //    count as work so `sync` applies them (and stats/trace see
+        //    them) at exactly the cycles the full tick would. Blocked
         //    input stays at the head of the controller's queue, so it
         //    keeps the controller due and its input-stall count exact.
         let mut mc_ran = false;
         for i in 0..self.mcs.len() {
             let due = self.due_mc[i] <= now;
             let run = if due {
-                self.mc_ready[i].ready(now)
+                self.mc_wake[i] <= now
                     || self.bus.to_mc[i].peek(now).is_some()
                     || self.engine.needs_tick(i)
             } else {
@@ -530,16 +486,11 @@ impl System {
             };
             if run {
                 self.phase_mc(now, i);
-                self.mc_ready[i] = match self.mcs[i].readiness() {
-                    None => Readiness::Active,
-                    Some(w) => Readiness::WakeAt(w),
-                };
+                self.mc_wake[i] = self.mcs[i].readiness().unwrap_or(now + 1);
                 mc_ran = true;
-            } else {
-                self.mc_last_elided[i] = Some(now);
             }
             if due || run {
-                self.due_mc[i] = self.mc_ready[i].wake(now).min(head(&self.bus.to_mc[i]));
+                self.due_mc[i] = self.mc_wake[i].min(head(&self.bus.to_mc[i]));
             }
         }
         if mc_ran {
@@ -572,7 +523,7 @@ impl System {
     /// Batch `k` elided cycles starting at `first` into core `i`'s idle
     /// accounting (a finished core's elided cycles are not accounted).
     fn idle_core(&mut self, i: usize, first: Cycle, k: u64) {
-        if self.core_ready[i] != Readiness::Finished {
+        if !self.cores[i].finished() {
             if self.idle_pending[i] == 0 {
                 self.idle_first[i] = first;
             }
@@ -580,8 +531,9 @@ impl System {
         }
     }
 
-    /// Phase 1 for core `i`: consume L1 responses, then advance.
-    fn phase_core(&mut self, now: Cycle, i: usize) {
+    /// Phase 1 for core `i`: consume L1 responses, then advance. Returns
+    /// [`Core::can_act`] after the advance.
+    fn phase_core(&mut self, now: Cycle, i: usize) -> bool {
         self.sched_stats.core_execs += 1;
         while let Some(msg) = self.l1_to_core[i].pop(now) {
             self.in_flight -= 1;
@@ -601,6 +553,10 @@ impl System {
             self.due_l1[i] = self.due_l1[i].min(self.l1_inbox(i));
         }
         self.scratch_core = out;
+        let c = &self.cores[i];
+        let act = c.can_act();
+        self.core_blocks_skip[i] = act || c.has_unsent_stores() || c.has_unsent_clwbs();
+        act
     }
 
     /// Phase 2 for L1 `i`: consume LLC messages, then core requests (with
@@ -717,7 +673,7 @@ impl System {
     /// Phase 4 for memory controller `i`.
     fn phase_mc(&mut self, now: Cycle, i: usize) {
         self.sched_stats.mc_execs += 1;
-        if let Some(last) = self.mc_last_elided[i].take() {
+        if let Some(last) = self.last_executed {
             self.mcs[i].replay_elided(last, self.engine.as_mut());
         }
         let mut out = std::mem::take(&mut self.scratch_mc);
@@ -751,6 +707,7 @@ impl System {
 
         self.sched_stats.visited_cycles += 1;
         self.sched_stats.executed_cycles += 1;
+        self.last_executed = Some(now);
         self.now += 1;
     }
 
@@ -787,7 +744,7 @@ impl System {
         for i in 0..self.cores.len() {
             self.idle_core(i, from, span);
         }
-        self.mc_last_elided.fill(Some(to - 1));
+        self.last_executed = Some(to - 1);
         self.sched_stats.executed_cycles += span;
         self.now = to;
     }
@@ -810,22 +767,21 @@ impl System {
         }
     }
 
-    /// Replay all cores' batched idle accounting (run exits, mode mixes).
+    /// Replay all cores' batched idle accounting (run exits).
     fn flush_idle(&mut self) {
         for i in 0..self.cores.len() {
             self.flush_idle_core(i);
         }
     }
 
-    /// Invalidate all cached readiness verdicts. Called whenever component
-    /// state may have changed outside the event-driven loop's own phases
-    /// (manual ticks, run entry after external setters).
-    fn reset_readiness(&mut self) {
-        self.core_ready.fill(Readiness::Active);
-        self.core_blocks_skip.fill(true);
+    /// Put every component on the agenda for the next cycle and drop the
+    /// refusal flags, so the event-driven loop looks at everything once.
+    /// Called at run entry: a mode switch or an external setter may have
+    /// changed component state outside the loop's own phases.
+    fn reset_agenda(&mut self) {
         self.l1_refused.fill(false);
         self.llc_refused.fill(false);
-        self.mc_ready.fill(Readiness::Active);
+        self.mc_wake.fill(0);
         self.due_core.fill(0);
         self.due_l1.fill(0);
         self.due_llc = 0;
@@ -977,20 +933,9 @@ impl System {
     /// stalled on external events, and those events are all in the
     /// future. The cheap all-cores-inactive gate runs first so
     /// configurations that cannot skip (an active core) never pay for
-    /// the link scan. Under the event-driven scheduler the cached flags
-    /// give the same answer in O(cores): `has_internal_work` at a core's
-    /// last execution cannot change while it is elided.
+    /// the link scan. A core's flag cannot change while it is elided.
     fn skip_gate(&self) -> Option<Cycle> {
-        let cores_inactive = match self.sched {
-            SchedMode::TickByTick => false,
-            SchedMode::EventDriven => self.core_blocks_skip.iter().all(|b| !b),
-            SchedMode::Conservative => self
-                .cores
-                .iter()
-                .enumerate()
-                .all(|(i, c)| self.idle_pending[i] > 0 || c.finished() || !c.has_internal_work()),
-        };
-        if cores_inactive {
+        if self.sched != SchedMode::TickByTick && self.core_blocks_skip.iter().all(|b| !b) {
             self.skip_target()
         } else {
             None
@@ -1109,7 +1054,7 @@ impl System {
         let mut idle_ticks: Cycle = 0;
         // External setters (fault plans, mode switches) may have touched
         // component state since the last run: start from a clean slate.
-        self.reset_readiness();
+        self.reset_agenda();
         let agenda = self.sched == SchedMode::EventDriven;
         while self.now < end {
             if agenda {
@@ -1287,7 +1232,7 @@ impl System {
 
     /// Audit global invariants: coherence directory agreement, copy-engine
     /// internal state, CTT/cache exclusivity, and stats sanity. Called
-    /// periodically from [`System::tick`] and, with `quiescent = true`
+    /// every 1024 executed cycles of a run and, with `quiescent = true`
     /// (which adds the strict end-state checks), when a run completes.
     ///
     /// # Panics
@@ -1591,12 +1536,11 @@ mod tests {
     }
 
     #[test]
-    fn manual_tick_between_event_driven_runs_matches_conservative() {
-        // A run cut short by its budget, one manual tick, then a run to
-        // completion: the manual tick runs every component outside the
-        // agenda, and the second `run` rebuilds its agenda from scratch.
-        // The machine must end exactly as under `Conservative`.
-        let run = |mode| {
+    fn interrupted_event_driven_run_matches_conservative() {
+        // Runs cut short by their budget, then a run to completion: each
+        // `run` rebuilds its agenda from scratch, and the machine must end
+        // exactly as one uninterrupted `Conservative` run does.
+        let run = |mode, budgets: &[Cycle]| {
             let mut cfg = SystemConfig::tiny();
             cfg.cores = 2;
             let p0: Vec<Uop> = (0..16u64).map(|i| ld(0x10000 + i * 4096, 8)).collect();
@@ -1606,12 +1550,13 @@ mod tests {
                 vec![Box::new(FixedProgram::new(p0)), Box::new(FixedProgram::new(p1))],
             );
             sys.set_sched_mode(mode);
-            assert!(matches!(sys.run(60), Err(SimError::Timeout { .. })));
-            sys.tick();
+            for &b in budgets {
+                assert!(matches!(sys.run(b), Err(SimError::Timeout { .. })));
+            }
             let stats = sys.run(1_000_000).expect("finishes");
             (RunStats { sched: SchedStats::default(), ..stats }, sys.now())
         };
-        assert_eq!(run(SchedMode::Conservative), run(SchedMode::EventDriven));
+        assert_eq!(run(SchedMode::Conservative, &[]), run(SchedMode::EventDriven, &[60, 1, 1, 40]));
     }
 
     #[test]

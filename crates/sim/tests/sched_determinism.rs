@@ -220,7 +220,7 @@ fn stress_workload_reaches_the_corner_cases() {
     let (mut mshr_peak, mut wpq_peak) = (0, 0);
     while !sys.cores_finished() {
         assert!(sys.now() < 2_000_000, "stress workload must finish");
-        sys.tick();
+        let _ = sys.run(1);
         let (_, _, _, mshrs, _) = sys.probe();
         mshr_peak = mshr_peak.max(mshrs.into_iter().max().unwrap_or(0));
         wpq_peak = wpq_peak.max(sys.probe_mc().iter().map(|q| q.1).max().unwrap_or(0));
