@@ -248,15 +248,14 @@ pub struct LinkConfig {
     pub core_l1: u64,
     /// L1 ↔ LLC.
     pub l1_llc: u64,
-    /// LLC ↔ memory controller (the memory interconnect hop).
+    /// Into the LLC or a memory controller (the memory interconnect hop;
+    /// MC ↔ MC bounces share a controller's one inbound FIFO).
     pub llc_mc: u64,
-    /// MC ↔ MC (bounces and CTT broadcasts traverse the same interconnect).
-    pub mc_mc: u64,
 }
 
 impl Default for LinkConfig {
     fn default() -> Self {
-        LinkConfig { core_l1: 1, l1_llc: 12, llc_mc: 40, mc_mc: 40 }
+        LinkConfig { core_l1: 1, l1_llc: 12, llc_mc: 40 }
     }
 }
 
@@ -381,7 +380,7 @@ impl SystemConfig {
                 ..DramConfig::default()
             },
             mc: McConfig { rpq_cap: 8, wpq_cap: 8, wpq_drain_hi: 0.7, wpq_drain_lo: 0.2 },
-            links: LinkConfig { core_l1: 1, l1_llc: 2, llc_mc: 4, mc_mc: 4 },
+            links: LinkConfig { core_l1: 1, l1_llc: 2, llc_mc: 4 },
             fault: crate::fault::FaultPlan::none(),
         }
     }

@@ -175,21 +175,6 @@ impl Core {
         self.finished
     }
 
-    /// Number of issued (sent to L1) loads in flight (diagnostics).
-    pub fn issued_loads(&self) -> usize {
-        self.loads.iter().filter(|l| l.issued).count()
-    }
-
-    /// Store-buffer occupancy (diagnostics).
-    pub fn sb_len(&self) -> usize {
-        self.sb.len()
-    }
-
-    /// ROB occupancy (diagnostics).
-    pub fn rob_len(&self) -> usize {
-        self.rob.len()
-    }
-
     /// The whole-machine skip's hint: the minimum `ready_at` over every
     /// Compute entry in the ROB, done ones included, and the `issue_after`
     /// of any unissued load. A done compute waiting to retire makes this

@@ -10,7 +10,8 @@
 //!   dependent (pointer-chasing) loads ([`core`]);
 //! * private L1 caches and a shared, inclusive last-level cache with an MSI
 //!   directory and stride prefetchers ([`cache`]);
-//! * a memory interconnect ([`bus`]);
+//! * a memory interconnect: plain FIFO [`link`]s into the LLC and into
+//!   each memory controller, owned by [`system::System`];
 //! * per-channel memory controllers with read/write pending queues and
 //!   FR-FCFS-style scheduling ([`mc`]);
 //! * one parameterised DRAM channel model ([`dram`]): bank/row-buffer
@@ -43,7 +44,6 @@
 
 pub mod addr;
 pub mod alloc;
-pub mod bus;
 pub mod cache;
 #[cfg(feature = "check-invariants")]
 pub mod check;

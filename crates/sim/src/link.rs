@@ -1,6 +1,6 @@
 //! Fixed-latency FIFO links between components.
 //!
-//! Every hop in the simulated machine (core↔L1, L1↔LLC, LLC↔bus, bus↔MC)
+//! Every hop in the simulated machine (core↔L1, L1↔LLC, LLC↔MC, MC↔MC)
 //! is a [`DelayQueue`]: messages become visible to the receiver a fixed
 //! number of cycles after being pushed, and ordering is preserved (FIFO per
 //! link). FIFO ordering is load-bearing for correctness: the paper relies on
@@ -60,15 +60,6 @@ impl<T> DelayQueue<T> {
         }
     }
 
-    /// Re-insert a message at the head of the queue, immediately deliverable.
-    ///
-    /// Used to model back-pressure: a receiver that cannot accept the head
-    /// message (e.g. the CTT is full) pushes it back and retries next cycle,
-    /// blocking everything behind it (head-of-line blocking).
-    pub fn push_front(&mut self, now: Cycle, msg: T) {
-        self.q.push_front((now, msg));
-    }
-
     /// Number of in-flight messages.
     pub fn len(&self) -> usize {
         self.q.len()
@@ -125,16 +116,6 @@ mod tests {
         // "fast" would be ready at 2, but FIFO order delays it behind "slow".
         assert_eq!(l.pop(101), Some("slow"));
         assert_eq!(l.pop(101), Some("fast"));
-    }
-
-    #[test]
-    fn push_front_is_immediately_ready() {
-        let mut l = DelayQueue::new(50);
-        l.push(0, "later");
-        l.push_front(3, "now");
-        assert_eq!(l.pop(3), Some("now"));
-        assert!(l.pop(3).is_none());
-        assert_eq!(l.pop(50), Some("later"));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Top-level system: wires cores, L1s, the LLC, the interconnect, memory
 //! controllers, DRAM channels, and the copy engine, and runs the clock.
 
-use crate::bus::Bus;
 use crate::cache::l1::{L1Out, L1};
 use crate::cache::llc::{Llc, LlcOut};
 use crate::cache::{CoreToL1, L1ToCore, L1ToLlc, LlcToL1};
@@ -11,7 +10,7 @@ use crate::data::{LineData, SparseMem};
 use crate::engine::{CopyEngine, NullEngine};
 use crate::link::DelayQueue;
 use crate::mc::MemCtrl;
-use crate::packet::{LazyDesc, Node};
+use crate::packet::{LazyDesc, Node, Packet};
 use crate::program::Program;
 use crate::stats::{RunStats, SchedStats};
 use crate::addr::{lines_of, PhysAddr};
@@ -140,7 +139,6 @@ pub struct System {
     cores: Vec<Core>,
     l1s: Vec<L1>,
     llc: Llc,
-    bus: Bus,
     mcs: Vec<MemCtrl>,
     engine: Box<dyn CopyEngine>,
     mem: SparseMem,
@@ -152,6 +150,14 @@ pub struct System {
     /// by stalled requests, which would deadlock the directory.
     l1_to_llc_resp: Vec<DelayQueue<L1ToLlc>>,
     llc_to_l1: Vec<DelayQueue<LlcToL1>>,
+    /// The memory interconnect: one FIFO into the LLC and one into each
+    /// memory controller (indexed by channel), which LLC requests and
+    /// bounces from other controllers share. Per-destination FIFO order is
+    /// what §III-B1 relies on: source writebacks reach a controller before
+    /// the MCLAZY that follows them. Bandwidth is not modelled here; the
+    /// DRAM data bus is the bottleneck in every experiment.
+    to_llc: DelayQueue<Packet>,
+    to_mc: Vec<DelayQueue<Packet>>,
     sched: SchedMode,
     /// Executed cycles during which core `i` was elided but not yet
     /// accounted (flushed before the core next runs, and at run exit).
@@ -194,10 +200,12 @@ pub struct System {
     due_l1: Vec<Cycle>,
     due_llc: Cycle,
     due_mc: Vec<Cycle>,
+    /// The rest of a whole-machine skip that the previous run's budget
+    /// cut short; the next run finishes it before it executes anything.
+    skip_to: Option<Cycle>,
     /// Cores whose program has not finished.
     unfinished: usize,
-    /// Messages on every core, cache and bus link, counted where they
-    /// are pushed and popped.
+    /// Messages on every link, counted where they are pushed and popped.
     in_flight: usize,
     /// Always-on scheduler counters, reported in [`RunStats::sched`].
     sched_stats: SchedStats,
@@ -206,7 +214,7 @@ pub struct System {
     scratch_core: CoreOut,
     scratch_l1: L1Out,
     scratch_llc: LlcOut,
-    scratch_mc: Vec<(crate::packet::Packet, Cycle)>,
+    scratch_mc: Vec<(Packet, Cycle)>,
     /// Interconnect fault streams (None ⇔ empty plan).
     link_fault: Option<LinkFaults>,
     #[cfg(feature = "check-invariants")]
@@ -224,7 +232,7 @@ struct LinkFaults {
 /// `Mcfree` is a hint, and the LLC ignores stray `MclazyAck`s. Everything
 /// matched against an outstanding request (responses, acks that complete
 /// CLWBs, engine commands that mutate the CTT) must not be duplicated.
-fn dup_safe(pkt: &crate::packet::Packet) -> bool {
+fn dup_safe(pkt: &Packet) -> bool {
     use crate::packet::MemCmd;
     match pkt.cmd {
         MemCmd::Mcfree(_) | MemCmd::MclazyAck => true,
@@ -273,7 +281,6 @@ impl System {
             .collect();
         let l1s: Vec<L1> = (0..cfg.cores).map(|i| L1::new(i, cfg.l1.clone())).collect();
         let llc = Llc::new(cfg.llc.clone(), cfg.channels);
-        let bus = Bus::new(cfg.channels, cfg.links.llc_mc, cfg.links.mc_mc);
         let mut mcs: Vec<MemCtrl> = (0..cfg.channels)
             .map(|i| MemCtrl::new(i, cfg.mc.clone(), crate::dram::build(&cfg.dram, cfg.channels)))
             .collect();
@@ -294,7 +301,6 @@ impl System {
             cores,
             l1s,
             llc,
-            bus,
             mcs,
             engine,
             mem: SparseMem::new(),
@@ -303,6 +309,8 @@ impl System {
             l1_to_llc: mk(n, cfg.links.l1_llc),
             l1_to_llc_resp: mk(n, cfg.links.l1_llc),
             llc_to_l1: mk(n, cfg.links.l1_llc),
+            to_llc: DelayQueue::new(cfg.links.llc_mc),
+            to_mc: mk(cfg.channels, cfg.links.llc_mc),
             sched: SchedMode::EventDriven,
             idle_pending: vec![0; n],
             idle_first: vec![0; n],
@@ -315,6 +323,7 @@ impl System {
             due_l1: vec![0; n],
             due_llc: 0,
             due_mc: vec![0; cfg.channels],
+            skip_to: None,
             unfinished,
             in_flight: 0,
             sched_stats: SchedStats::default(),
@@ -333,7 +342,7 @@ impl System {
     /// faults: jitter delays the send, and duplication-safe packets may be
     /// delivered twice (one cycle apart). Rolls are per-send, so the fault
     /// schedule is independent of idle skip-ahead.
-    fn send_bus(&mut self, now: Cycle, pkt: crate::packet::Packet, extra: Cycle) {
+    fn send_bus(&mut self, now: Cycle, pkt: Packet, extra: Cycle) {
         let mut extra = extra;
         if let Some(lf) = self.link_fault.as_mut() {
             if lf.jitter.roll(self.cfg.fault.link_jitter_rate) {
@@ -346,16 +355,21 @@ impl System {
         self.post_bus(now, pkt, extra);
     }
 
-    /// Route one packet onto the bus and post its receiver's wake.
-    fn post_bus(&mut self, now: Cycle, pkt: crate::packet::Packet, extra: Cycle) {
+    /// Push one packet onto its destination's link, `extra` cycles later
+    /// than the link latency, and post the receiver's wake.
+    fn post_bus(&mut self, now: Cycle, pkt: Packet, extra: Cycle) {
         #[cfg(feature = "check-invariants")]
         self.checker.observe_send(&pkt);
-        let dest = pkt.dest;
-        self.bus.send(now, pkt, extra);
         self.in_flight += 1;
-        match dest {
-            Node::Llc => self.due_llc = self.due_llc.min(head(&self.bus.to_llc)),
-            Node::Mc(j) => self.due_mc[j] = self.due_mc[j].min(head(&self.bus.to_mc[j])),
+        match pkt.dest {
+            Node::Llc => {
+                self.to_llc.push_after(now, extra, pkt);
+                self.due_llc = self.due_llc.min(head(&self.to_llc));
+            }
+            Node::Mc(j) => {
+                self.to_mc[j].push_after(now, extra, pkt);
+                self.due_mc[j] = self.due_mc[j].min(head(&self.to_mc[j]));
+            }
         }
     }
 
@@ -364,15 +378,12 @@ impl System {
         self.now
     }
 
-    /// The configuration this system was built with.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
     /// Select the run-loop scheduler (see [`SchedMode`] for how the modes
-    /// agree).
+    /// agree). Drops a skip carried over from a budgeted run, which
+    /// [`SchedMode::TickByTick`] would not have taken.
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
         self.sched = mode;
+        self.skip_to = None;
     }
 
     /// Write bytes directly into simulated DRAM, bypassing timing
@@ -479,7 +490,7 @@ impl System {
             let due = self.due_mc[i] <= now;
             let run = if due {
                 self.mc_wake[i] <= now
-                    || self.bus.to_mc[i].peek(now).is_some()
+                    || self.to_mc[i].peek(now).is_some()
                     || self.engine.needs_tick(i)
             } else {
                 mc_ran && self.engine.needs_tick(i)
@@ -490,7 +501,7 @@ impl System {
                 mc_ran = true;
             }
             if due || run {
-                self.due_mc[i] = self.mc_wake[i].min(head(&self.bus.to_mc[i]));
+                self.due_mc[i] = self.mc_wake[i].min(head(&self.to_mc[i]));
             }
         }
         if mc_ran {
@@ -517,7 +528,7 @@ impl System {
         let requests = self.l1_to_llc.iter().zip(&self.llc_refused);
         let requests = requests.filter(|(_, &refused)| !refused).map(|(q, _)| head(q));
         let responses = self.l1_to_llc_resp.iter().map(head);
-        requests.chain(responses).fold(head(&self.bus.to_llc), Cycle::min)
+        requests.chain(responses).fold(head(&self.to_llc), Cycle::min)
     }
 
     /// Batch `k` elided cycles starting at `first` into core `i`'s idle
@@ -651,7 +662,7 @@ impl System {
                 }
             }
         }
-        while let Some(pkt) = self.bus.to_llc.pop(now) {
+        while let Some(pkt) = self.to_llc.pop(now) {
             self.in_flight -= 1;
             self.llc.handle_pkt(now, pkt, &mut out);
         }
@@ -677,12 +688,9 @@ impl System {
             self.mcs[i].replay_elided(last, self.engine.as_mut());
         }
         let mut out = std::mem::take(&mut self.scratch_mc);
-        // Split-borrow: temporarily take the input queue.
-        let mut input = std::mem::replace(&mut self.bus.to_mc[i], DelayQueue::new(0));
-        let queued = input.len();
-        self.mcs[i].tick(now, &mut input, self.engine.as_mut(), &mut self.mem, &mut out);
-        self.in_flight -= queued - input.len();
-        self.bus.to_mc[i] = input;
+        let queued = self.to_mc[i].len();
+        self.mcs[i].tick(now, &mut self.to_mc[i], self.engine.as_mut(), &mut self.mem, &mut out);
+        self.in_flight -= queued - self.to_mc[i].len();
         for (pkt, extra) in out.drain(..) {
             self.send_bus(now, pkt, extra);
         }
@@ -879,14 +887,28 @@ impl System {
         }
     }
 
-    fn quiescent_links(&self, at: Cycle) -> bool {
-        self.core_to_l1.iter().all(|q| q.peek(at).is_none())
-            && self.l1_to_core.iter().all(|q| q.peek(at).is_none())
-            && self.l1_to_llc.iter().all(|q| q.peek(at).is_none())
-            && self.l1_to_llc_resp.iter().all(|q| q.peek(at).is_none())
-            && self.llc_to_l1.iter().all(|q| q.peek(at).is_none())
-            && self.bus.to_llc.peek(at).is_none()
-            && self.bus.to_mc.iter().all(|q| q.peek(at).is_none())
+    /// Fold `f` over every link's `(head, len)`, stopping at the first
+    /// `None`: core→L1, L1→core, L1→LLC requests, L1→LLC responses and
+    /// LLC→L1 (each per core), then into the LLC and into each controller.
+    /// A fold rather than an iterator: the skip test calls it on almost
+    /// every visited cycle and usually stops within the first few links,
+    /// where building a chain of seven iterators would cost more than the
+    /// scan.
+    fn fold_links<A>(&self, init: A, mut f: impl FnMut(A, Cycle, usize) -> Option<A>) -> Option<A> {
+        fn fold<T, A>(
+            qs: &[DelayQueue<T>],
+            acc: A,
+            f: &mut impl FnMut(A, Cycle, usize) -> Option<A>,
+        ) -> Option<A> {
+            qs.iter().try_fold(acc, |acc, q| f(acc, head(q), q.len()))
+        }
+        let acc = fold(&self.core_to_l1, init, &mut f)?;
+        let acc = fold(&self.l1_to_core, acc, &mut f)?;
+        let acc = fold(&self.l1_to_llc, acc, &mut f)?;
+        let acc = fold(&self.l1_to_llc_resp, acc, &mut f)?;
+        let acc = fold(&self.llc_to_l1, acc, &mut f)?;
+        let acc = fold(std::slice::from_ref(&self.to_llc), acc, &mut f)?;
+        fold(&self.to_mc, acc, &mut f)
     }
 
     /// Whether the machine has drained: every program finished, no
@@ -905,18 +927,10 @@ impl System {
     /// The running counts agree with a scan of the cores and the links.
     #[cfg(feature = "check-invariants")]
     fn check_counts(&self) {
-        fn lens<T>(qs: &[DelayQueue<T>]) -> usize {
-            qs.iter().map(|q| q.len()).sum()
-        }
-        let queued = lens(&self.core_to_l1)
-            + lens(&self.l1_to_core)
-            + lens(&self.l1_to_llc)
-            + lens(&self.l1_to_llc_resp)
-            + lens(&self.llc_to_l1)
-            + self.bus.to_llc.len()
-            + lens(&self.bus.to_mc);
+        let queued = self.fold_links(0, |n, _, len| Some(n + len));
         assert_eq!(
-            self.in_flight, queued,
+            Some(self.in_flight),
+            queued,
             "invariant violation (scheduler): messages counted in flight vs queued \
              on the links, at cycle {}",
             self.now
@@ -942,51 +956,25 @@ impl System {
         }
     }
 
+    /// The earliest future event — a link head, a controller's or a
+    /// core's own timer — if it lies beyond the next cycle: then nothing
+    /// can happen before it, and the machine may jump there. One pass,
+    /// which stops at the first event due by the next cycle.
     fn skip_target(&self) -> Option<Cycle> {
-        // Only skip when no link has a deliverable message next cycle and
-        // no core can make internal progress; then jump to the earliest
-        // future event.
         let next = self.now + 1;
-        if !self.quiescent_links(next) {
-            return None;
-        }
-        let mut hint: Option<Cycle> = None;
-        let mut merge = |c: Option<Cycle>| {
-            hint = match (hint, c) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        };
-        for q in &self.core_to_l1 {
-            merge(q.next_ready());
-        }
-        for q in &self.l1_to_core {
-            merge(q.next_ready());
-        }
-        for q in &self.l1_to_llc {
-            merge(q.next_ready());
-        }
-        for q in &self.l1_to_llc_resp {
-            merge(q.next_ready());
-        }
-        for q in &self.llc_to_l1 {
-            merge(q.next_ready());
-        }
-        merge(self.bus.next_event());
-        for m in &self.mcs {
-            merge(m.next_event());
-        }
-        for c in &self.cores {
-            merge(c.next_event());
-        }
-        match hint {
-            Some(h) if h > next => Some(h),
-            _ => None,
-        }
+        let after = |min: Cycle, at: Cycle| (at > next).then_some(min.min(at));
+        let links = self.fold_links(Cycle::MAX, |min, head, _| after(min, head))?;
+        let mcs = self.mcs.iter().filter_map(MemCtrl::next_event);
+        let cores = self.cores.iter().filter_map(Core::next_event);
+        let hint = mcs.chain(cores).try_fold(links, after)?;
+        (hint < Cycle::MAX).then_some(hint)
     }
 
     /// Run until every program finishes and all queues drain, or until
-    /// `max_cycles` elapse.
+    /// `max_cycles` elapse. A run never advances the clock past its
+    /// budget: a whole-machine skip that would cross it stops there, and
+    /// the next run finishes the skip first, so a run stepped in budgeted
+    /// slices ends as one uninterrupted run does.
     ///
     /// # Errors
     /// Returns [`SimError::Timeout`] if the budget is exhausted first.
@@ -1055,6 +1043,9 @@ impl System {
         // External setters (fault plans, mode switches) may have touched
         // component state since the last run: start from a clean slate.
         self.reset_agenda();
+        if let Some(target) = self.skip_to.take() {
+            self.skip(target, end, watchdog)?;
+        }
         let agenda = self.sched == SchedMode::EventDriven;
         while self.now < end {
             if agenda {
@@ -1087,17 +1078,7 @@ impl System {
             }
             stable = 0;
             if let Some(target) = self.skip_gate() {
-                // With the watchdog armed, a skip of a whole observation
-                // window means nothing in the machine can act for
-                // `window` cycles while work is outstanding (e.g. an
-                // injected stall parked traffic inside a controller):
-                // that is a livelock, not a wait — report it rather than
-                // silently jumping over it.
-                if watchdog.is_some_and(|window| target - self.now >= window) {
-                    return Err(self.livelock(target - self.now));
-                }
-                self.sched_stats.skipped_cycles += target - self.now;
-                self.now = target;
+                self.skip(target, end, watchdog)?;
             } else if agenda {
                 // Jump to the next cycle where some component is due.
                 // The skip cannot fire inside the span (DESIGN.md §2.10),
@@ -1122,6 +1103,24 @@ impl System {
             mc_queues: self.mc_queue_snapshot(),
             cores: self.core_snapshot(),
         })
+    }
+
+    /// Skip the whole machine to `target`, stopping at the budget's `end`
+    /// and carrying the rest of the span to the next run. With the
+    /// watchdog armed, a skip of a whole observation window means nothing
+    /// in the machine can act for `window` cycles while work is
+    /// outstanding (e.g. an injected stall parked traffic inside a
+    /// controller): that is a livelock, not a wait, so it is reported
+    /// rather than silently jumped over.
+    fn skip(&mut self, target: Cycle, end: Cycle, watchdog: Option<Cycle>) -> Result<(), SimError> {
+        if watchdog.is_some_and(|window| target - self.now >= window) {
+            return Err(self.livelock(target - self.now));
+        }
+        let to = target.min(end);
+        self.sched_stats.skipped_cycles += to - self.now;
+        self.now = to;
+        self.skip_to = (to < target).then_some(target);
+        Ok(())
     }
 
     /// Stop a run for the liveness watchdog after `idle_for` cycles
@@ -1153,41 +1152,29 @@ impl System {
         for (i, m) in self.mcs.iter().enumerate() {
             let _ = writeln!(s, "  mc[{i}] idle={} next={:?}", m.idle(), m.next_event());
         }
-        let _ = writeln!(
-            s,
-            "  links: c2l={:?} l2c={:?} l2llc={:?} l2llc_resp={:?} llc2l={:?} bus_llc={} bus_mc={:?} engine_busy={}",
-            self.core_to_l1.iter().map(|q| q.len()).collect::<Vec<_>>(),
-            self.l1_to_core.iter().map(|q| q.len()).collect::<Vec<_>>(),
-            self.l1_to_llc.iter().map(|q| q.len()).collect::<Vec<_>>(),
-            self.l1_to_llc_resp.iter().map(|q| q.len()).collect::<Vec<_>>(),
-            self.llc_to_l1.iter().map(|q| q.len()).collect::<Vec<_>>(),
-            self.bus.to_llc.len(),
-            self.bus.to_mc.iter().map(|q| q.len()).collect::<Vec<_>>(),
-            self.engine.busy(),
-        );
+        let _ = writeln!(s, "  engine busy={}", self.engine.busy());
+        let lens = self.fold_links(Vec::new(), |mut lens, _, len| {
+            lens.push(len);
+            Some(lens)
+        });
+        let lens = lens.unwrap_or_default();
+        let _ = writeln!(s, "  link lens (in `fold_links` order)={lens:?}");
         s
     }
 
-    /// Occupancy probe for diagnostics: (core loads issued, core SB, core
-    /// ROB, per-L1 MSHRs, LLC MSHRs).
-    pub fn probe(&self) -> (usize, usize, usize, Vec<usize>, usize) {
-        (
-            self.cores[0].issued_loads(),
-            self.cores[0].sb_len(),
-            self.cores[0].rob_len(),
-            self.l1s.iter().map(|l| l.mshr_count()).collect(),
-            self.llc.mshr_count(),
-        )
+    /// Per-L1 MSHR occupancy (diagnostics).
+    pub fn l1_mshrs(&self) -> Vec<usize> {
+        self.l1s.iter().map(|l| l.mshr_count()).collect()
     }
 
-    /// MC queue depths + bus queue depths (diagnostics).
+    /// MC queue depths + inbound link depth (diagnostics).
     pub fn probe_mc(&self) -> Vec<(usize, usize, usize, usize)> {
         self.mcs
             .iter()
             .enumerate()
             .map(|(i, m)| {
                 let (r, w, f) = m.queue_depths();
-                (r, w, f, self.bus.to_mc[i].len())
+                (r, w, f, self.to_mc[i].len())
             })
             .collect()
     }
@@ -1557,6 +1544,32 @@ mod tests {
             (RunStats { sched: SchedStats::default(), ..stats }, sys.now())
         };
         assert_eq!(run(SchedMode::Conservative, &[]), run(SchedMode::EventDriven, &[60, 1, 1, 40]));
+    }
+
+    #[test]
+    fn budgeted_run_stops_at_its_budget() {
+        // A 1000-cycle compute lets the whole-machine skip jump far past a
+        // 10-cycle budget. Each run must stop at its budget and carry the
+        // rest of the skip, so the stepped machine ends as an
+        // uninterrupted one does (`sched` counts the re-looks a resumed
+        // run makes).
+        let mk = |mode| {
+            let compute = Uop::new(UopKind::Compute { cycles: 1000 }, StatTag::App);
+            let prog = FixedProgram::new(vec![compute]);
+            let mut sys = System::new(SystemConfig::tiny(), vec![Box::new(prog)]);
+            sys.set_sched_mode(mode);
+            sys
+        };
+        for mode in [SchedMode::Conservative, SchedMode::EventDriven] {
+            let whole = mk(mode).run(1_000_000).expect("finishes");
+            let mut sys = mk(mode);
+            for k in 1..=3 {
+                assert!(matches!(sys.run(10), Err(SimError::Timeout { .. })), "{mode:?}");
+                assert_eq!(sys.now(), 10 * k, "{mode:?}: run {k} overran its budget");
+            }
+            let stepped = sys.run(1_000_000).expect("finishes");
+            assert_eq!(RunStats { sched: whole.sched, ..stepped }, whole, "{mode:?}");
+        }
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn stress_workload_reaches_the_corner_cases() {
     while !sys.cores_finished() {
         assert!(sys.now() < 2_000_000, "stress workload must finish");
         let _ = sys.run(1);
-        let (_, _, _, mshrs, _) = sys.probe();
+        let mshrs = sys.l1_mshrs();
         mshr_peak = mshr_peak.max(mshrs.into_iter().max().unwrap_or(0));
         wpq_peak = wpq_peak.max(sys.probe_mc().iter().map(|q| q.1).max().unwrap_or(0));
     }
