@@ -12,7 +12,7 @@
 
 use crate::mess::{self, Scale};
 use crate::{elapsed_cycles, f3, fmt_size, marker0, ms, ns, throughput_kops, Job, JobFn, Table};
-use mcs_os::{CopyMode, CowCopyMode, Kernel, OsCosts};
+use mcs_os::{CopyMode, Kernel, OsCosts};
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::alloc::AddrSpace;
 use mcs_sim::config::{MemTech, SystemConfig};
@@ -232,8 +232,8 @@ pub fn fig12_job(v: &Fig12Variant, frac: f64) -> Job {
     let g = seq_access(v.mech.clone(), FIG12_SIZE, frac, v.misalign, &mut space);
     let mut cfg = SystemConfig::table1_one_core();
     if !v.prefetch {
-        cfg.l1.prefetch = false;
-        cfg.llc.prefetch = false;
+        cfg.l1.prefetch_degree = 0;
+        cfg.llc.prefetch_degree = 0;
     }
     let mc2 = v.mech.needs_engine().then(McSquareConfig::default);
     Job::single(cfg, mc2, g.uops, g.pokes)
@@ -332,7 +332,7 @@ const FIG02_03_04: Figure = Figure {
             job(move || {
                 let mut kernel =
                     Kernel::new(OsCosts::default(), AddrSpace::new(PhysAddr(1 << 21), 2 << 30));
-                let mode = CowCopyMode::Eager;
+                let mode = CopyMode::Eager;
                 let wcfg =
                     CowConfig { region: 16 << 20, updates: 24, mode, ..CowConfig::default() };
                 native(cow_program(&wcfg, &mut kernel))
@@ -748,12 +748,12 @@ const FIG18: Figure = Figure {
     name: "fig18",
     tables: &["fig18"],
     jobs: |_| {
-        jobs([CowCopyMode::Eager, CowCopyMode::Lazy], |&mode| {
+        jobs([CopyMode::Eager, CopyMode::Lazy], |&mode| {
             let mut kernel =
                 Kernel::new(OsCosts::default(), AddrSpace::new(PhysAddr(1 << 21), 2 << 30));
             let wcfg = CowConfig { region: 64 << 20, updates: 100, mode, ..CowConfig::default() };
             let (uops, pokes) = cow_program(&wcfg, &mut kernel);
-            let mc2 = matches!(mode, CowCopyMode::Lazy).then(McSquareConfig::default);
+            let mc2 = matches!(mode, CopyMode::Lazy).then(McSquareConfig::default);
             Job::single(SystemConfig::table1_one_core(), mc2, uops, pokes)
         })
     },
@@ -1154,7 +1154,6 @@ const FAULT_SWEEP: Figure = Figure {
                 "mcsquare_fault_events",
             ],
         );
-        let events = |s: &RunStats| s.mcs.iter().map(|m| m.fault_events()).sum::<u64>();
         let (base_memcpy, base_mcs) = (marker0(&results[0]), marker0(&results[1]));
         for (severity, pair) in severities.into_iter().zip(results.chunks(2)) {
             let (lb, lm) = (marker0(&pair[0]), marker0(&pair[1]));
@@ -1165,8 +1164,8 @@ const FAULT_SWEEP: Figure = Figure {
                 f3(ns(lm)),
                 f3(lb as f64 / base_memcpy as f64),
                 f3(lm as f64 / base_mcs as f64),
-                events(&pair[0]).to_string(),
-                events(&pair[1]).to_string(),
+                pair[0].fault_events().to_string(),
+                pair[1].fault_events().to_string(),
             ]);
         }
         vec![t]

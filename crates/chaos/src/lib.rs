@@ -108,7 +108,9 @@ impl std::fmt::Display for ChaosFailure {
 pub struct ChaosReport {
     /// Total simulated cycles.
     pub cycles: u64,
-    /// Sum of per-controller injected-fault events.
+    /// Every fault event of the run ([`RunStats::fault_events`]).
+    ///
+    /// [`RunStats::fault_events`]: mcs_sim::stats::RunStats::fault_events
     pub fault_events: u64,
     /// Final materialized arena image.
     pub image: Vec<u8>,
@@ -260,7 +262,7 @@ pub fn run_case(case: &ChaosCase, mutation: ChaosMutation) -> Result<ChaosReport
     }
     Ok(ChaosReport {
         cycles: stats.cycles,
-        fault_events: stats.mcs.iter().map(|m| m.fault_events()).sum(),
+        fault_events: stats.fault_events(),
         image: got,
     })
 }

@@ -134,7 +134,7 @@ impl CttLike for Ctt {
     }
 
     fn smallest_entry(&self, exclude: &[ByteRange]) -> Option<(ByteRange, PhysAddr)> {
-        Ctt::smallest_entry(self, |_| true, exclude)
+        Ctt::smallest_entry(self, exclude)
     }
 
     fn entries(&self) -> Vec<(ByteRange, PhysAddr)> {

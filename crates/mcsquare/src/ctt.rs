@@ -283,18 +283,13 @@ impl Ctt {
         victims.len()
     }
 
-    /// The smallest entry overlapping channel-owned lines, per the drain
-    /// policy ("the MC identifies entries with the smallest size",
-    /// §III-A1). `owned` filters by the first destination line; entries
-    /// overlapping `exclude` ranges (already being drained) are skipped.
-    pub fn smallest_entry(
-        &self,
-        owned: impl Fn(PhysAddr) -> bool,
-        exclude: &[ByteRange],
-    ) -> Option<(ByteRange, PhysAddr)> {
+    /// The smallest entry, per the drain policy ("the MC identifies
+    /// entries with the smallest size", §III-A1); entries overlapping
+    /// `exclude` ranges (already being drained) are skipped. The table is
+    /// shared, so whichever controller asks may drain the entry.
+    pub fn smallest_entry(&self, exclude: &[ByteRange]) -> Option<(ByteRange, PhysAddr)> {
         self.map
             .iter()
-            .filter(|(r, _)| owned(PhysAddr(r.start)))
             .filter(|(r, _)| !exclude.iter().any(|x| x.overlaps(r)))
             .min_by_key(|(r, _)| r.len())
             .map(|(r, v)| (r, PhysAddr(v.0)))
@@ -481,10 +476,10 @@ mod tests {
         let mut c = Ctt::new(16);
         c.try_insert(pa(0x1000), pa(0x8000), 256).unwrap();
         c.try_insert(pa(0x3000), pa(0x9000), 64).unwrap();
-        let (r, _) = c.smallest_entry(|_| true, &[]).unwrap();
+        let (r, _) = c.smallest_entry(&[]).unwrap();
         assert_eq!(r.len(), 64);
         // Excluding it picks the next.
-        let (r2, _) = c.smallest_entry(|_| true, &[r]).unwrap();
+        let (r2, _) = c.smallest_entry(&[r]).unwrap();
         assert_eq!(r2.len(), 256);
     }
 

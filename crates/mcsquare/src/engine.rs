@@ -689,11 +689,10 @@ impl McSquareEngine {
 
         if do_flush {
             let exclude: Vec<ByteRange> = self.drains.iter().flatten().map(|d| d.range).collect();
-            if let Some((range, _)) = self.ctt.smallest_entry(|_| true, &exclude) {
+            if let Some((range, _)) = self.ctt.smallest_entry(&exclude) {
                 let cursor = PhysAddr(range.start).line_base().0;
                 self.drains[mcid].push(DrainJob { range, cursor });
                 self.n.forced_flushes += 1;
-                io.fault_forced_flushes += 1;
             }
         }
 
@@ -717,7 +716,6 @@ impl McSquareEngine {
                     // oracle must flag this.
                 } else {
                     self.n.eager_fallbacks += 1;
-                    io.fault_eager_fallbacks += 1;
                     self.start_recon_with(frags, mcid, line, ReconCause::SrcFlush, None, io);
                 }
             }
@@ -750,7 +748,7 @@ impl McSquareEngine {
                 // buffers would otherwise all land on channel 0's
                 // controller); the line reads and writes still route to
                 // their owning channels.
-                let Some((range, _)) = self.ctt.smallest_entry(|_| true, &exclude) else {
+                let Some((range, _)) = self.ctt.smallest_entry(&exclude) else {
                     break;
                 };
                 // Chain collapse can leave byte-granular entry bounds; the

@@ -22,9 +22,9 @@
 //!   tracked-access cases, bounce reconstruction (including two-bounce
 //!   misaligned copies), the post-bounce destination writeback with its
 //!   75%-WPQ contention guard, and asynchronous parallel entry freeing.
-//! * [`isa`] — the `MCLAZY` / `MCFREE` instructions (§III-C).
-//! * [`software`] — `memcpy_lazy` (Fig. 8) and the interposer policy
-//!   (§III-D).
+//! * [`software`] — `memcpy_lazy` (Fig. 8), which emits the `MCLAZY` /
+//!   `MCFREE` instructions (§III-C), and the interposer policy (§III-D).
+//!   Their operand rules are checked by [`mcs_sim::uop::Uop::validate`].
 //! * [`ranges`] — byte-range interval machinery the CTT is built on.
 //! * [`config`] — the §V-C sensitivity-study knobs.
 //!
@@ -52,7 +52,6 @@ pub mod bpq;
 pub mod config;
 pub mod ctt;
 pub mod engine;
-pub mod isa;
 pub mod ranges;
 pub mod software;
 

@@ -482,14 +482,11 @@ fn ctt_full_fallback_preserves_data_and_counts_rejects() {
     }
 }
 
-#[test]
-fn lazy_copy_survives_mild_fault_plan() {
-    // End-to-end graceful degradation: ECC retries, poisoned lines, link
-    // jitter/duplication, controller stalls, forced CTT flushes and
-    // dropped-entry repairs all active — the lazy copy must still be
-    // indistinguishable from an eager one at every load.
+/// An 8 KiB lazy copy read back in full under fault plan `plan`; panics
+/// unless the destination equals the source afterwards.
+fn lazy_copy_under_faults(plan: mcs_sim::fault::FaultPlan) -> RunStats {
     let mut cfg = SystemConfig::tiny();
-    cfg.fault = mcs_sim::fault::FaultPlan::mild(0xBAD5EED);
+    cfg.fault = plan;
     let mcfg = McSquareConfig::tiny();
     let (src, dst) = (PhysAddr(0x100000), PhysAddr(0x200000));
     let size = 8192u64;
@@ -508,6 +505,29 @@ fn lazy_copy_survives_mild_fault_plan() {
     sys.poke(src, &data);
     let stats = sys.run(50_000_000).expect("finishes under mild faults");
     assert_eq!(sys.peek_materialized(dst, size as usize), data, "faults must not corrupt the copy");
-    let injected: u64 = stats.mcs.iter().map(|m| m.fault_events()).sum();
-    assert!(injected > 0, "mild plan must actually inject at this scale");
+    stats
+}
+
+#[test]
+fn lazy_copy_survives_mild_fault_plan() {
+    // End-to-end graceful degradation: ECC retries, poisoned lines, link
+    // jitter/duplication, controller stalls, forced CTT flushes and
+    // dropped-entry repairs all active — the lazy copy must still be
+    // indistinguishable from an eager one at every load.
+    let stats = lazy_copy_under_faults(mcs_sim::fault::FaultPlan::mild(0xBAD5EED));
+    assert!(stats.fault_events() > 0, "mild plan must actually inject at this scale");
+}
+
+#[test]
+fn fault_events_include_the_engine_repairs() {
+    // Every insert drops a tracked entry, which the engine repairs by an
+    // eager re-copy: the run's fault events must count those repairs.
+    let plan = mcs_sim::fault::FaultPlan {
+        ctt_drop_rate: 1.0,
+        ..mcs_sim::fault::FaultPlan::mild(0xBAD5EED)
+    };
+    let stats = lazy_copy_under_faults(plan);
+    let repairs = stats.engine_counter("eager_fallbacks");
+    assert!(repairs > 0, "every insert drops an entry: {stats}");
+    assert!(stats.fault_events() >= repairs, "{} < {repairs}", stats.fault_events());
 }

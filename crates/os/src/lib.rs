@@ -22,5 +22,18 @@ pub mod pipe;
 pub mod vm;
 
 pub use costs::OsCosts;
-pub use pipe::{CopyMode, Pipe};
-pub use vm::{CowCopyMode, Kernel, PageSize, VirtAddr, Vm};
+pub use pipe::Pipe;
+pub use vm::{Kernel, PageSize, VirtAddr, Vm};
+
+/// Which copy implementation the kernel uses, for pipe transfers and for
+/// copy-on-write faults (§V-B) alike.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum CopyMode {
+    /// The unmodified kernel: `copy_from_user` / `copy_to_user`, and an
+    /// eager `copy_user_huge_page` on a COW fault.
+    Eager,
+    /// The paper's kernel: lazy copies at the controller. On a COW fault
+    /// the hardware writes back dirty source lines during the MCLAZY
+    /// snoop, so the kernel issues no per-line CLWBs there.
+    Lazy,
+}

@@ -7,18 +7,10 @@
 //! (user→kernel, kernel→user), both replaceable by the lazy path.
 
 use crate::costs::{serialized_cost, OsCosts};
+use crate::CopyMode;
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::uop::{StatTag, Uop};
 use mcsquare::software::{memcpy_eager_uops, memcpy_lazy_uops, LazyOpts};
-
-/// Which copy implementation the kernel uses.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum CopyMode {
-    /// Unmodified kernel: `copy_from_user` / `copy_to_user`.
-    Eager,
-    /// Paper's kernel: lazy copies at the controller.
-    Lazy,
-}
 
 /// A kernel pipe with a physically contiguous ring buffer.
 #[derive(Debug)]

@@ -10,6 +10,7 @@
 //! `copy_user_huge_page`), remap, TLB maintenance, and return.
 
 use crate::costs::{serialized_cost, OsCosts};
+use crate::CopyMode;
 use mcs_sim::addr::{PhysAddr, PAGE_2M, PAGE_4K};
 use mcs_sim::alloc::AddrSpace;
 use mcs_sim::uop::{StatTag, Uop, UopKind};
@@ -64,17 +65,6 @@ impl Sliceable for MapVal {
             && self.cow == next.cow
             && self.page == next.page
     }
-}
-
-/// How a COW fault copies the page (§V-B "Concurrent snapshots").
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum CowCopyMode {
-    /// The unmodified kernel: eager `copy_user_huge_page`.
-    Eager,
-    /// The paper's modified kernel: `MCLAZY` instead of copying. The
-    /// hardware writes back dirty source lines during the MCLAZY snoop, so
-    /// the kernel issues no per-line CLWBs here.
-    Lazy,
 }
 
 /// A process's address space.
@@ -190,7 +180,7 @@ impl Kernel {
         &mut self,
         vm: &mut Vm,
         va: VirtAddr,
-        mode: CowCopyMode,
+        mode: CopyMode,
         base_id: u64,
     ) -> Vec<Uop> {
         let (_, mv) = vm.translate(va).expect("fault on unmapped address");
@@ -211,7 +201,7 @@ impl Kernel {
             *c = c.saturating_sub(1);
         }
         match mode {
-            CowCopyMode::Eager => {
+            CopyMode::Eager => {
                 uops.extend(memcpy_eager_uops(
                     base_id + uops.len() as u64,
                     new_pa,
@@ -220,7 +210,7 @@ impl Kernel {
                     tag,
                 ));
             }
-            CowCopyMode::Lazy => {
+            CopyMode::Lazy => {
                 let opts = LazyOpts {
                     page_size: psz,
                     clwb_sources: false,
@@ -327,7 +317,7 @@ mod tests {
         let mut parent = Vm::new();
         let old = k.mmap(&mut parent, VirtAddr(0x10000), PAGE_4K, PageSize::Base4K);
         let (mut child, _) = k.fork(&mut parent, StatTag::Kernel);
-        let uops = k.handle_cow_fault(&mut child, VirtAddr(0x10020), CowCopyMode::Eager, 0);
+        let uops = k.handle_cow_fault(&mut child, VirtAddr(0x10020), CopyMode::Eager, 0);
         assert!(uops.len() > 2, "trap + copy + return");
         let (new_pa, v) = child.translate(VirtAddr(0x10020)).unwrap();
         assert_ne!(new_pa.page_base(PAGE_4K), old.page_base(PAGE_4K));
@@ -345,7 +335,7 @@ mod tests {
         let mut vm = Vm::new();
         k.mmap(&mut vm, VirtAddr(0), PAGE_2M, PageSize::Huge2M);
         let (mut child, _) = k.fork(&mut vm, StatTag::Kernel);
-        let uops = k.handle_cow_fault(&mut child, VirtAddr(0x100), CowCopyMode::Lazy, 0);
+        let uops = k.handle_cow_fault(&mut child, VirtAddr(0x100), CopyMode::Lazy, 0);
         let mclazys = uops.iter().filter(|u| matches!(u.kind, UopKind::Mclazy { .. })).count();
         assert_eq!(mclazys, 1, "one MCLAZY covers the whole 2 MB page");
         assert!(
@@ -360,7 +350,7 @@ mod tests {
         let mut vm = Vm::new();
         k.mmap(&mut vm, VirtAddr(0), PAGE_2M, PageSize::Huge2M);
         let (mut child, _) = k.fork(&mut vm, StatTag::Kernel);
-        let uops = k.handle_cow_fault(&mut child, VirtAddr(64), CowCopyMode::Eager, 0);
+        let uops = k.handle_cow_fault(&mut child, VirtAddr(64), CopyMode::Eager, 0);
         let loads = uops.iter().filter(|u| matches!(u.kind, UopKind::Load { .. })).count() as u64;
         assert_eq!(loads, PAGE_2M / 64, "2 MB copied line by line");
     }

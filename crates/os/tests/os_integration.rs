@@ -7,9 +7,9 @@
 //! on — a pipe wrapping several times while staying FIFO, and refcount /
 //! remap behaviour across multiple forks and faults.
 
-use mcs_os::pipe::{CopyMode, Pipe};
-use mcs_os::vm::{CowCopyMode, Kernel, PageSize, VirtAddr, Vm};
-use mcs_os::OsCosts;
+use mcs_os::pipe::Pipe;
+use mcs_os::vm::{Kernel, PageSize, VirtAddr, Vm};
+use mcs_os::{CopyMode, OsCosts};
 use mcs_sim::addr::{PhysAddr, PAGE_2M, PAGE_4K};
 use mcs_sim::alloc::AddrSpace;
 use mcs_sim::uop::{StatTag, Uop, UopKind};
@@ -219,9 +219,9 @@ fn double_fork_refcounts_drop_as_each_child_faults() {
     let (mut b, _) = k.fork(&mut parent, StatTag::Kernel);
     assert_eq!(k.frame_refs(old, PageSize::Base4K), 3, "parent + two children");
 
-    k.handle_cow_fault(&mut a, VirtAddr(0x10000), CowCopyMode::Eager, 0);
+    k.handle_cow_fault(&mut a, VirtAddr(0x10000), CopyMode::Eager, 0);
     assert_eq!(k.frame_refs(old, PageSize::Base4K), 2);
-    k.handle_cow_fault(&mut b, VirtAddr(0x10000), CowCopyMode::Lazy, 0);
+    k.handle_cow_fault(&mut b, VirtAddr(0x10000), CopyMode::Lazy, 0);
     assert_eq!(k.frame_refs(old, PageSize::Base4K), 1, "only the parent still shares");
 
     // All three now map distinct frames; children are writable.
@@ -246,7 +246,7 @@ fn fault_in_middle_of_hugepage_remaps_whole_page_contiguously() {
     k.mmap(&mut vm, VirtAddr(0), PAGE_2M, PageSize::Huge2M);
     let (mut child, _) = k.fork(&mut vm, StatTag::Kernel);
     // Fault deep inside the page, at an arbitrary misaligned address.
-    k.handle_cow_fault(&mut child, VirtAddr(PAGE_2M / 2 + 123), CowCopyMode::Lazy, 0);
+    k.handle_cow_fault(&mut child, VirtAddr(PAGE_2M / 2 + 123), CopyMode::Lazy, 0);
     let (lo, v) = child.translate(VirtAddr(0)).unwrap();
     let (hi, _) = child.translate(VirtAddr(PAGE_2M - 64)).unwrap();
     assert_eq!(hi.0 - lo.0, PAGE_2M - 64, "whole 2 MB remapped to one contiguous frame");
@@ -260,7 +260,7 @@ fn lazy_4k_fault_is_one_page_sized_mclazy_with_fence() {
     let mut vm = Vm::new();
     k.mmap(&mut vm, VirtAddr(0x40000), PAGE_4K, PageSize::Base4K);
     let (mut child, _) = k.fork(&mut vm, StatTag::Kernel);
-    let uops = k.handle_cow_fault(&mut child, VirtAddr(0x40000), CowCopyMode::Lazy, 0);
+    let uops = k.handle_cow_fault(&mut child, VirtAddr(0x40000), CopyMode::Lazy, 0);
     let mclazys: Vec<u64> = uops
         .iter()
         .filter_map(|u| match u.kind {
@@ -279,7 +279,7 @@ fn eager_fault_reads_old_frame_and_writes_new_frame_only() {
     let mut vm = Vm::new();
     let old = k.mmap(&mut vm, VirtAddr(0x40000), PAGE_4K, PageSize::Base4K);
     let (mut child, _) = k.fork(&mut vm, StatTag::Kernel);
-    let uops = k.handle_cow_fault(&mut child, VirtAddr(0x40000), CowCopyMode::Eager, 0);
+    let uops = k.handle_cow_fault(&mut child, VirtAddr(0x40000), CopyMode::Eager, 0);
     let (new_pa, _) = child.translate(VirtAddr(0x40000)).unwrap();
     for u in &uops {
         match u.kind {

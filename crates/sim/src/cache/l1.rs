@@ -75,7 +75,7 @@ impl L1 {
     /// Create the L1 for core `id`.
     pub fn new(id: usize, cfg: CacheConfig) -> L1 {
         let sets = cfg.sets();
-        let pf = StridePrefetcher::new(cfg.prefetch, cfg.prefetch_degree);
+        let pf = StridePrefetcher::new(cfg.prefetch_degree);
         L1 {
             id,
             cfg: cfg.clone(),
@@ -680,7 +680,7 @@ mod tests {
     #[test]
     fn ownership_upgrade_in_place_keeps_the_prefetched_flag() {
         // A prefetcher one line ahead: three unit-stride misses prefetch 0xc0.
-        let cfg = CacheConfig { prefetch: true, prefetch_degree: 1, ..SystemConfig::tiny().l1 };
+        let cfg = CacheConfig { prefetch_degree: 1, ..SystemConfig::tiny().l1 };
         let mut l1 = L1::new(0, cfg);
         let mut out = L1Out::default();
         for (i, a) in [0x0u64, 0x40, 0x80].into_iter().enumerate() {

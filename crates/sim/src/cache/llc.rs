@@ -99,7 +99,7 @@ impl Llc {
     /// Create the LLC for a system with `channels` memory controllers.
     pub fn new(cfg: CacheConfig, channels: usize) -> Llc {
         let sets = cfg.sets();
-        let pf = StridePrefetcher::new(cfg.prefetch, cfg.prefetch_degree);
+        let pf = StridePrefetcher::new(cfg.prefetch_degree);
         Llc {
             cfg: cfg.clone(),
             channels,

@@ -23,20 +23,19 @@ pub struct StridePrefetcher {
     streams: Vec<Stream>,
     capacity: usize,
     degree: usize,
-    enabled: bool,
     stamp: u64,
 }
 
 impl StridePrefetcher {
-    /// Create a prefetcher issuing `degree` lines ahead. `enabled = false`
+    /// Create a prefetcher issuing `degree` lines ahead. `degree = 0`
     /// yields a no-op prefetcher (the Fig. 12 "No prefetch" ablation).
-    pub fn new(enabled: bool, degree: usize) -> StridePrefetcher {
-        StridePrefetcher { streams: Vec::new(), capacity: 8, degree, enabled, stamp: 0 }
+    pub fn new(degree: usize) -> StridePrefetcher {
+        StridePrefetcher { streams: Vec::new(), capacity: 8, degree, stamp: 0 }
     }
 
     /// Observe a demand access to `line`; returns lines to prefetch.
     pub fn observe(&mut self, line: PhysAddr) -> Vec<PhysAddr> {
-        if !self.enabled || self.degree == 0 {
+        if self.degree == 0 {
             return Vec::new();
         }
         self.stamp += 1;
@@ -95,7 +94,7 @@ mod tests {
     use super::*;
 
     fn pf() -> StridePrefetcher {
-        StridePrefetcher::new(true, 4)
+        StridePrefetcher::new(4)
     }
 
     fn line(i: u64) -> PhysAddr {
@@ -130,7 +129,7 @@ mod tests {
 
     #[test]
     fn disabled_prefetcher_is_silent() {
-        let mut p = StridePrefetcher::new(false, 4);
+        let mut p = StridePrefetcher::new(0);
         for i in 0..10 {
             assert!(p.observe(line(i)).is_empty());
         }

@@ -49,8 +49,6 @@ pub struct Checker {
     /// Outstanding bounce round-trips (multiset: identical fragments can
     /// be in flight for different reconstructions).
     bounces: FastMap<BounceKey, u32>,
-    /// Number of `tick()` calls, for validation cadence.
-    pub ticks: u64,
     /// Monotonicity snapshots: per-core (cycles, retired, stalled).
     pub core_snap: Vec<(u64, u64, u64)>,
     /// (llc hits+misses, total MC reads+writes).

@@ -55,9 +55,8 @@ pub struct CacheConfig {
     pub hit_latency: u64,
     /// Miss-status-holding registers: outstanding misses.
     pub mshrs: usize,
-    /// Stride prefetcher enabled (Table I: both levels use one).
-    pub prefetch: bool,
-    /// Prefetch degree: lines fetched ahead once a stride locks on.
+    /// Stride prefetcher degree: lines fetched ahead once a stride locks
+    /// on (Table I: both levels use one); 0 turns the prefetcher off.
     pub prefetch_degree: usize,
 }
 
@@ -296,7 +295,6 @@ impl SystemConfig {
                 // Fill buffers + superqueue: enough outstanding misses to
                 // cover the DRAM round trip at streaming bandwidth.
                 mshrs: 24,
-                prefetch: true,
                 prefetch_degree: 8,
             },
             llc: CacheConfig {
@@ -304,7 +302,6 @@ impl SystemConfig {
                 ways: 16,
                 hit_latency: 35,
                 mshrs: 48,
-                prefetch: true,
                 prefetch_degree: 8,
             },
             channels: 2,
@@ -357,7 +354,6 @@ impl SystemConfig {
                 ways: 2,
                 hit_latency: 1,
                 mshrs: 4,
-                prefetch: false,
                 prefetch_degree: 0,
             },
             llc: CacheConfig {
@@ -365,7 +361,6 @@ impl SystemConfig {
                 ways: 4,
                 hit_latency: 4,
                 mshrs: 8,
-                prefetch: false,
                 prefetch_degree: 0,
             },
             channels: 2,
@@ -455,7 +450,7 @@ mod tests {
         assert_eq!(c.l1.size_bytes, 64 * 1024);
         assert_eq!(c.llc.size_bytes, 2 * 1024 * 1024);
         assert_eq!(c.channels, 2);
-        assert!(c.l1.prefetch && c.llc.prefetch);
+        assert!(c.l1.prefetch_degree > 0 && c.llc.prefetch_degree > 0);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 use crate::addr::{PhysAddr, CACHELINE};
 use crate::config::DramConfig;
 use crate::Cycle;
-use std::cell::Cell;
 
 /// Which channel (memory controller) services a given line, with `channels`
 /// total channels.
@@ -132,7 +131,6 @@ pub fn build(cfg: &DramConfig, channels: usize) -> DramBackend {
         bank_gap: if grouped { cfg.t_ccd_l.max(cfg.t_burst) } else { cfg.t_burst },
         grouped,
         refresh: RefreshTimer::new(cfg.t_refi, cfg.t_rfc),
-        ready_cache: Cell::new(None),
         shifts,
         cfg: cfg.clone(),
     }
@@ -159,9 +157,6 @@ pub struct DramBackend {
     /// Spacing from a bank's CAS to its next one.
     bank_gap: Cycle,
     refresh: RefreshTimer,
-    /// Memoised `next_ready` (min over per-bank `next_cas` and the buses):
-    /// bank state only changes in `access`/`sync`, which clear this.
-    ready_cache: Cell<Option<Cycle>>,
 }
 
 impl DramBackend {
@@ -191,7 +186,6 @@ impl DramBackend {
             for bus in &mut self.buses {
                 bus.free = bus.free.max(end);
             }
-            self.ready_cache.set(None);
         }
     }
 
@@ -269,20 +263,14 @@ impl DramBackend {
         let done = (cas + t.t_cl).max(bus.free) + t.t_burst;
         bank.next_cas = cas + self.bank_gap;
         bus.free = done;
-        self.ready_cache.set(None);
         (done, outcome)
     }
 
     /// Earliest cycle at which any bank or bus becomes ready (skip-ahead
     /// hint). Never overshoots: the channel may be ready earlier, not later.
     pub fn next_ready(&self) -> Cycle {
-        if let Some(v) = self.ready_cache.get() {
-            return v;
-        }
         let banks = self.banks.iter().map(|b| b.next_cas);
-        let v = banks.chain(self.buses.iter().map(|b| b.free)).min().unwrap_or(0);
-        self.ready_cache.set(Some(v));
-        v
+        banks.chain(self.buses.iter().map(|b| b.free)).min().unwrap_or(0)
     }
 
     /// First cycle at which a refresh window opens that [`Self::sync`] has

@@ -58,12 +58,6 @@ pub struct EngineIo {
     /// Occupancy of this controller's write pending queue at call time,
     /// as (len, capacity) — the §III-B2 75% bandwidth-contention check.
     pub wpq: (usize, usize),
-    /// Forced CTT flushes injected during this call (fault accounting,
-    /// folded into [`crate::stats::McStats::forced_flushes`]).
-    pub fault_forced_flushes: u64,
-    /// Dropped-entry repairs (eager re-copies) performed during this call
-    /// (folded into [`crate::stats::McStats::eager_fallbacks`]).
-    pub fault_eager_fallbacks: u64,
 }
 
 impl EngineIo {

@@ -121,19 +121,12 @@ pub struct MemCtrl {
     draining: bool,
     /// Fault-injection state (None ⇔ empty plan ⇒ all hooks are no-ops).
     fault: Option<McFault>,
-    /// Human-readable reports of malformed packets this controller dropped
-    /// (bounded; see [`MemCtrl::audit_reports`]).
-    audit: Vec<String>,
     /// Statistics.
     pub stats: McStats,
 }
 
 /// How many input packets a controller accepts per cycle.
 const INPUT_PER_CYCLE: usize = 4;
-
-/// Cap on retained malformed-packet audit reports (the counter keeps
-/// counting past it).
-const AUDIT_CAP: usize = 32;
 
 impl MemCtrl {
     /// Create controller `id` with the given queue config and channel model.
@@ -151,7 +144,6 @@ impl MemCtrl {
             engine_fwd: Vec::new(),
             draining: false,
             fault: None,
-            audit: Vec::new(),
             stats: McStats::default(),
         }
     }
@@ -169,13 +161,6 @@ impl MemCtrl {
         });
     }
 
-    /// Audit log of malformed packets this controller dropped instead of
-    /// panicking on (first [`AUDIT_CAP`] reports retained;
-    /// [`McStats::malformed_packets`] counts them all).
-    pub fn audit_reports(&self) -> &[String] {
-        &self.audit
-    }
-
     /// Lines currently poisoned by uncorrectable ECC errors, sorted
     /// (diagnostics; empty without fault injection).
     pub fn poisoned_lines(&self) -> Vec<u64> {
@@ -183,13 +168,6 @@ impl MemCtrl {
             self.fault.as_ref().map(|f| f.poisoned.iter().copied().collect()).unwrap_or_default();
         v.sort_unstable();
         v
-    }
-
-    fn record_malformed(&mut self, report: String) {
-        self.stats.malformed_packets += 1;
-        if self.audit.len() < AUDIT_CAP {
-            self.audit.push(report);
-        }
     }
 
     /// Whether the controller has no queued or in-flight work.
@@ -353,8 +331,6 @@ impl MemCtrl {
         for send in io.sends {
             out.push(send);
         }
-        self.stats.forced_flushes += io.fault_forced_flushes;
-        self.stats.eager_fallbacks += io.fault_eager_fallbacks;
     }
 
     /// Advance one cycle.
@@ -598,15 +574,9 @@ impl MemCtrl {
                 self.rpq.push_back(RpqEntry { addr: pkt.addr, origin: ReadOrigin::Llc(pkt), enq: now });
             }
             MemCmd::WriteReq | MemCmd::LazyDestWrite => {
-                // A write without a payload is a protocol violation by the
-                // sender; drop it and leave an audit trail rather than
-                // aborting the whole simulation.
+                // A write without a payload is a simulator bug in its sender.
                 let Some(data) = pkt.data else {
-                    self.record_malformed(format!(
-                        "mc{} @{now}: write without data dropped: {pkt:?}",
-                        self.id
-                    ));
-                    return;
+                    panic!("mc{} @{now}: write without data: {pkt:?}", self.id);
                 };
                 if pkt.needs_ack {
                     out.push((pkt.make_write_ack(), 0));
@@ -632,16 +602,9 @@ impl MemCtrl {
                     class,
                 });
             }
-            _ => {
-                // Mclazy/Mcfree/Bounce* are engine commands; with an engine
-                // present they never Pass and NullEngine consumes them, so
-                // anything landing here is malformed traffic. Surface it as
-                // a diagnosable fault instead of an abort.
-                self.record_malformed(format!(
-                    "mc{} @{now}: unexpected command dropped: {pkt:?}",
-                    self.id
-                ));
-            }
+            // Mclazy/Mcfree/Bounce* are engine commands: an engine never
+            // passes them and NullEngine consumes them.
+            _ => panic!("mc{} @{now}: unexpected command: {pkt:?}", self.id),
         }
     }
 
@@ -1016,30 +979,23 @@ mod tests {
     }
 
     #[test]
-    fn malformed_write_is_dropped_and_audited() {
+    #[should_panic(expected = "mc0 @0: write without data: Packet#")]
+    fn malformed_write_panics() {
         let (mut mc, mut input, mut mem, mut eng) = mk();
         let mut pkt = Packet::write(PhysAddr(0x40), LineData::splat(1), Node::Mc(0));
         pkt.data = None;
         input.push(0, pkt);
-        let resps = run(&mut mc, &mut input, &mut mem, &mut eng, 50);
-        assert!(resps.is_empty());
-        assert!(mc.idle(), "malformed packet must not wedge the controller");
-        assert_eq!(mc.stats.malformed_packets, 1);
-        assert_eq!(mc.audit_reports().len(), 1);
-        assert!(mc.audit_reports()[0].contains("write without data"), "{:?}", mc.audit_reports());
+        run(&mut mc, &mut input, &mut mem, &mut eng, 50);
     }
 
     #[test]
-    fn unexpected_command_is_dropped_and_audited() {
+    #[should_panic(expected = "mc0 @0: unexpected command: Packet#")]
+    fn unexpected_command_panics() {
         let (mut mc, mut input, mut mem, mut eng) = mk();
         // A ReadResp has no business arriving at a controller.
         let req = Packet::read(PhysAddr(0x40), Node::Mc(0));
         input.push(0, req.make_read_resp(LineData::ZERO));
-        let resps = run(&mut mc, &mut input, &mut mem, &mut eng, 50);
-        assert!(resps.is_empty());
-        assert!(mc.idle());
-        assert_eq!(mc.stats.malformed_packets, 1);
-        assert!(mc.audit_reports()[0].contains("unexpected command"), "{:?}", mc.audit_reports());
+        run(&mut mc, &mut input, &mut mem, &mut eng, 50);
     }
 
     /// Everything a controller run emits, in order: each tick's DRAM issue

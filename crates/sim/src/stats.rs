@@ -177,18 +177,10 @@ pub struct McStats {
     pub ecc_uncorrectable: u64,
     /// Demand/engine reads that returned poisoned data.
     pub poisoned_reads: u64,
-    /// Forced CTT flushes the copy engine performed under injected faults.
-    pub forced_flushes: u64,
-    /// Dropped-CTT-entry repairs: the engine detected lost copy metadata
-    /// and eagerly re-copied the affected line.
-    pub eager_fallbacks: u64,
     /// Transient controller stall windows tripped by injected faults.
     pub fault_stalls: u64,
     /// Cycles the input port was blocked inside injected stall windows.
     pub fault_stall_cycles: u64,
-    /// Malformed packets dropped (and reported via the audit log) instead
-    /// of processed.
-    pub malformed_packets: u64,
     /// Sum of enqueue→completion latencies (cycles) over all DRAM-serviced
     /// demand reads, and their count. WPQ-forwarded reads never reach DRAM
     /// and are excluded. Together these give the mean loaded read latency
@@ -199,17 +191,16 @@ pub struct McStats {
 }
 
 impl McStats {
-    /// Sum of all fault/degradation counters; 0 on a clean (empty
-    /// fault-plan) run, which keeps summary output byte-identical.
+    /// Sum of this controller's fault/degradation counters; 0 on a clean
+    /// (empty fault-plan) run, which keeps summary output byte-identical.
+    /// The copy engine's repairs are counted by the engine alone (see
+    /// [`RunStats::fault_events`]).
     pub fn fault_events(&self) -> u64 {
         self.ecc_corrected
             + self.ecc_retries
             + self.ecc_uncorrectable
             + self.poisoned_reads
-            + self.forced_flushes
-            + self.eager_fallbacks
             + self.fault_stalls
-            + self.malformed_packets
     }
 }
 
@@ -269,6 +260,15 @@ impl RunStats {
     pub fn engine_counter(&self, name: &str) -> u64 {
         self.engine.get(name).copied().unwrap_or(0)
     }
+
+    /// Every fault event of the run: each controller's
+    /// [`McStats::fault_events`] plus the copy engine's forced CTT flushes
+    /// and dropped-entry repairs (eager re-copies).
+    pub fn fault_events(&self) -> u64 {
+        self.mcs.iter().map(McStats::fault_events).sum::<u64>()
+            + self.engine_counter("forced_flushes")
+            + self.engine_counter("eager_fallbacks")
+    }
 }
 
 impl fmt::Display for RunStats {
@@ -316,16 +316,13 @@ impl fmt::Display for RunStats {
                 writeln!(
                     f,
                     "  mc{i}.faults: ecc_corr={} ecc_retry={} ecc_uncorr={} \
-poisoned_rd={} forced_flush={} eager_fb={} stalls={}/{}cy malformed={}",
+poisoned_rd={} stalls={}/{}cy",
                     m.ecc_corrected,
                     m.ecc_retries,
                     m.ecc_uncorrectable,
                     m.poisoned_reads,
-                    m.forced_flushes,
-                    m.eager_fallbacks,
                     m.fault_stalls,
-                    m.fault_stall_cycles,
-                    m.malformed_packets
+                    m.fault_stall_cycles
                 )?;
             }
         }
@@ -383,6 +380,26 @@ mod tests {
     fn miss_ratio_handles_zero() {
         let cs = CacheStats::default();
         assert_eq!(cs.miss_ratio(), 0.0);
+    }
+
+    #[test]
+    fn fault_events_counts_controllers_and_engine_repairs_once() {
+        let mut rs = RunStats::default();
+        assert_eq!(rs.fault_events(), 0, "a clean run has no fault events");
+        rs.mcs.push(McStats {
+            ecc_corrected: 1,
+            ecc_retries: 2,
+            ecc_uncorrectable: 4,
+            poisoned_reads: 8,
+            fault_stalls: 16,
+            fault_stall_cycles: 1000,
+            ..McStats::default()
+        });
+        rs.mcs.push(McStats { ecc_corrected: 32, ..McStats::default() });
+        rs.engine.insert("forced_flushes".into(), 64);
+        rs.engine.insert("eager_fallbacks".into(), 128);
+        rs.engine.insert("dropped_entries".into(), 999);
+        assert_eq!(rs.fault_events(), 255);
     }
 
     #[test]

@@ -701,20 +701,17 @@ impl System {
     /// and the clock edge.
     fn tick_epilogue(&mut self, now: Cycle) {
         let _ = now;
+        self.sched_stats.visited_cycles += 1;
+        self.sched_stats.executed_cycles += 1;
 
         #[cfg(feature = "check-invariants")]
-        {
-            self.checker.ticks += 1;
-            if self.checker.ticks.is_multiple_of(1024) {
-                self.validate_invariants(false);
-            }
+        if self.sched_stats.executed_cycles.is_multiple_of(1024) {
+            self.validate_invariants(false);
         }
 
         #[cfg(feature = "trace")]
         self.trace_sample(now);
 
-        self.sched_stats.visited_cycles += 1;
-        self.sched_stats.executed_cycles += 1;
         self.last_executed = Some(now);
         self.now += 1;
     }
@@ -736,9 +733,8 @@ impl System {
                 "invariant violation (scheduler): a whole-machine skip is due at the \
                  start of the jumped span [{from}, {to})"
             );
-            let ticks = self.checker.ticks;
-            self.checker.ticks += span;
-            if self.checker.ticks / 1024 > ticks / 1024 {
+            let executed = self.sched_stats.executed_cycles;
+            if (executed + span) / 1024 > executed / 1024 {
                 self.validate_invariants(false);
             }
         }
@@ -1184,11 +1180,6 @@ impl System {
         self.cores.iter().all(|c| c.finished())
     }
 
-    /// All malformed-packet audit reports across controllers.
-    pub fn audit_reports(&self) -> Vec<String> {
-        self.mcs.iter().flat_map(|m| m.audit_reports().iter().cloned()).collect()
-    }
-
     /// Read bytes as the *materialized* logical memory image, the view a
     /// demand read would return: the owning L1's copy wins, then the LLC,
     /// then lines the copy engine still tracks lazily (reconstructed
@@ -1619,9 +1610,7 @@ mod tests {
         // Regression: L1-initiated prefetch GetS must be granted by the
         // LLC, or demand loads merging into the prefetch MSHR hang.
         let mut cfg = SystemConfig::tiny();
-        cfg.l1.prefetch = true;
         cfg.l1.prefetch_degree = 4;
-        cfg.llc.prefetch = true;
         cfg.llc.prefetch_degree = 4;
         let uops: Vec<Uop> = (0..64u64).map(|i| ld(0x100000 + i * 64, 8)).collect();
         let mut sys = System::new(cfg, vec![Box::new(FixedProgram::new(uops))]);

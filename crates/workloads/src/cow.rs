@@ -10,7 +10,7 @@
 //! reproducing the paper's per-access RDTSC measurement.
 
 use crate::common::{marker, pattern, Pokes};
-use mcs_os::{CowCopyMode, Kernel, PageSize, VirtAddr, Vm};
+use mcs_os::{CopyMode, Kernel, PageSize, VirtAddr, Vm};
 use mcs_sim::uop::{StatTag, StoreData, Uop, UopKind};
 use rand::RngExt;
 
@@ -22,7 +22,7 @@ pub struct CowConfig {
     /// Random 8-byte updates measured (paper: first 100 accesses).
     pub updates: usize,
     /// Kernel copy mode in the fault handler.
-    pub mode: CowCopyMode,
+    pub mode: CopyMode,
     /// Page size of the mapping (the paper contrasts 4 KB faults, whose
     /// copy is small, with 2 MB hugepage faults, whose copy dominates).
     pub page: PageSize,
@@ -35,7 +35,7 @@ impl Default for CowConfig {
         CowConfig {
             region: 16 * 1024 * 1024,
             updates: 100,
-            mode: CowCopyMode::Eager,
+            mode: CopyMode::Eager,
             page: PageSize::Huge2M,
             seed: 0xF0F0,
         }
@@ -103,18 +103,18 @@ mod tests {
         CowConfig { region: 2 * PageSize::Huge2M.bytes(), updates: 8, ..CowConfig::default() }
     }
 
-    fn run(mode: CowCopyMode) -> (Vec<u64>, mcs_os::vm::KernelStats) {
+    fn run(mode: CopyMode) -> (Vec<u64>, mcs_os::vm::KernelStats) {
         let mut kernel =
             Kernel::new(OsCosts::default(), AddrSpace::new(PhysAddr(1 << 21), 1 << 30));
         let cfgw = CowConfig { mode, ..small() };
         let (uops, pokes) = cow_program(&cfgw, &mut kernel);
         let cfg = SystemConfig::tiny();
         let mut sys = match mode {
-            CowCopyMode::Lazy => {
+            CopyMode::Lazy => {
                 let e = McSquareEngine::new(McSquareConfig::default(), cfg.channels);
                 System::with_engine(cfg, vec![Box::new(FixedProgram::new(uops))], Box::new(e))
             }
-            CowCopyMode::Eager => System::new(cfg, vec![Box::new(FixedProgram::new(uops))]),
+            CopyMode::Eager => System::new(cfg, vec![Box::new(FixedProgram::new(uops))]),
         };
         pokes.apply(&mut sys);
         let st = sys.run(2_000_000_000).expect("finishes");
@@ -123,8 +123,8 @@ mod tests {
 
     #[test]
     fn eager_faults_spike_lazy_does_not() {
-        let (eager, es) = run(CowCopyMode::Eager);
-        let (lazy, ls) = run(CowCopyMode::Lazy);
+        let (eager, es) = run(CopyMode::Eager);
+        let (lazy, ls) = run(CopyMode::Lazy);
         assert_eq!(eager.len(), 8);
         assert_eq!(lazy.len(), 8);
         assert!(es.cow_faults >= 1 && es.cow_faults <= 2);
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn non_faulting_updates_are_fast_in_both() {
-        let (eager, _) = run(CowCopyMode::Eager);
+        let (eager, _) = run(CopyMode::Eager);
         let min = *eager.iter().min().unwrap();
         let max = *eager.iter().max().unwrap();
         assert!(max > 20 * min, "fault spike vs plain store");

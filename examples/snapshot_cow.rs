@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example snapshot_cow`
 
-use mcs_os::{CowCopyMode, Kernel, OsCosts};
+use mcs_os::{CopyMode, Kernel, OsCosts};
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::alloc::AddrSpace;
 use mcs_sim::config::SystemConfig;
@@ -16,7 +16,7 @@ use mcs_workloads::common::marker_latencies;
 use mcs_workloads::cow::{cow_program, CowConfig};
 use mcsquare::{McSquareConfig, McSquareEngine};
 
-fn run(mode: CowCopyMode) -> Vec<u64> {
+fn run(mode: CopyMode) -> Vec<u64> {
     let mut kernel = Kernel::new(OsCosts::default(), AddrSpace::new(PhysAddr(1 << 21), 2 << 30));
     let wcfg = CowConfig {
         region: 16 * 1024 * 1024, // 8 hugepages
@@ -27,11 +27,11 @@ fn run(mode: CowCopyMode) -> Vec<u64> {
     let (uops, pokes) = cow_program(&wcfg, &mut kernel);
     let cfg = SystemConfig::table1_one_core();
     let mut sys = match mode {
-        CowCopyMode::Lazy => {
+        CopyMode::Lazy => {
             let e = McSquareEngine::new(McSquareConfig::default(), cfg.channels);
             System::with_engine(cfg, vec![Box::new(FixedProgram::new(uops))], Box::new(e))
         }
-        CowCopyMode::Eager => System::new(cfg, vec![Box::new(FixedProgram::new(uops))]),
+        CopyMode::Eager => System::new(cfg, vec![Box::new(FixedProgram::new(uops))]),
     };
     pokes.apply(&mut sys);
     let stats = sys.run(20_000_000_000).expect("finishes");
@@ -52,11 +52,11 @@ fn stat(name: &str, lats: &[u64]) {
 fn main() {
     println!("16 MB hugepage-mapped database, fork(), 40 random 8B updates\n");
     println!("native kernel (eager 2 MB copy in the fault handler):");
-    let native = run(CowCopyMode::Eager);
+    let native = run(CopyMode::Eager);
     stat("latency", &native);
 
     println!("\n(MC)^2 kernel (MCLAZY in copy_user_huge_page):");
-    let lazy = run(CowCopyMode::Lazy);
+    let lazy = run(CopyMode::Lazy);
     stat("latency", &lazy);
 
     let improvement = *native.iter().max().unwrap() as f64 / *lazy.iter().max().unwrap() as f64;

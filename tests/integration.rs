@@ -135,7 +135,7 @@ fn multicore_mvcc_lazy_vs_eager_same_retires() {
 fn cow_snapshot_data_isolation() {
     // After fork + parent writes, the child's (snapshot) pages must hold
     // the ORIGINAL data; the parent's faulted pages hold the new write.
-    use mcs_os::{CowCopyMode, Kernel, OsCosts, PageSize, VirtAddr, Vm};
+    use mcs_os::{CopyMode, Kernel, OsCosts, PageSize, VirtAddr, Vm};
     let mut kernel =
         Kernel::new(OsCosts::free(), AddrSpace::new(PhysAddr(1 << 21), 1 << 30));
     let mut parent = Vm::new();
@@ -144,7 +144,7 @@ fn cow_snapshot_data_isolation() {
     let (child, _) = kernel.fork(&mut parent, mcs_sim::uop::StatTag::Kernel);
 
     // Parent faults (lazy mode) and then stores.
-    let mut uops = kernel.handle_cow_fault(&mut parent, base, CowCopyMode::Lazy, 0);
+    let mut uops = kernel.handle_cow_fault(&mut parent, base, CopyMode::Lazy, 0);
     let (new_pa, _) = parent.translate(base).unwrap();
     uops.push(mcs_sim::uop::Uop::new(
         mcs_sim::uop::UopKind::Store {
