@@ -868,7 +868,7 @@ const FIG20: Figure = Figure {
             "Protobuf runtime (ms) and CTT-full stall cycles vs CTT entries x drain threshold",
             &["ctt_entries", "threshold", "runtime_ms", "ctt_full_stall_cycles", "stalls_norm"],
         );
-        let stalls = |s: &RunStats| s.engine_counter("ctt_full_retries");
+        let stalls = |s: &RunStats| s.engine_counter("ctt_full_rejects");
         let max_stall = results.iter().map(stalls).max().unwrap_or(0).max(1);
         for ((entries, threshold), stats) in
             grid(FIG20_ENTRIES, &FIG20_THRESHOLDS).iter().zip(results)

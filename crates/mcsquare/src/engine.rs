@@ -119,7 +119,6 @@ struct Counters {
     writebacks_rejected: u64,
     reads_from_bpq: u64,
     bpq_full_retries: u64,
-    ctt_full_retries: u64,
     flush_retries: u64,
     drained_entries: u64,
     lazy_dest_writes: u64,
@@ -385,7 +384,7 @@ impl McSquareEngine {
                 });
                 let info = BounceInfo { reply_to: mcid, token: line.0, src, len, dest_off };
                 let pkt = Packet {
-                    id: mcs_sim::packet::fresh_id(),
+                    id: 0,
                     cmd: MemCmd::BounceRead(info),
                     addr: src_line,
                     data: None,
@@ -482,7 +481,7 @@ impl McSquareEngine {
             // controller, so a racing read still bounces correctly.
             self.n.lazy_dest_writes += 1;
             let pkt = Packet {
-                id: mcs_sim::packet::fresh_id(),
+                id: 0,
                 cmd: MemCmd::LazyDestWrite,
                 addr: line,
                 data: Some(buf),
@@ -556,7 +555,6 @@ impl McSquareEngine {
                 Verdict::Consumed
             }
             Err(CttError::Full) => {
-                self.n.ctt_full_retries += 1;
                 #[cfg(feature = "trace")]
                 mcs_trace::emit(mcs_trace::Event::CttFull { mc: mcid as u16, at: self.now });
                 Verdict::Retry(pkt)
@@ -898,7 +896,7 @@ impl CopyEngine for McSquareEngine {
                 let off = info.src.line_off() as usize;
                 payload.write(info.dest_off as usize, data.read(off, info.len as usize));
                 let pkt = Packet {
-                    id: mcs_sim::packet::fresh_id(),
+                    id: 0,
                     cmd: MemCmd::BounceResp(info),
                     addr: info.src.line_base(),
                     data: Some(payload),
@@ -974,7 +972,6 @@ impl CopyEngine for McSquareEngine {
             ("writebacks_rejected".into(), c.writebacks_rejected),
             ("reads_from_bpq".into(), c.reads_from_bpq),
             ("bpq_full_retries".into(), c.bpq_full_retries),
-            ("ctt_full_retries".into(), c.ctt_full_retries),
             ("flush_retries".into(), c.flush_retries),
             ("drained_entries".into(), c.drained_entries),
             ("lazy_dest_writes".into(), c.lazy_dest_writes),
@@ -1122,7 +1119,6 @@ impl CopyEngine for McSquareEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_sim::packet::fresh_id;
 
     fn engine() -> McSquareEngine {
         McSquareEngine::new(McSquareConfig::tiny(), 2)
@@ -1142,9 +1138,11 @@ mod tests {
         Packet::write(PhysAddr(addr), LineData::splat(val), Node::Mc(mc))
     }
 
+    /// One copy of an MCLAZY broadcast, numbered by its destination: no
+    /// test arms two broadcasts to one destination at once.
     fn mclazy_pkt(dst: u64, src: u64, size: u64, mc: usize) -> Packet {
         Packet {
-            id: fresh_id(),
+            id: dst,
             cmd: MemCmd::Mclazy(LazyDesc { dst: PhysAddr(dst), src: PhysAddr(src), size }),
             addr: PhysAddr(dst),
             data: None,
@@ -1388,6 +1386,7 @@ mod tests {
             other => panic!("full CTT must stall MCLAZY: {other:?}"),
         }
         assert!(!io.sends.iter().any(|(p, _)| p.cmd == MemCmd::MclazyAck));
+        assert_eq!(e.counters_map()["ctt_full_rejects"], 1);
     }
 
     #[test]
@@ -1395,7 +1394,7 @@ mod tests {
         let mut e = engine();
         insert(&mut e, 0x2000, 0x10000, 128);
         let pkt = Packet {
-            id: fresh_id(),
+            id: 0,
             cmd: MemCmd::Mcfree(FreeDesc { addr: PhysAddr(0x2000), size: 128 }),
             addr: PhysAddr(0x2000),
             data: None,
@@ -1526,7 +1525,7 @@ mod tests {
         let mut e = engine();
         insert(&mut e, 0x2000, 0x10000, 64);
         let names: Vec<String> = e.counters().into_iter().map(|(k, _)| k).collect();
-        for key in ["ctt_inserts", "bounces_sent", "dest_writebacks", "ctt_full_retries"] {
+        for key in ["ctt_inserts", "bounces_sent", "dest_writebacks", "ctt_full_rejects"] {
             assert!(names.iter().any(|n| n == key), "missing counter {key}");
         }
     }

@@ -272,7 +272,7 @@ fn ctt_full_applies_backpressure_but_completes() {
             "copy {i}"
         );
     }
-    assert!(stats.mc_input_stalls() > 0 || stats.engine_counter("ctt_full_retries") > 0);
+    assert!(stats.mc_input_stalls() > 0 || stats.engine_counter("ctt_full_rejects") > 0);
 }
 
 #[test]
@@ -470,7 +470,6 @@ fn ctt_full_fallback_preserves_data_and_counts_rejects() {
         stats.engine_counter("ctt_full_rejects") >= 1,
         "a 24-copy burst must overrun an 8-entry CTT: {stats}"
     );
-    assert!(stats.engine_counter("ctt_full_retries") >= 1, "{stats}");
     // Oracle: every destination equals its source pattern, as if copied
     // eagerly — back-pressure degraded timing, not data.
     for i in 0..n {

@@ -90,6 +90,8 @@ pub struct Llc {
     /// CLWB write-throughs awaiting controller acceptance: packet id →
     /// (core, uop id). The ack is what propagates BPQ back-pressure.
     pending_write_acks: FastMap<u64, (usize, UopId)>,
+    /// Id of the last packet this LLC sent (ids start at 1).
+    last_id: u64,
     pf: StridePrefetcher,
     /// Statistics.
     pub stats: CacheStats,
@@ -108,6 +110,7 @@ impl Llc {
             retry: VecDeque::new(),
             pending_lazy: FastMap::default(),
             pending_write_acks: FastMap::default(),
+            last_id: 0,
             pf,
             stats: CacheStats::default(),
         }
@@ -115,6 +118,12 @@ impl Llc {
 
     fn mc_of(&self, line: PhysAddr) -> Node {
         Node::Mc(channel_of(line, self.channels))
+    }
+
+    /// Number the next packet this LLC sends.
+    fn next_id(&mut self) -> u64 {
+        self.last_id += 1;
+        self.last_id
     }
 
     /// Directory state of resident lines as `(line address, owner,
@@ -138,9 +147,10 @@ impl Llc {
         self.mshrs.contains_key(&line.0)
     }
 
-    /// Write `data` to memory, unacknowledged.
-    fn write_mem(&self, line: PhysAddr, data: LineData, out: &mut LlcOut) {
-        out.to_bus.push((Packet::write(line, data, self.mc_of(line)), self.cfg.hit_latency));
+    /// Write `data` to memory `delay` cycles from now, unacknowledged.
+    fn write_mem(&mut self, line: PhysAddr, data: LineData, delay: Cycle, out: &mut LlcOut) {
+        let pkt = Packet { id: self.next_id(), ..Packet::write(line, data, self.mc_of(line)) };
+        out.to_bus.push((pkt, delay));
     }
 
     /// Send a write to memory whose acceptance must be acknowledged back to
@@ -153,9 +163,12 @@ impl Llc {
         core: usize,
         out: &mut LlcOut,
     ) {
-        let mut pkt = Packet::write(line, data, self.mc_of(line));
-        pkt.needs_ack = true;
-        pkt.core = Some(core);
+        let pkt = Packet {
+            id: self.next_id(),
+            needs_ack: true,
+            core: Some(core),
+            ..Packet::write(line, data, self.mc_of(line))
+        };
         self.pending_write_acks.insert(pkt.id, (core, id));
         out.to_bus.push((pkt, self.cfg.hit_latency));
     }
@@ -233,7 +246,7 @@ impl Llc {
                 // before its copy of the broadcast — the ordering the
                 // paper's consistency argument rests on. The engine arms
                 // the tracking entry only once the last copy arrives.
-                let bid = crate::packet::fresh_id();
+                let bid = self.next_id();
                 self.pending_lazy.insert(bid, (core, id));
                 for k in 0..self.channels {
                     let pkt = Packet {
@@ -253,7 +266,7 @@ impl Llc {
             }
             L1ToLlc::Mcfree { addr, size } => {
                 let pkt = Packet {
-                    id: crate::packet::fresh_id(),
+                    id: self.next_id(),
                     cmd: MemCmd::Mcfree(crate::packet::FreeDesc { addr, size }),
                     addr: addr.line_base(),
                     data: None,
@@ -403,7 +416,7 @@ impl Llc {
         if !self.array.has_room(line) && !self.make_room(line, out) {
             return false;
         }
-        let mut pkt = Packet::read(line, self.mc_of(line));
+        let mut pkt = Packet { id: self.next_id(), ..Packet::read(line, self.mc_of(line)) };
         pkt.is_prefetch = prefetch;
         pkt.core = Some(core);
         out.to_bus.push((pkt, self.cfg.hit_latency));
@@ -431,7 +444,7 @@ impl Llc {
             }
             if p.dirty {
                 self.stats.writebacks += 1;
-                self.write_mem(v, p.data, out);
+                self.write_mem(v, p.data, self.cfg.hit_latency, out);
             }
             return true;
         }
@@ -490,7 +503,7 @@ impl Llc {
             None => out.to_l1.push((core, LlcToL1::ClwbAck { id }, self.cfg.hit_latency)),
             Some(((last_line, last_data), rest)) => {
                 for (line, data) in rest {
-                    self.write_mem(*line, *data, out);
+                    self.write_mem(*line, *data, self.cfg.hit_latency, out);
                 }
                 self.send_acked_write(*last_line, *last_data, id, core, out);
             }
@@ -603,7 +616,7 @@ impl Llc {
                     self.stats.evictions += 1;
                     if p.dirty {
                         self.stats.writebacks += 1;
-                        self.write_mem(line, p.data, out);
+                        self.write_mem(line, p.data, self.cfg.hit_latency, out);
                     }
                 }
             }
@@ -611,7 +624,7 @@ impl Llc {
                 if self.array.remove(line).is_some() {
                     self.stats.invalidations += 1;
                 }
-                self.write_mem(line, data, out);
+                self.write_mem(line, data, self.cfg.hit_latency, out);
                 out.to_l1.push((core, LlcToL1::NtAck { id }, self.cfg.hit_latency));
             }
             After::Clwb { id, core } => {
@@ -681,7 +694,7 @@ impl Llc {
             if l.dirty {
                 l.dirty = false;
                 let d = l.data;
-                out.to_bus.push((Packet::write(line, d, self.mc_of(line)), 0));
+                self.write_mem(line, d, 0, out);
             }
         }
     }
@@ -696,7 +709,7 @@ impl Llc {
                 l.sharers |= 1 << o;
             }
         }
-        out.to_bus.push((Packet::write(line, data, self.mc_of(line)), 0));
+        self.write_mem(line, data, 0, out);
     }
 
     /// MCLAZY snoop support: drop a destination line entirely.
@@ -760,6 +773,20 @@ mod tests {
                 assert_eq!(*level, ServiceLevel::Mem);
             }
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn packets_are_numbered_per_llc() {
+        // Each LLC numbers what it sends from 1, so ids do not depend on
+        // what else ran in the process.
+        for _ in 0..2 {
+            let mut llc = mk();
+            let mut out = LlcOut::default();
+            llc.handle_l1(0, gets(0x100, 0), &mut out);
+            llc.handle_l1(0, gets(0x200, 0), &mut out);
+            let ids: Vec<u64> = out.to_bus.iter().map(|(p, _)| p.id).collect();
+            assert_eq!(ids, [1, 2]);
         }
     }
 

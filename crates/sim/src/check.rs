@@ -28,8 +28,8 @@ use crate::packet::{MemCmd, Packet};
 use crate::hash::{FastMap, FastSet};
 
 /// Key identifying one bounce round-trip. `BounceRead` and `BounceResp`
-/// use fresh packet ids but carry the same `BounceInfo`, so conservation
-/// is tracked on the info tuple: (reply_to, token, src, dest_off, len).
+/// carry packet id 0 but the same `BounceInfo`, so conservation is
+/// tracked on the info tuple: (reply_to, token, src, dest_off, len).
 type BounceKey = (usize, u64, u64, u32, u32);
 
 /// Ledgers for in-flight request/response pairs on the interconnect.

@@ -979,7 +979,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mc0 @0: write without data: Packet#")]
+    #[should_panic(expected = "mc0 @0: write without data: Packet#0{WriteReq @PA(0x40) -> Mc(0)}")]
     fn malformed_write_panics() {
         let (mut mc, mut input, mut mem, mut eng) = mk();
         let mut pkt = Packet::write(PhysAddr(0x40), LineData::splat(1), Node::Mc(0));
@@ -989,7 +989,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mc0 @0: unexpected command: Packet#")]
+    #[should_panic(expected = "mc0 @0: unexpected command: Packet#0{ReadResp @PA(0x40) -> Llc +data}")]
     fn unexpected_command_panics() {
         let (mut mc, mut input, mut mem, mut eng) = mk();
         // A ReadResp has no business arriving at a controller.

@@ -11,7 +11,6 @@
 use crate::addr::PhysAddr;
 use crate::data::LineData;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Routing target of a packet on the memory interconnect.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -20,15 +19,6 @@ pub enum Node {
     Llc,
     /// Memory controller `i`.
     Mc(usize),
-}
-
-/// Monotonic packet-id source, unique within a process. Ids only need to be
-/// unique per outstanding request; a global counter is the simplest way.
-static NEXT_PACKET_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Allocate a fresh packet id.
-pub fn fresh_id() -> u64 {
-    NEXT_PACKET_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Descriptor of a lazy-copy operation as carried by an `MCLAZY` packet:
@@ -119,7 +109,11 @@ impl MemCmd {
 /// A packet on the memory interconnect.
 #[derive(Clone)]
 pub struct Packet {
-    /// Request/response matching id.
+    /// Request/response matching id. The LLC numbers every packet it
+    /// sends from its own counter (a response or ack copies its request's
+    /// id), so ids depend only on the machine's own run. Packets matched
+    /// by other fields (bounces by [`BounceInfo`], destination writes by
+    /// their line) carry 0.
     pub id: u64,
     /// Command.
     pub cmd: MemCmd,
@@ -147,10 +141,11 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Construct a read request for the line containing `addr`.
+    /// Construct a read request for the line containing `addr`, with id 0
+    /// (a sender that matches the response by id numbers it).
     pub fn read(addr: PhysAddr, dest: Node) -> Packet {
         Packet {
-            id: fresh_id(),
+            id: 0,
             cmd: MemCmd::ReadReq,
             addr: addr.line_base(),
             data: None,
@@ -162,10 +157,10 @@ impl Packet {
         }
     }
 
-    /// Construct a posted full-line write.
+    /// Construct a posted full-line write, with id 0 (as [`Packet::read`]).
     pub fn write(addr: PhysAddr, data: LineData, dest: Node) -> Packet {
         Packet {
-            id: fresh_id(),
+            id: 0,
             cmd: MemCmd::WriteReq,
             addr: addr.line_base(),
             data: Some(data),
@@ -257,13 +252,6 @@ impl fmt::Debug for Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fresh_ids_are_unique() {
-        let a = fresh_id();
-        let b = fresh_id();
-        assert_ne!(a, b);
-    }
 
     #[test]
     fn read_req_aligns_address() {

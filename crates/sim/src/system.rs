@@ -159,11 +159,11 @@ pub struct System {
     to_llc: DelayQueue<Packet>,
     to_mc: Vec<DelayQueue<Packet>>,
     sched: SchedMode,
-    /// Executed cycles during which core `i` was elided but not yet
-    /// accounted (flushed before the core next runs, and at run exit).
-    idle_pending: Vec<u64>,
-    /// First cycle of core `i`'s current elision streak.
-    idle_first: Vec<Cycle>,
+    /// The [`SchedStats::executed_cycles`] count through which core `i`'s
+    /// cycles are accounted. The executed cycles since then are the ones
+    /// it was elided in, replayed by [`System::account_elided`] before it
+    /// next runs, before a whole-machine skip and at every run exit.
+    accounted: Vec<u64>,
     /// Whether core `i` could act, or held an unsent store or writeback,
     /// after its last execution: the whole-machine skip gate, under both
     /// skipping schedulers. Looser than the core's sleep verdict (a store
@@ -205,8 +205,6 @@ pub struct System {
     skip_to: Option<Cycle>,
     /// Cores whose program has not finished.
     unfinished: usize,
-    /// Messages on every link, counted where they are pushed and popped.
-    in_flight: usize,
     /// Always-on scheduler counters, reported in [`RunStats::sched`].
     sched_stats: SchedStats,
     /// Per-phase output buffers, reused across cycles so the hot loop
@@ -312,8 +310,7 @@ impl System {
             to_llc: DelayQueue::new(cfg.links.llc_mc),
             to_mc: mk(cfg.channels, cfg.links.llc_mc),
             sched: SchedMode::EventDriven,
-            idle_pending: vec![0; n],
-            idle_first: vec![0; n],
+            accounted: vec![0; n],
             core_blocks_skip: vec![true; n],
             l1_refused: vec![false; n],
             llc_refused: vec![false; n],
@@ -325,7 +322,6 @@ impl System {
             due_mc: vec![0; cfg.channels],
             skip_to: None,
             unfinished,
-            in_flight: 0,
             sched_stats: SchedStats::default(),
             scratch_core: CoreOut::default(),
             scratch_l1: L1Out::default(),
@@ -360,7 +356,6 @@ impl System {
     fn post_bus(&mut self, now: Cycle, pkt: Packet, extra: Cycle) {
         #[cfg(feature = "check-invariants")]
         self.checker.observe_send(&pkt);
-        self.in_flight += 1;
         match pkt.dest {
             Node::Llc => {
                 self.to_llc.push_after(now, extra, pkt);
@@ -419,9 +414,8 @@ impl System {
     /// predicate holds for it (a timer or immediate work of its own, a
     /// deliverable inbox, the refusal flags). The agenda only chooses what
     /// gets checked, so this executes the same architectural events as
-    /// [`System::tick`] at this cycle. Elided cores have their per-cycle
-    /// accounting batched and replayed by [`Core::account_idle`] before
-    /// they next run.
+    /// [`System::tick`] at this cycle. An elided core's cycles are
+    /// accounted when it next runs ([`System::account_elided`]).
     fn visit(&mut self) {
         let now = self.now;
 
@@ -432,10 +426,8 @@ impl System {
         //    pushed, so a due core always has one of them.
         for i in 0..self.cores.len() {
             if self.due_core[i] > now {
-                self.idle_core(i, now, 1);
                 continue;
             }
-            self.flush_idle_core(i);
             let act = self.phase_core(now, i);
             let c = &self.cores[i];
             let wake = if act {
@@ -531,23 +523,24 @@ impl System {
         requests.chain(responses).fold(head(&self.to_llc), Cycle::min)
     }
 
-    /// Batch `k` elided cycles starting at `first` into core `i`'s idle
-    /// accounting (a finished core's elided cycles are not accounted).
-    fn idle_core(&mut self, i: usize, first: Cycle, k: u64) {
-        if !self.cores[i].finished() {
-            if self.idle_pending[i] == 0 {
-                self.idle_first[i] = first;
-            }
-            self.idle_pending[i] += k;
-        }
+    /// Replay core `i`'s accounting for the executed cycles it was elided
+    /// in since it was last accounted. No whole-machine skip falls among
+    /// them (a skip accounts every core first), so they are the `k`
+    /// cycles just before `now`.
+    fn account_elided(&mut self, i: usize) {
+        let k = self.sched_stats.executed_cycles - self.accounted[i];
+        self.accounted[i] = self.sched_stats.executed_cycles;
+        self.cores[i].account_idle(k, self.now - k);
     }
 
     /// Phase 1 for core `i`: consume L1 responses, then advance. Returns
     /// [`Core::can_act`] after the advance.
     fn phase_core(&mut self, now: Cycle, i: usize) -> bool {
         self.sched_stats.core_execs += 1;
+        self.account_elided(i);
+        // The core's own tick accounts this cycle.
+        self.accounted[i] += 1;
         while let Some(msg) = self.l1_to_core[i].pop(now) {
-            self.in_flight -= 1;
             self.cores[i].handle_l1(now, msg);
         }
         let was_finished = self.cores[i].finished();
@@ -557,7 +550,6 @@ impl System {
             self.unfinished -= 1;
         }
         if !out.to_l1.is_empty() {
-            self.in_flight += out.to_l1.len();
             for m in out.to_l1.drain(..) {
                 self.core_to_l1[i].push(now, m);
             }
@@ -579,7 +571,6 @@ impl System {
         self.sched_stats.l1_execs += 1;
         let mut out = std::mem::take(&mut self.scratch_l1);
         while let Some(msg) = self.llc_to_l1[i].pop(now) {
-            self.in_flight -= 1;
             self.l1s[i].handle_llc(now, msg, &mut out);
         }
         let mut refused = false;
@@ -588,21 +579,18 @@ impl System {
             let msg = msg.clone();
             if self.l1s[i].handle_core(now, &msg, &mut out) {
                 let _ = self.core_to_l1[i].pop(now);
-                self.in_flight -= 1;
             } else {
                 refused = true;
                 break;
             }
         }
         if !out.to_core.is_empty() {
-            self.in_flight += out.to_core.len();
             for (m, extra) in out.to_core.drain(..) {
                 self.l1_to_core[i].push_after(now, extra, m);
             }
             self.due_core[i] = self.due_core[i].min(head(&self.l1_to_core[i]));
         }
         if !out.to_llc.is_empty() {
-            self.in_flight += out.to_llc.len();
             for m in out.to_llc.drain(..) {
                 // Route by virtual network: responses must never queue
                 // behind a blocked request.
@@ -627,7 +615,6 @@ impl System {
         // Responses first: they are always accepted and unblock MSHRs.
         for i in 0..self.l1_to_llc_resp.len() {
             while let Some(msg) = self.l1_to_llc_resp[i].pop(now) {
-                self.in_flight -= 1;
                 let accepted = self.llc.handle_l1(now, msg, &mut out);
                 debug_assert!(accepted, "responses are always accepted");
             }
@@ -656,21 +643,18 @@ impl System {
                 let msg = self.l1_to_llc[i].peek(now).expect("still there").clone();
                 if self.llc.handle_l1(now, msg, &mut out) {
                     let _ = self.l1_to_llc[i].pop(now);
-                    self.in_flight -= 1;
                 } else {
                     break;
                 }
             }
         }
         while let Some(pkt) = self.to_llc.pop(now) {
-            self.in_flight -= 1;
             self.llc.handle_pkt(now, pkt, &mut out);
         }
         // After the fills, which may have freed MSHRs this cycle.
         for (refused, q) in self.llc_refused.iter_mut().zip(&self.l1_to_llc) {
             *refused = q.iter().next().is_some_and(|m| self.llc.refuses(m));
         }
-        self.in_flight += out.to_l1.len();
         for (l1, m, extra) in out.to_l1.drain(..) {
             self.llc_to_l1[l1].push_after(now, extra, m);
             self.due_l1[l1] = self.due_l1[l1].min(self.l1_inbox(l1));
@@ -688,9 +672,7 @@ impl System {
             self.mcs[i].replay_elided(last, self.engine.as_mut());
         }
         let mut out = std::mem::take(&mut self.scratch_mc);
-        let queued = self.to_mc[i].len();
         self.mcs[i].tick(now, &mut self.to_mc[i], self.engine.as_mut(), &mut self.mem, &mut out);
-        self.in_flight -= queued - self.to_mc[i].len();
         for (pkt, extra) in out.drain(..) {
             self.send_bus(now, pkt, extra);
         }
@@ -719,10 +701,12 @@ impl System {
     /// Account the cycles `[now, to)` that the event-driven loop jumps:
     /// no component is due in them, so the reference loop would execute
     /// each one and find nothing to run. They count as executed cycles,
-    /// elided for every core and controller. The machine state is frozen
-    /// across them, so one audit stands for the per-cycle ones, and the
-    /// trace series samples each epoch boundary the span crosses at the
-    /// first cycle at or after it, as the per-cycle loop would.
+    /// elided for every core and controller, so adding them to
+    /// [`SchedStats::executed_cycles`] is all their accounting until each
+    /// component next runs. The machine state is frozen across them, so
+    /// one audit stands for the per-cycle ones, and the trace series
+    /// samples each epoch boundary the span crosses at the first cycle at
+    /// or after it, as the per-cycle loop would.
     fn jump_to(&mut self, to: Cycle) {
         let from = self.now;
         let span = to - from;
@@ -745,9 +729,6 @@ impl System {
             }
             self.trace_sample(at);
         }
-        for i in 0..self.cores.len() {
-            self.idle_core(i, from, span);
-        }
         self.last_executed = Some(to - 1);
         self.sched_stats.executed_cycles += span;
         self.now = to;
@@ -762,19 +743,11 @@ impl System {
             .fold(self.due_llc, |d, &c| d.min(c))
     }
 
-    /// Replay core `i`'s batched idle accounting (no-op when none).
-    fn flush_idle_core(&mut self, i: usize) {
-        let k = self.idle_pending[i];
-        if k > 0 {
-            self.idle_pending[i] = 0;
-            self.cores[i].account_idle(k, self.idle_first[i]);
-        }
-    }
-
-    /// Replay all cores' batched idle accounting (run exits).
-    fn flush_idle(&mut self) {
+    /// Account every core's elided cycles (run exits and whole-machine
+    /// skips).
+    fn account_all_elided(&mut self) {
         for i in 0..self.cores.len() {
-            self.flush_idle_core(i);
+            self.account_elided(i);
         }
     }
 
@@ -909,28 +882,21 @@ impl System {
 
     /// Whether the machine has drained: every program finished, no
     /// message on any link, and no controller, LLC or engine work left.
-    /// The two running counts settle the common case without a scan.
+    /// The unfinished count settles the common case; the links are
+    /// scanned only once every program has finished.
     fn all_done(&self) -> bool {
         #[cfg(feature = "check-invariants")]
         self.check_counts();
         self.unfinished == 0
-            && self.in_flight == 0
+            && self.fold_links((), |(), _, len| (len == 0).then_some(())).is_some()
             && self.mcs.iter().all(|m| m.idle())
             && !self.llc.busy()
             && !self.engine.busy()
     }
 
-    /// The running counts agree with a scan of the cores and the links.
+    /// The running unfinished count agrees with a scan of the cores.
     #[cfg(feature = "check-invariants")]
     fn check_counts(&self) {
-        let queued = self.fold_links(0, |n, _, len| Some(n + len));
-        assert_eq!(
-            Some(self.in_flight),
-            queued,
-            "invariant violation (scheduler): messages counted in flight vs queued \
-             on the links, at cycle {}",
-            self.now
-        );
         let unfinished = self.cores.iter().filter(|c| !c.finished()).count();
         assert_eq!(
             self.unfinished, unfinished,
@@ -1035,7 +1001,9 @@ impl System {
         let end = start.saturating_add(max_cycles);
         let mut stable = 0u32;
         let mut last_metric = self.progress_metric();
-        let mut idle_ticks: Cycle = 0;
+        // The executed cycle count when the progress metric last changed:
+        // the watchdog's idle ticks are the executed cycles since.
+        let mut progress_at = self.sched_stats.executed_cycles;
         // External setters (fault plans, mode switches) may have touched
         // component state since the last run: start from a clean slate.
         self.reset_agenda();
@@ -1053,9 +1021,9 @@ impl System {
                 let m = self.progress_metric();
                 if m != last_metric {
                     last_metric = m;
-                    idle_ticks = 0;
+                    progress_at = self.sched_stats.executed_cycles;
                 } else {
-                    idle_ticks += 1;
+                    let idle_ticks = self.sched_stats.executed_cycles - progress_at;
                     if idle_ticks >= window && !self.all_done() {
                         return Err(self.livelock(idle_ticks));
                     }
@@ -1065,7 +1033,7 @@ impl System {
                 // A few grace ticks so posted work settles, then stop.
                 stable += 1;
                 if stable >= 2 {
-                    self.flush_idle();
+                    self.account_all_elided();
                     #[cfg(feature = "check-invariants")]
                     self.validate_invariants(true);
                     return Ok(self.collect_stats());
@@ -1082,17 +1050,17 @@ impl System {
                 let to = self.next_due().min(end);
                 if to > self.now {
                     if let Some(window) = watchdog {
+                        let idle_ticks = self.sched_stats.executed_cycles - progress_at;
                         if idle_ticks + (to - self.now) >= window {
                             self.jump_to(self.now + (window - idle_ticks));
                             return Err(self.livelock(window));
                         }
-                        idle_ticks += to - self.now;
                     }
                     self.jump_to(to);
                 }
             }
         }
-        self.flush_idle();
+        self.account_all_elided();
         Err(SimError::Timeout {
             max_cycles,
             unfinished: self.unfinished_cores(),
@@ -1112,6 +1080,10 @@ impl System {
         if watchdog.is_some_and(|window| target - self.now >= window) {
             return Err(self.livelock(target - self.now));
         }
+        // Skipped cycles are not accounted to any core (DESIGN.md §2.10,
+        // known defect 1); accounting the elided ones first keeps each
+        // core's unaccounted executed cycles contiguous in time.
+        self.account_all_elided();
         let to = target.min(end);
         self.sched_stats.skipped_cycles += to - self.now;
         self.now = to;
@@ -1122,7 +1094,7 @@ impl System {
     /// Stop a run for the liveness watchdog after `idle_for` cycles
     /// without forward progress.
     fn livelock(&mut self, idle_for: Cycle) -> SimError {
-        self.flush_idle();
+        self.account_all_elided();
         SimError::Livelock {
             at: self.now,
             idle_for,

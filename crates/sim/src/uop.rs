@@ -92,7 +92,7 @@ pub enum UopKind {
     Mclazy {
         /// Destination (must be cacheline aligned).
         dst: PhysAddr,
-        /// Source (any alignment).
+        /// Source (any alignment; must not overlap the destination).
         src: PhysAddr,
         /// Bytes to copy (must be a multiple of the cacheline size).
         size: u64,
@@ -142,9 +142,9 @@ impl Uop {
         Uop { kind, tag }
     }
 
-    /// Validate structural constraints (alignment, sizes). Programs are
-    /// expected to produce valid uops; the core asserts this in debug
-    /// builds.
+    /// Validate structural constraints (alignment, sizes, MCLAZY source
+    /// and destination disjoint). Programs are expected to produce valid
+    /// uops; the core asserts this in debug builds.
     ///
     /// # Errors
     /// Returns a human-readable description of the violated constraint.
@@ -164,12 +164,15 @@ impl Uop {
                 }
                 Ok(())
             }
-            UopKind::Mclazy { dst, size, .. } => {
+            UopKind::Mclazy { dst, src, size } => {
                 if !dst.is_aligned(CACHELINE) {
                     return Err(format!("MCLAZY dst {dst} not cacheline aligned"));
                 }
                 if *size == 0 || *size % CACHELINE != 0 {
                     return Err(format!("MCLAZY size {size} not a multiple of 64"));
+                }
+                if src.0 < dst.0.saturating_add(*size) && dst.0 < src.0.saturating_add(*size) {
+                    return Err(format!("MCLAZY src {src} overlaps dst {dst} ({size}B)"));
                 }
                 Ok(())
             }
@@ -256,6 +259,11 @@ mod tests {
             StatTag::Memcpy,
         );
         assert!(bad_size.validate().is_err());
+        let overlap = Uop::new(
+            UopKind::Mclazy { dst: PhysAddr(0x1000), src: PhysAddr(0x1040), size: 256 },
+            StatTag::Memcpy,
+        );
+        assert!(overlap.validate().is_err(), "source must not overlap the destination");
     }
 
     #[test]
