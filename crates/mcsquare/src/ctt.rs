@@ -211,13 +211,16 @@ impl Ctt {
     /// Fragments of the destination cacheline containing `line` that are
     /// tracked, in address order. Gaps between fragments are bytes whose
     /// current memory contents are already valid.
-    pub fn lookup_line(&self, line: PhysAddr) -> Vec<Fragment> {
+    pub fn fragments(&self, line: PhysAddr) -> impl Iterator<Item = Fragment> + '_ {
         let base = line.line_base().0;
         self.map
             .overlapping(ByteRange::new(base, base + CACHELINE))
-            .into_iter()
             .map(|(r, v)| Fragment { dst: PhysAddr(r.start), len: r.len(), src: PhysAddr(v.0) })
-            .collect()
+    }
+
+    /// [`Ctt::fragments`], collected.
+    pub fn lookup_line(&self, line: PhysAddr) -> Vec<Fragment> {
+        self.fragments(line).collect()
     }
 
     /// Whether any byte in `[addr, addr+len)` is a tracked destination.
@@ -235,22 +238,20 @@ impl Ctt {
     }
 
     /// Entries whose *source* range overlaps `[addr, addr+len)`, clipped
-    /// to the overlap: returns (destination subrange, source base of that
+    /// to the overlap: yields (destination subrange, source base of that
     /// subrange). O(entries).
-    pub fn src_overlapping(&self, addr: PhysAddr, len: u64) -> Vec<(ByteRange, PhysAddr)> {
+    pub fn src_overlapping(
+        &self,
+        addr: PhysAddr,
+        len: u64,
+    ) -> impl Iterator<Item = (ByteRange, PhysAddr)> + '_ {
         let q = ByteRange::sized(addr.0, len);
-        let mut out = Vec::new();
-        for (dst, v) in self.map.iter() {
+        self.map.iter().filter_map(move |(dst, v)| {
             let src = ByteRange::sized(v.0, dst.len());
-            if let Some(ix) = src.intersect(&q) {
-                let off = ix.start - src.start;
-                out.push((
-                    ByteRange::new(dst.start + off, dst.start + off + ix.len()),
-                    PhysAddr(ix.start),
-                ));
-            }
-        }
-        out
+            let ix = src.intersect(&q)?;
+            let off = ix.start - src.start;
+            Some((ByteRange::new(dst.start + off, dst.start + off + ix.len()), PhysAddr(ix.start)))
+        })
     }
 
     /// Destination *lines* of entries whose source overlaps `r` (used for
@@ -464,7 +465,7 @@ mod tests {
     fn src_overlapping_maps_back_to_dst() {
         let mut c = Ctt::new(16);
         c.try_insert(pa(0x1000), pa(0x8020), 128).unwrap();
-        let hits = c.src_overlapping(pa(0x8040), 64);
+        let hits: Vec<_> = c.src_overlapping(pa(0x8040), 64).collect();
         assert_eq!(hits.len(), 1);
         let (dst, src) = hits[0];
         assert_eq!(src, pa(0x8040));

@@ -146,6 +146,14 @@ pub struct McSquareEngine {
     tags: FastMap<u64, TagKind>,
     next_tag: u64,
     drains: Vec<Vec<DrainJob>>,
+    /// Reused buffers: the reads planned for one reconstruction, as
+    /// (destination offset, length, source), and the destination lines a
+    /// source write must flush.
+    plan: Vec<(u32, u32, PhysAddr)>,
+    flush_lines: Vec<PhysAddr>,
+    /// Emptied reader and pinned-source lists of finished
+    /// reconstructions, reused by the next one.
+    spare_lists: Vec<(Vec<Packet>, Vec<PhysAddr>)>,
     n: Counters,
     /// Injected engine faults (`None` ⇔ empty plan: zero-cost hooks).
     fault: Option<EngineFault>,
@@ -181,6 +189,9 @@ impl McSquareEngine {
             ctt: Ctt::new(cfg.ctt_entries),
             bpqs: (0..channels).map(|_| Bpq::new(cfg.bpq_entries)).collect(),
             drains: (0..channels).map(|_| Vec::new()).collect(),
+            plan: Vec::new(),
+            flush_lines: Vec::new(),
+            spare_lists: Vec::new(),
             recons: FastMap::default(),
             pins: FastMap::default(),
             arming: FastMap::default(),
@@ -283,24 +294,55 @@ impl McSquareEngine {
             return false;
         }
 
-        let frags = self.ctt.lookup_line(line);
-        self.start_recon_with(frags, mcid, line, cause, reader, io)
+        let plan = self.plan(line);
+        self.start_recon_with(plan, mcid, line, cause, reader, io);
+        true
     }
 
-    /// Start a reconstruction from an explicit fragment list. Used by
-    /// [`McSquareEngine::start_recon`] (fragments straight from the CTT)
-    /// and by dropped-entry repair, where the fragments are captured
-    /// *before* the faulty metadata loss and the entry is already gone.
+    /// Plan the reads that reconstruct destination line `line` from its
+    /// CTT fragments: tracked bytes come from their sources (splitting at
+    /// source-line boundaries — the two-bounce case for misaligned copies,
+    /// §III-B2), gaps come from the destination line's own memory. Fills
+    /// the engine's reused plan buffer; hand it back through
+    /// [`McSquareEngine::start_recon_with`].
+    fn plan(&mut self, line: PhysAddr) -> Vec<(u32, u32, PhysAddr)> {
+        let mut plan = std::mem::take(&mut self.plan);
+        let mut cursor = line.0;
+        let end = line.0 + CACHELINE;
+        for Fragment { dst, len, src } in self.ctt.fragments(line) {
+            if dst.0 > cursor {
+                plan.push(((cursor - line.0) as u32, (dst.0 - cursor) as u32, PhysAddr(cursor)));
+            }
+            // Split the tracked fragment at source line boundaries.
+            let mut off = 0u64;
+            while off < len {
+                let s = src.add(off);
+                let take = (len - off).min(CACHELINE - s.line_off());
+                plan.push(((dst.0 + off - line.0) as u32, take as u32, s));
+                off += take;
+            }
+            cursor = dst.0 + len;
+        }
+        debug_assert!(cursor > line.0, "recon of untracked line {line:?}");
+        if cursor < end {
+            plan.push(((cursor - line.0) as u32, (end - cursor) as u32, PhysAddr(cursor)));
+        }
+        plan
+    }
+
+    /// Start a reconstruction from `plan` (see [`McSquareEngine::plan`]).
+    /// Used by [`McSquareEngine::start_recon`] and by dropped-entry repair,
+    /// which plans *before* the faulty metadata loss, when the entry is
+    /// already gone.
     fn start_recon_with(
         &mut self,
-        frags: Vec<Fragment>,
+        mut plan: Vec<(u32, u32, PhysAddr)>,
         mcid: usize,
         line: PhysAddr,
         cause: ReconCause,
         reader: Option<Packet>,
         io: &mut EngineIo,
-    ) -> bool {
-        debug_assert!(!frags.is_empty(), "recon of untracked line {line:?}");
+    ) {
         debug_assert!(!self.recons.contains_key(&line.0), "recon already in flight");
         match cause {
             ReconCause::Demand => self.n.recon_demand += 1,
@@ -319,45 +361,22 @@ impl McSquareEngine {
             at: self.now,
         });
 
-        // Plan sub-fragments: tracked bytes come from their sources
-        // (splitting at source-line boundaries — the two-bounce case for
-        // misaligned copies, §III-B2), gaps come from the destination
-        // line's own memory.
-        let mut plan: Vec<(u32, u32, PhysAddr)> = Vec::new(); // (dest_off, len, src)
-        let mut cursor = line.0;
-        let end = line.0 + CACHELINE;
-        for Fragment { dst, len, src } in &frags {
-            if dst.0 > cursor {
-                plan.push(((cursor - line.0) as u32, (dst.0 - cursor) as u32, PhysAddr(cursor)));
-            }
-            // Split the tracked fragment at source line boundaries.
-            let mut off = 0u64;
-            while off < *len {
-                let s = src.add(off);
-                let take = (*len - off).min(CACHELINE - s.line_off());
-                plan.push(((dst.0 + off - line.0) as u32, take as u32, s));
-                off += take;
-            }
-            cursor = dst.0 + len;
-        }
-        if cursor < end {
-            plan.push(((cursor - line.0) as u32, (end - cursor) as u32, PhysAddr(cursor)));
-        }
-
+        let (mut waiting, pinned) = self.spare_lists.pop().unwrap_or_default();
+        waiting.extend(reader);
         let mut recon = Recon {
             mcid,
             buf: LineData::ZERO,
             outstanding: plan.len() as u32,
-            waiting: reader.into_iter().collect(),
+            waiting,
             cause,
             state: ReconState::Filling,
             superseded: false,
             force_write: cause == ReconCause::SrcFlush,
-            pinned: Vec::new(),
+            pinned,
             poisoned: false,
         };
 
-        for (dest_off, len, src) in plan {
+        for &(dest_off, len, src) in &plan {
             let src_line = src.line_base();
             recon.pinned.push(src_line);
             let src_mc = self.mc_of(src_line);
@@ -397,11 +416,12 @@ impl McSquareEngine {
                 io.send_after(pkt, self.cfg.ctt_latency);
             }
         }
-        for l in recon.pinned.clone() {
+        for &l in &recon.pinned {
             self.pin(l);
         }
         self.recons.insert(line.0, recon);
-        true
+        plan.clear();
+        self.plan = plan;
     }
 
     /// A fragment landed: fill the buffer and finish if complete.
@@ -431,13 +451,14 @@ impl McSquareEngine {
         // to the core as if it was read from the destination).
         let buf = r.buf;
         let poisoned = r.poisoned;
-        for p in std::mem::take(&mut r.waiting) {
+        let mut waiting = std::mem::take(&mut r.waiting);
+        for p in waiting.drain(..) {
             let mut resp = p.make_read_resp(buf);
             resp.poisoned = poisoned;
             io.send(resp);
         }
         // Unpin sources: the copy data is captured.
-        let pinned = std::mem::take(&mut r.pinned);
+        let mut pinned = std::mem::take(&mut r.pinned);
         let (cause, superseded, force_write, mcid) =
             (r.cause, r.superseded, r.force_write, r.mcid);
         #[cfg(feature = "trace")]
@@ -446,9 +467,10 @@ impl McSquareEngine {
             line: line.0,
             at: self.now,
         });
-        for l in pinned {
+        for l in pinned.drain(..) {
             self.unpin(l);
         }
+        self.spare_lists.push((waiting, pinned));
 
         if superseded {
             self.recons.remove(&line.0);
@@ -637,35 +659,39 @@ impl McSquareEngine {
 
         // Write to source (or to a line an in-flight reconstruction still
         // reads): hold in the BPQ until dependent copies complete
-        // (§III-B2 "write to source").
-        let deps = self.ctt.src_overlapping(line, CACHELINE);
-        if !deps.is_empty() || self.pins.contains_key(&line.0) || self.bpqs[mcid].contains(line) {
-            let data = pkt.data.expect("write carries data");
-            if !self.bpqs[mcid].insert(line, data) {
-                // The refusal depends on engine state only (the CTT,
-                // the pins and this BPQ), so the controller may park.
-                self.n.bpq_full_retries += 1;
-                return Verdict::Wait(pkt);
+        // (§III-B2 "write to source"), and flush every destination line
+        // depending on this source line.
+        let mut dest_lines = std::mem::take(&mut self.flush_lines);
+        for (dst_sub, _) in self.ctt.src_overlapping(line, CACHELINE) {
+            for l in mcs_sim::addr::lines_of(PhysAddr(dst_sub.start), dst_sub.len()) {
+                if dest_lines.last() != Some(&l) {
+                    dest_lines.push(l);
+                }
             }
+        }
+        dest_lines.dedup();
+        let verdict = if dest_lines.is_empty()
+            && !self.pins.contains_key(&line.0)
+            && !self.bpqs[mcid].contains(line)
+        {
+            Verdict::Pass(pkt)
+        } else if !self.bpqs[mcid].insert(line, pkt.data.expect("write carries data")) {
+            // The refusal depends on engine state only (the CTT, the pins
+            // and this BPQ), so the controller may park.
+            self.n.bpq_full_retries += 1;
+            Verdict::Wait(pkt)
+        } else {
             if pkt.needs_ack {
                 io.send(pkt.make_write_ack());
             }
-            // Flush every destination line depending on this source line.
-            let mut dest_lines: Vec<PhysAddr> = Vec::new();
-            for (dst_sub, _) in deps {
-                for l in mcs_sim::addr::lines_of(PhysAddr(dst_sub.start), dst_sub.len()) {
-                    if dest_lines.last() != Some(&l) {
-                        dest_lines.push(l);
-                    }
-                }
-            }
-            dest_lines.dedup();
-            for l in dest_lines {
+            for &l in &dest_lines {
                 self.start_recon(mcid, l, ReconCause::SrcFlush, None, io);
             }
-            return Verdict::Consumed;
-        }
-        Verdict::Pass(pkt)
+            Verdict::Consumed
+        };
+        dest_lines.clear();
+        self.flush_lines = dest_lines;
+        verdict
     }
 
     /// Roll the engine-level fault classes once per successful CTT insert
@@ -705,7 +731,7 @@ impl McSquareEngine {
                 .collect();
             if !cands.is_empty() {
                 let line = cands[(draw % cands.len() as u64) as usize];
-                let frags = self.ctt.lookup_line(line);
+                let plan = self.plan(line);
                 self.ctt.remove_dst(line, CACHELINE);
                 self.n.dropped_entries += 1;
                 if self.mutation == ChaosMutation::DropWithoutRepair {
@@ -714,7 +740,7 @@ impl McSquareEngine {
                     // oracle must flag this.
                 } else {
                     self.n.eager_fallbacks += 1;
-                    self.start_recon_with(frags, mcid, line, ReconCause::SrcFlush, None, io);
+                    self.start_recon_with(plan, mcid, line, ReconCause::SrcFlush, None, io);
                 }
             }
         }
@@ -811,7 +837,7 @@ impl McSquareEngine {
         let ctt = &self.ctt;
         let pins = &self.pins;
         let ready = self.bpqs[mcid].take_ready(|line| {
-            !pins.contains_key(&line.0) && ctt.src_overlapping(line, CACHELINE).is_empty()
+            !pins.contains_key(&line.0) && ctt.src_overlapping(line, CACHELINE).next().is_none()
         });
         #[cfg(feature = "trace")]
         if !ready.is_empty() {
@@ -856,8 +882,8 @@ impl CopyEngine for McSquareEngine {
             }
             MemCmd::BounceResp(info) => {
                 let data = pkt.data.expect("bounce response carries data");
-                let bytes = data.read(info.dest_off as usize, info.len as usize).to_vec();
-                self.fragment_done(PhysAddr(info.token), info.dest_off, &bytes, pkt.poisoned, io);
+                let bytes = data.read(info.dest_off as usize, info.len as usize);
+                self.fragment_done(PhysAddr(info.token), info.dest_off, bytes, pkt.poisoned, io);
                 Verdict::Consumed
             }
             _ => Verdict::Pass(pkt),
@@ -887,8 +913,8 @@ impl CopyEngine for McSquareEngine {
         self.version += 1;
         match self.tags.remove(&tag).expect("unknown engine tag") {
             TagKind::Frag { dest_line, dest_off, len, src_off } => {
-                let bytes = data.read(src_off as usize, len as usize).to_vec();
-                self.fragment_done(dest_line, dest_off, &bytes, poisoned, io);
+                let bytes = data.read(src_off as usize, len as usize);
+                self.fragment_done(dest_line, dest_off, bytes, poisoned, io);
             }
             TagKind::BounceServe { info } => {
                 // Pack the fragment at its destination offset and reply.
@@ -1086,7 +1112,7 @@ impl CopyEngine for McSquareEngine {
         for (mcid, bpq) in self.bpqs.iter().enumerate() {
             for e in bpq.iter() {
                 if !self.pins.contains_key(&e.line.0)
-                    && self.ctt.src_overlapping(e.line, CACHELINE).is_empty()
+                    && self.ctt.src_overlapping(e.line, CACHELINE).next().is_none()
                 {
                     releasable.insert((mcid, e.line.0));
                 }

@@ -171,25 +171,17 @@ impl<V: Sliceable> RangeMap<V> {
 
     /// Clipped overlaps with `r`, in address order: each item is a subrange
     /// of `r` together with the value sliced to that subrange's start.
-    pub fn overlapping(&self, r: ByteRange) -> Vec<(ByteRange, V)> {
-        let mut out = Vec::new();
-        if r.is_empty() {
-            return out;
-        }
+    pub fn overlapping(&self, r: ByteRange) -> impl Iterator<Item = (ByteRange, V)> + '_ {
         // The segment starting before r.start may reach into r.
-        let iter = self
-            .map
+        self.map
             .range(..r.start)
             .next_back()
             .into_iter()
-            .chain(self.map.range(r.start..r.end));
-        for (s, (e, v)) in iter {
-            let seg = ByteRange::new(*s, *e);
-            if let Some(ix) = seg.intersect(&r) {
-                out.push((ix, v.slice(ix.start - s)));
-            }
-        }
-        out
+            .chain(self.map.range(r.start..r.end))
+            .filter_map(move |(s, (e, v))| {
+                let ix = ByteRange::new(*s, *e).intersect(&r)?;
+                Some((ix, v.slice(ix.start - s)))
+            })
     }
 
     /// Whether any byte of `r` is covered.
@@ -210,22 +202,28 @@ impl<V: Sliceable> RangeMap<V> {
         if r.is_empty() {
             return;
         }
-        // Collect affected segment starts.
-        let mut affected: Vec<u64> = Vec::new();
-        if let Some((s, (e, _))) = self.map.range(..r.start).next_back() {
-            if *e > r.start {
-                affected.push(*s);
+        // The segment starting before r.start may reach into r.
+        if let Some((&s, &(e, _))) = self.map.range(..r.start).next_back() {
+            if e > r.start {
+                self.cut(s, r);
             }
         }
-        affected.extend(self.map.range(r.start..r.end).map(|(s, _)| *s));
-        for s in affected {
-            let (e, v) = self.take(s);
-            if s < r.start {
-                self.put(s, r.start, v.clone());
-            }
-            if e > r.end {
-                self.put(r.end, e, v.slice(r.end - s));
-            }
+        // Then every segment starting within r, lowest first. The pieces
+        // `cut` puts back start outside r, so each is found once.
+        while let Some((&s, _)) = self.map.range(r.start..r.end).next() {
+            self.cut(s, r);
+        }
+    }
+
+    /// Remove the segment starting at `s` and put back its parts outside
+    /// `r`.
+    fn cut(&mut self, s: u64, r: ByteRange) {
+        let (e, v) = self.take(s);
+        if s < r.start {
+            self.put(s, r.start, v.clone());
+        }
+        if e > r.end {
+            self.put(r.end, e, v.slice(r.end - s));
         }
     }
 
@@ -311,7 +309,7 @@ mod tests {
     fn overlapping_slices_values() {
         let mut m = rm();
         m.insert(ByteRange::new(100, 200), SrcBase(1000));
-        let o = m.overlapping(ByteRange::new(150, 400));
+        let o: Vec<_> = m.overlapping(ByteRange::new(150, 400)).collect();
         assert_eq!(o.len(), 1);
         assert_eq!(o[0].0, ByteRange::new(150, 200));
         assert_eq!(o[0].1 .0, 1050, "value sliced to subrange start");

@@ -10,7 +10,7 @@ use super::prefetch::StridePrefetcher;
 use super::{CoreToL1, L1ToCore, L1ToLlc, LlcToL1, ServiceLevel};
 use crate::addr::PhysAddr;
 use crate::config::CacheConfig;
-use crate::data::LineData;
+use crate::data::{Bytes, LineData};
 use crate::stats::CacheStats;
 use crate::uop::UopId;
 use crate::Cycle;
@@ -32,7 +32,7 @@ struct L1Line {
 #[derive(Debug, Clone)]
 enum PendingOp {
     Load { id: UopId, off: usize, len: usize },
-    Store { id: UopId, off: usize, bytes: Vec<u8> },
+    Store { id: UopId, off: usize, bytes: Bytes },
 }
 
 #[derive(Debug)]
@@ -62,6 +62,9 @@ pub struct L1 {
     cfg: CacheConfig,
     array: CacheArray<L1Line>,
     mshrs: FastMap<u64, Mshr>,
+    /// Emptied op lists of completed misses, reused by the next miss so
+    /// that queueing an op on an MSHR does not allocate.
+    spare_ops: Vec<Vec<PendingOp>>,
     pf: StridePrefetcher,
     /// Cycle each in-flight miss was allocated, for miss-lifecycle spans.
     /// Purely observational; see DESIGN.md, "Observability layer".
@@ -81,6 +84,7 @@ impl L1 {
             cfg: cfg.clone(),
             array: CacheArray::new(sets, cfg.ways),
             mshrs: FastMap::default(),
+            spare_ops: Vec::new(),
             pf,
             #[cfg(feature = "trace")]
             miss_start: FastMap::default(),
@@ -128,7 +132,7 @@ impl L1 {
                 if *nontemporal {
                     self.nt_store(*id, *addr, data, out)
                 } else {
-                    self.store(now, *id, *addr, data.clone(), out)
+                    self.store(now, *id, *addr, *data, out)
                 }
             }
             CoreToL1::Clwb { id, addr } => {
@@ -166,7 +170,7 @@ impl L1 {
                 l.prefetched = false;
                 self.stats.prefetch_hits += 1;
             }
-            let data = l.data.read(off, size).to_vec();
+            let data = Bytes::new(l.data.read(off, size));
             out.to_core.push((
                 L1ToCore::LoadDone { id, data, level: ServiceLevel::L1 },
                 self.cfg.hit_latency,
@@ -176,7 +180,7 @@ impl L1 {
         self.miss(now, line, PendingOp::Load { id, off, len: size }, out)
     }
 
-    fn store(&mut self, now: Cycle, id: UopId, addr: PhysAddr, bytes: Vec<u8>, out: &mut L1Out) -> bool {
+    fn store(&mut self, now: Cycle, id: UopId, addr: PhysAddr, bytes: Bytes, out: &mut L1Out) -> bool {
         let line = addr.line_base();
         let off = addr.line_off() as usize;
         if let Some(l) = self.array.get_mut(line) {
@@ -202,7 +206,7 @@ impl L1 {
             m.upgrade_after |= store && !m.want_m;
             m.ops.push(op);
             m.prefetch_only = false;
-        } else if !self.start_miss(now, line, store, vec![op], out) {
+        } else if !self.start_miss(now, line, store, Some(op), out) {
             return false;
         } else if !store {
             self.issue_prefetches(now, line, out);
@@ -211,7 +215,7 @@ impl L1 {
         true
     }
 
-    /// Allocate an MSHR for `line` holding `ops` (none for a prefetch),
+    /// Allocate an MSHR for `line` holding `op` (none for a prefetch),
     /// stamp the miss for tracing and send GetM if `want_m`, else GetS.
     /// Returns false if every MSHR is in use.
     fn start_miss(
@@ -219,7 +223,7 @@ impl L1 {
         now: Cycle,
         line: PhysAddr,
         want_m: bool,
-        ops: Vec<PendingOp>,
+        op: Option<PendingOp>,
         out: &mut L1Out,
     ) -> bool {
         let _ = now;
@@ -228,7 +232,9 @@ impl L1 {
         }
         #[cfg(feature = "trace")]
         self.miss_start.insert(line.0, now);
-        let (prefetch, core) = (ops.is_empty(), self.id);
+        let (prefetch, core) = (op.is_none(), self.id);
+        let mut ops = self.spare_ops.pop().unwrap_or_default();
+        ops.extend(op);
         self.mshrs.insert(line.0, Mshr { want_m, upgrade_after: false, ops, prefetch_only: prefetch });
         out.to_llc.push(if want_m {
             L1ToLlc::GetM { line, core }
@@ -243,7 +249,7 @@ impl L1 {
             if self.array.peek(p).is_some() || self.mshrs.contains_key(&p.0) {
                 continue;
             }
-            if !self.start_miss(now, p, false, Vec::new(), out) {
+            if !self.start_miss(now, p, false, None, out) {
                 break;
             }
             self.stats.prefetches_issued += 1;
@@ -331,10 +337,9 @@ impl L1 {
         if m.upgrade_after && !excl {
             // We asked for S but a store arrived meanwhile: serve the loads
             // from the shared data, then upgrade for the stores.
-            let (loads, stores): (Vec<_>, Vec<_>) =
-                m.ops.into_iter().partition(|op| matches!(op, PendingOp::Load { .. }));
-            self.serve(&loads, &mut { data }, level, out);
-            m.ops = stores;
+            let is_load = |op: &&PendingOp| matches!(op, PendingOp::Load { .. });
+            self.serve(m.ops.iter().filter(is_load), &mut { data }, level, out);
+            m.ops.retain(|op| matches!(op, PendingOp::Store { .. }));
             m.want_m = true;
             m.upgrade_after = false;
             self.mshrs.insert(line.0, m);
@@ -370,16 +375,24 @@ impl L1 {
         } else {
             self.array.insert(line, l);
         }
+        m.ops.clear();
+        self.spare_ops.push(m.ops);
     }
 
     /// Answer queued ops in arrival order against `data`: loads read it,
     /// stores write it. Returns whether any store was applied.
-    fn serve(&self, ops: &[PendingOp], data: &mut LineData, level: ServiceLevel, out: &mut L1Out) -> bool {
+    fn serve<'a>(
+        &self,
+        ops: impl IntoIterator<Item = &'a PendingOp>,
+        data: &mut LineData,
+        level: ServiceLevel,
+        out: &mut L1Out,
+    ) -> bool {
         let mut wrote = false;
         for op in ops {
             let done = match op {
                 PendingOp::Load { id, off, len } => {
-                    L1ToCore::LoadDone { id: *id, data: data.read(*off, *len).to_vec(), level }
+                    L1ToCore::LoadDone { id: *id, data: Bytes::new(data.read(*off, *len)), level }
                 }
                 PendingOp::Store { id, off, bytes } => {
                     data.write(*off, bytes);
@@ -473,7 +486,7 @@ mod tests {
         match &out.to_core[0].0 {
             L1ToCore::LoadDone { id, data, .. } => {
                 assert_eq!(*id, 1);
-                assert_eq!(data, &vec![5u8; 8]);
+                assert_eq!(**data, [5u8; 8]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -505,7 +518,7 @@ mod tests {
     fn store_miss_issues_getm_and_applies_on_fill() {
         let mut l1 = mk();
         let mut out = L1Out::default();
-        let st = CoreToL1::Store { id: 3, addr: PhysAddr(0x40), data: vec![9, 9], nontemporal: false };
+        let st = CoreToL1::Store { id: 3, addr: PhysAddr(0x40), data: Bytes::new(&[9, 9]), nontemporal: false };
         assert!(l1.handle_core(0, &st, &mut out));
         assert!(matches!(out.to_llc[0], L1ToLlc::GetM { .. }));
 
@@ -529,14 +542,14 @@ mod tests {
     fn store_hit_in_m_is_local() {
         let mut l1 = mk();
         let mut out = L1Out::default();
-        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: vec![1], nontemporal: false }, &mut out);
+        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: Bytes::new(&[1]), nontemporal: false }, &mut out);
         l1.handle_llc(
             1,
             LlcToL1::Data { line: PhysAddr(0x40), data: LineData::ZERO, excl: true, level: ServiceLevel::Llc },
             &mut out,
         );
         let mut out = L1Out::default();
-        l1.handle_core(2, &CoreToL1::Store { id: 2, addr: PhysAddr(0x41), data: vec![2], nontemporal: false }, &mut out);
+        l1.handle_core(2, &CoreToL1::Store { id: 2, addr: PhysAddr(0x41), data: Bytes::new(&[2]), nontemporal: false }, &mut out);
         assert!(out.to_llc.is_empty(), "M hit needs no LLC traffic");
         assert!(matches!(&out.to_core[0].0, L1ToCore::StoreDone { id: 2 }));
     }
@@ -545,7 +558,7 @@ mod tests {
     fn clwb_sends_dirty_data_and_cleans() {
         let mut l1 = mk();
         let mut out = L1Out::default();
-        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: vec![7], nontemporal: false }, &mut out);
+        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: Bytes::new(&[7]), nontemporal: false }, &mut out);
         l1.handle_llc(
             1,
             LlcToL1::Data { line: PhysAddr(0x40), data: LineData::ZERO, excl: true, level: ServiceLevel::Llc },
@@ -575,7 +588,7 @@ mod tests {
             &mut out,
         );
         let mut out = L1Out::default();
-        let nt = CoreToL1::Store { id: 5, addr: PhysAddr(0x80), data: vec![3u8; 64], nontemporal: true };
+        let nt = CoreToL1::Store { id: 5, addr: PhysAddr(0x80), data: Bytes::new(&[3u8; 64]), nontemporal: true };
         l1.handle_core(2, &nt, &mut out);
         assert!(l1.peek_line(PhysAddr(0x80)).is_none(), "local copy dropped");
         assert!(matches!(&out.to_llc[0], L1ToLlc::NtWrite { .. }));
@@ -589,7 +602,7 @@ mod tests {
         for (i, addr) in [0u64, 8 * 64, 16 * 64].iter().enumerate() {
             l1.handle_core(
                 0,
-                &CoreToL1::Store { id: i as u64, addr: PhysAddr(*addr), data: vec![i as u8], nontemporal: false },
+                &CoreToL1::Store { id: i as u64, addr: PhysAddr(*addr), data: Bytes::new(&[i as u8]), nontemporal: false },
                 &mut out,
             );
             l1.handle_llc(
@@ -606,7 +619,7 @@ mod tests {
     fn recall_downgrade_returns_dirty_data() {
         let mut l1 = mk();
         let mut out = L1Out::default();
-        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: vec![7], nontemporal: false }, &mut out);
+        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: Bytes::new(&[7]), nontemporal: false }, &mut out);
         l1.handle_llc(
             1,
             LlcToL1::Data { line: PhysAddr(0x40), data: LineData::ZERO, excl: true, level: ServiceLevel::Llc },
@@ -639,7 +652,7 @@ mod tests {
         let mut l1 = mk();
         let mut out = L1Out::default();
         // Dirty line at 0x40, clean (shared) line at 0x80.
-        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: vec![7], nontemporal: false }, &mut out);
+        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: Bytes::new(&[7]), nontemporal: false }, &mut out);
         l1.handle_llc(
             1,
             LlcToL1::Data { line: PhysAddr(0x40), data: LineData::ZERO, excl: true, level: ServiceLevel::Llc },
@@ -673,8 +686,8 @@ mod tests {
         LlcToL1::Data { line: PhysAddr(line), data: LineData::splat(fill), excl, level: ServiceLevel::Llc }
     }
 
-    fn store(id: UopId, addr: u64, data: Vec<u8>) -> CoreToL1 {
-        CoreToL1::Store { id, addr: PhysAddr(addr), data, nontemporal: false }
+    fn store(id: UopId, addr: u64, data: &[u8]) -> CoreToL1 {
+        CoreToL1::Store { id, addr: PhysAddr(addr), data: Bytes::new(data), nontemporal: false }
     }
 
     #[test]
@@ -692,7 +705,7 @@ mod tests {
 
         // A store to the line held in S upgrades it; the M fill lands in place.
         let mut out = L1Out::default();
-        l1.handle_core(2, &store(7, 0xc4, vec![9, 9]), &mut out);
+        l1.handle_core(2, &store(7, 0xc4, &[9, 9]), &mut out);
         assert!(matches!(out.to_llc[..], [L1ToLlc::GetM { line: PhysAddr(0xc0), .. }]));
         l1.handle_llc(3, data(0xc0, 2, true), &mut out);
         assert!(matches!(out.to_core[..], [(L1ToCore::StoreDone { id: 7 }, _)]));
@@ -710,7 +723,7 @@ mod tests {
         let mut l1 = mk();
         let mut out = L1Out::default();
         l1.handle_core(0, &load(1, 0x100, 8), &mut out);
-        l1.handle_core(1, &store(2, 0x108, vec![7; 4]), &mut out);
+        l1.handle_core(1, &store(2, 0x108, &[7; 4]), &mut out);
         l1.handle_core(2, &load(3, 0x110, 4), &mut out);
         assert!(matches!(out.to_llc[..], [L1ToLlc::GetS { .. }]), "the store joins the GetS");
 
@@ -721,7 +734,7 @@ mod tests {
             .to_core
             .iter()
             .map(|(m, _)| match m {
-                L1ToCore::LoadDone { id, data, .. } => (*id, data.clone()),
+                L1ToCore::LoadDone { id, data, .. } => (*id, data.to_vec()),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -741,7 +754,7 @@ mod tests {
     fn snoop_invalidate_and_writeback() {
         let mut l1 = mk();
         let mut out = L1Out::default();
-        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: vec![7], nontemporal: false }, &mut out);
+        l1.handle_core(0, &CoreToL1::Store { id: 1, addr: PhysAddr(0x40), data: Bytes::new(&[7]), nontemporal: false }, &mut out);
         l1.handle_llc(
             1,
             LlcToL1::Data { line: PhysAddr(0x40), data: LineData::ZERO, excl: true, level: ServiceLevel::Llc },

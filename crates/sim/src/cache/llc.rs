@@ -428,11 +428,12 @@ impl Llc {
     /// recall that is now in flight (caller retries the original request).
     fn make_room(&mut self, line: PhysAddr, out: &mut LlcOut) -> bool {
         // Prefer victims that are not resident in any L1 and not mid-transaction.
+        // The directory fields are tested before the MSHR map is probed.
         let busy = |l: PhysAddr| self.mshrs.contains_key(&l.0);
         let victim = self
             .array
-            .victim(line, |l, p| busy(l) || p.owner.is_some() || p.sharers != 0)
-            .or_else(|| self.array.victim(line, |l, p| busy(l) || p.owner.is_some()));
+            .victim(line, |l, p| p.owner.is_some() || p.sharers != 0 || busy(l))
+            .or_else(|| self.array.victim(line, |l, p| p.owner.is_some() || busy(l)));
         if let Some(v) = victim {
             let p = self.array.remove(v).expect("victim resident");
             self.stats.evictions += 1;

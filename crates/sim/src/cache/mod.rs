@@ -14,7 +14,7 @@ pub mod llc;
 pub mod prefetch;
 
 use crate::addr::PhysAddr;
-use crate::data::LineData;
+use crate::data::{Bytes, LineData};
 use crate::packet::LazyDesc;
 use crate::uop::UopId;
 
@@ -35,7 +35,7 @@ pub enum CoreToL1 {
     /// Load `size` bytes at `addr` (within one line).
     Load { id: UopId, addr: PhysAddr, size: u8 },
     /// Store `data` at `addr`.
-    Store { id: UopId, addr: PhysAddr, data: Vec<u8>, nontemporal: bool },
+    Store { id: UopId, addr: PhysAddr, data: Bytes, nontemporal: bool },
     /// Write back the line containing `addr` if dirty, keep it cached clean.
     Clwb { id: UopId, addr: PhysAddr },
     /// Write back every dirty line in the range (§V-A1's wide writeback).
@@ -50,7 +50,7 @@ pub enum CoreToL1 {
 #[derive(Clone, Debug)]
 pub enum L1ToCore {
     /// Load result.
-    LoadDone { id: UopId, data: Vec<u8>, level: ServiceLevel },
+    LoadDone { id: UopId, data: Bytes, level: ServiceLevel },
     /// Store globally performed (line owned and written).
     StoreDone { id: UopId },
     /// CLWB writeback accepted downstream.

@@ -33,10 +33,27 @@ impl StridePrefetcher {
         StridePrefetcher { streams: Vec::new(), capacity: 8, degree, stamp: 0 }
     }
 
-    /// Observe a demand access to `line`; returns lines to prefetch.
-    pub fn observe(&mut self, line: PhysAddr) -> Vec<PhysAddr> {
+    /// Observe a demand access to `line`; yields the lines to prefetch.
+    /// The iterator holds no borrow of the prefetcher, so the caller may
+    /// issue each prefetch as it comes.
+    pub fn observe(&mut self, line: PhysAddr) -> impl Iterator<Item = PhysAddr> {
+        let (l, stride, n) = match self.train(line) {
+            Some((l, stride)) => (l, stride, self.degree as i64),
+            None => (0, 0, 0),
+        };
+        (1..=n).filter_map(move |k| {
+            // A downward stream near address zero would wrap on the cast;
+            // drop those candidates.
+            let tgt = l + k * stride;
+            (tgt >= 0).then(|| PhysAddr(tgt as u64 * CACHELINE))
+        })
+    }
+
+    /// Train on a demand access to `line`. Returns the access's line
+    /// number and the stream's stride once the stride is confirmed.
+    fn train(&mut self, line: PhysAddr) -> Option<(i64, i64)> {
         if self.degree == 0 {
-            return Vec::new();
+            return None;
         }
         self.stamp += 1;
         let l = (line.line_base().0 / CACHELINE) as i64;
@@ -59,18 +76,7 @@ impl StridePrefetcher {
             }
             s.last_line = l;
             s.lru = self.stamp;
-            if s.confidence >= 2 {
-                let stride = s.stride;
-                return (1..=self.degree as i64)
-                    .filter_map(|k| {
-                        // A downward stream near address zero would wrap on
-                        // the cast; drop those candidates.
-                        let tgt = l + k * stride;
-                        (tgt >= 0).then(|| PhysAddr(tgt as u64 * CACHELINE))
-                    })
-                    .collect();
-            }
-            return Vec::new();
+            return (s.confidence >= 2).then_some((l, s.stride));
         }
 
         // New stream; evict LRU if at capacity.
@@ -85,7 +91,7 @@ impl StridePrefetcher {
             self.streams.swap_remove(idx);
         }
         self.streams.push(Stream { last_line: l, stride: 0, confidence: 0, lru: self.stamp });
-        Vec::new()
+        None
     }
 }
 
@@ -101,29 +107,43 @@ mod tests {
         PhysAddr(i * 64)
     }
 
+    fn observe(p: &mut StridePrefetcher, l: PhysAddr) -> Vec<PhysAddr> {
+        p.observe(l).collect()
+    }
+
     #[test]
     fn sequential_stream_locks_on() {
         let mut p = pf();
-        assert!(p.observe(line(10)).is_empty()); // new stream
-        assert!(p.observe(line(11)).is_empty()); // stride seen once
-        let out = p.observe(line(12)); // stride confirmed
+        assert!(observe(&mut p, line(10)).is_empty()); // new stream
+        assert!(observe(&mut p, line(11)).is_empty()); // stride seen once
+        let out = observe(&mut p, line(12)); // stride confirmed
         assert_eq!(out, vec![line(13), line(14), line(15), line(16)]);
     }
 
     #[test]
     fn backwards_stride_works() {
         let mut p = pf();
-        p.observe(line(100));
-        p.observe(line(99));
-        let out = p.observe(line(98));
+        observe(&mut p, line(100));
+        observe(&mut p, line(99));
+        let out = observe(&mut p, line(98));
         assert_eq!(out[0], line(97));
+    }
+
+    #[test]
+    fn downward_stream_near_zero_emits_no_wrapped_lines() {
+        let mut p = pf();
+        observe(&mut p, line(3));
+        observe(&mut p, line(2));
+        // Stride -1 confirmed at line 1: of lines 0, -1, -2, -3 only 0 exists.
+        assert_eq!(observe(&mut p, line(1)), vec![line(0)]);
+        assert!(observe(&mut p, line(0)).is_empty(), "every candidate is below zero");
     }
 
     #[test]
     fn random_accesses_never_prefetch() {
         let mut p = pf();
         for &i in &[5u64, 900, 33, 1200, 7, 4000, 21, 9999] {
-            assert!(p.observe(line(i)).is_empty());
+            assert!(observe(&mut p, line(i)).is_empty());
         }
     }
 
@@ -131,7 +151,7 @@ mod tests {
     fn disabled_prefetcher_is_silent() {
         let mut p = StridePrefetcher::new(0);
         for i in 0..10 {
-            assert!(p.observe(line(i)).is_empty());
+            assert!(observe(&mut p, line(i)).is_empty());
         }
     }
 
@@ -141,10 +161,10 @@ mod tests {
         // Two independent sequential streams far apart.
         let mut fired = 0;
         for i in 0..6u64 {
-            if !p.observe(line(1000 + i)).is_empty() {
+            if !observe(&mut p, line(1000 + i)).is_empty() {
                 fired += 1;
             }
-            if !p.observe(line(50_000 + i)).is_empty() {
+            if !observe(&mut p, line(50_000 + i)).is_empty() {
                 fired += 1;
             }
         }
@@ -154,12 +174,12 @@ mod tests {
     #[test]
     fn stride_change_resets_confidence() {
         let mut p = pf();
-        p.observe(line(10));
-        p.observe(line(11));
-        assert!(!p.observe(line(12)).is_empty());
+        observe(&mut p, line(10));
+        observe(&mut p, line(11));
+        assert!(!observe(&mut p, line(12)).is_empty());
         // Stride changes from 1 to 3: one observation is not enough.
-        assert!(p.observe(line(15)).is_empty());
+        assert!(observe(&mut p, line(15)).is_empty());
         // Re-established twice: fires again.
-        assert!(!p.observe(line(18)).is_empty());
+        assert!(!observe(&mut p, line(18)).is_empty());
     }
 }

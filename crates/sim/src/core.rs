@@ -13,6 +13,7 @@
 
 use crate::cache::{CoreToL1, L1ToCore, ServiceLevel};
 use crate::config::CoreConfig;
+use crate::data::Bytes;
 use crate::packet::LazyDesc;
 use crate::program::{Fetch, Program};
 use crate::stats::{CoreStats, StallReason};
@@ -49,7 +50,7 @@ struct SbEntry {
     id: UopId,
     addr: crate::addr::PhysAddr,
     size: u8,
-    data: Option<Vec<u8>>,
+    data: Option<Bytes>,
     from: Option<(UopId, u8)>,
     nontemporal: bool,
     sent: bool,
@@ -92,7 +93,7 @@ pub struct Core {
     loads: Vec<PendingLoad>,
     clwbs: Vec<PendingClwb>,
     /// Completed load values kept for `StoreData::FromLoad` consumers.
-    load_vals: FastMap<UopId, Vec<u8>>,
+    load_vals: FastMap<UopId, Bytes>,
     outstanding_mclazy: usize,
     outstanding_nt: usize,
     /// Leading store-buffer entries already sent to the L1. Sends are
@@ -343,7 +344,7 @@ impl Core {
     fn issue_loads(&mut self, now: Cycle, out: &mut CoreOut) {
         // Loads issue in order of arrival; forwarding and conflict checks
         // against the store buffer happen at issue time.
-        let mut fwd: Vec<(UopId, Vec<u8>)> = Vec::new();
+        let mut fwd: Vec<(UopId, Bytes)> = Vec::new();
         for i in 0..self.loads.len() {
             if self.loads[i].issued || self.loads[i].issue_after > now {
                 continue;
@@ -371,7 +372,7 @@ impl Core {
     /// Complete load `id` with `data`, whether the L1 answered it or the
     /// store buffer forwarded it. The program may have stalled its
     /// frontend on this value, so fetching may resume.
-    fn load_done(&mut self, id: UopId, data: Vec<u8>) {
+    fn load_done(&mut self, id: UopId, data: Bytes) {
         if let Some(pos) = self.loads.iter().position(|l| l.id == id) {
             self.loads.swap_remove(pos);
         }
@@ -397,7 +398,7 @@ impl Core {
             if slo <= lo && hi <= shi && !s.nontemporal {
                 let off = (lo - slo) as usize;
                 if let Some(d) = &s.data {
-                    return SbCheck::Forward(d[off..off + size].to_vec());
+                    return SbCheck::Forward(Bytes::new(&d[off..off + size]));
                 }
                 // Data may be available but not yet materialized into the
                 // entry (resolution is lazy, see drain_sb): forward straight
@@ -405,7 +406,7 @@ impl Core {
                 if let Some((load, loff)) = s.from {
                     if let Some(v) = self.load_vals.get(&load) {
                         let off = loff as usize + off;
-                        return SbCheck::Forward(v[off..off + size].to_vec());
+                        return SbCheck::Forward(Bytes::new(&v[off..off + size]));
                     }
                 }
                 return SbCheck::Conflict; // data not produced yet
@@ -465,12 +466,12 @@ impl Core {
                 if let Some((load, off)) = s.from {
                     if let Some(v) = self.load_vals.get(&load) {
                         let off = off as usize;
-                        s.data = Some(v[off..off + s.size as usize].to_vec());
+                        s.data = Some(Bytes::new(&v[off..off + s.size as usize]));
                         s.from = None; // value consumed; safe to prune
                     }
                 }
             }
-            let Some(data) = s.data.clone() else { break }; // in-order: stop at unresolved
+            let Some(data) = s.data else { break }; // in-order: stop at unresolved
             if sent >= 2 {
                 break;
             }
@@ -479,20 +480,8 @@ impl Core {
             if s.nontemporal {
                 sent_nt = true;
                 self.outstanding_nt += 1;
-                out.to_l1.push(CoreToL1::Store {
-                    id: s.id,
-                    addr: s.addr,
-                    data,
-                    nontemporal: true,
-                });
-            } else {
-                out.to_l1.push(CoreToL1::Store {
-                    id: s.id,
-                    addr: s.addr,
-                    data,
-                    nontemporal: false,
-                });
             }
+            out.to_l1.push(CoreToL1::Store { id: s.id, addr: s.addr, data, nontemporal: s.nontemporal });
         }
         self.sb_sent_prefix += sent;
         // NT stores leave the SB as soon as sent (posted); completion is
@@ -690,13 +679,13 @@ impl Core {
                     return Err((uop, StallReason::StoreBuffer));
                 }
                 let (bytes, from) = match data {
-                    StoreData::Imm(b) => (Some(b.clone()), None),
-                    StoreData::Splat(v) => (Some(vec![*v; *size as usize]), None),
+                    StoreData::Imm(b) => (Some(Bytes::new(b)), None),
+                    StoreData::Splat(v) => (Some(Bytes::splat(*v, *size as usize)), None),
                     StoreData::FromLoad { load, offset } => {
                         match self.load_vals.get(load) {
                             Some(v) => {
                                 let off = *offset as usize;
-                                (Some(v[off..off + *size as usize].to_vec()), None)
+                                (Some(Bytes::new(&v[off..off + *size as usize])), None)
                             }
                             None => (None, Some((*load, *offset))),
                         }
@@ -928,7 +917,7 @@ enum HeldFetch {
 
 #[derive(Debug)]
 enum SbCheck {
-    Forward(Vec<u8>),
+    Forward(Bytes),
     Conflict,
     Clear,
 }

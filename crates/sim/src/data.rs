@@ -1,8 +1,9 @@
 //! Functional data: cacheline payloads and a sparse memory image.
 //!
 //! The simulator moves real bytes, not just timing tokens. Every read
-//! response, cache fill, writeback, and bounce carries a [`LineData`], and
-//! each system owns one [`SparseMem`] representing DRAM contents. This is
+//! response, cache fill, writeback, and bounce carries a [`LineData`],
+//! every load result and store value a [`Bytes`], and each system owns one
+//! [`SparseMem`] representing DRAM contents. This is
 //! what lets the test suite prove the paper's central claim — "at all times,
 //! data appears to the program as if it had been copied eagerly" — rather
 //! than just measure cycles.
@@ -55,6 +56,66 @@ impl fmt::Debug for LineData {
             "LineData[{:02x} {:02x} {:02x} {:02x} {:02x} {:02x} {:02x} {:02x} ..]",
             self.0[0], self.0[1], self.0[2], self.0[3], self.0[4], self.0[5], self.0[6], self.0[7]
         )
+    }
+}
+
+/// An access value of at most one cacheline (a load result or a store's
+/// data), held inline so that passing it between the core, the store
+/// buffer and the L1 copies bytes instead of allocating.
+#[derive(Copy, Clone)]
+pub struct Bytes {
+    len: u8,
+    buf: [u8; CACHELINE as usize],
+}
+
+impl Bytes {
+    /// A copy of `src`.
+    ///
+    /// # Panics
+    /// Panics if `src` is longer than a cacheline.
+    pub fn new(src: &[u8]) -> Bytes {
+        let mut b = Bytes { len: src.len() as u8, buf: [0; CACHELINE as usize] };
+        b.buf[..src.len()].copy_from_slice(src);
+        b
+    }
+
+    /// `len` bytes, each holding `v`.
+    ///
+    /// # Panics
+    /// Panics if `len` exceeds a cacheline.
+    pub fn splat(v: u8, len: usize) -> Bytes {
+        assert!(len <= CACHELINE as usize, "{len} bytes exceed a cacheline");
+        let mut b = Bytes { len: len as u8, buf: [0; CACHELINE as usize] };
+        b.buf[..len].fill(v);
+        b
+    }
+}
+
+impl std::ops::Deref for Bytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialEq<[u8]> for Bytes {
+    fn eq(&self, other: &[u8]) -> bool {
+        **self == *other
+    }
+}
+
+impl fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Bytes{:?}", &**self)
     }
 }
 
@@ -156,6 +217,31 @@ impl fmt::Debug for SparseMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bytes_hold_up_to_one_line_inline() {
+        let empty = Bytes::new(&[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty, Bytes::splat(9, 0));
+
+        let one = Bytes::new(&[7]);
+        assert_eq!((one.len(), one[0]), (1, 7));
+        assert_ne!(one, Bytes::new(&[7, 0]), "length is part of the value");
+
+        let src: Vec<u8> = (0..64).collect();
+        let full = Bytes::new(&src);
+        assert_eq!(full, *src.as_slice());
+        assert_eq!(&full[60..], &[60, 61, 62, 63]);
+        assert_eq!(Bytes::splat(0xab, 3), *[0xab; 3].as_slice());
+
+        assert_eq!(format!("{:?}", Bytes::new(&[1, 2, 255])), "Bytes[1, 2, 255]");
+    }
+
+    #[test]
+    #[should_panic]
+    fn bytes_reject_more_than_a_line() {
+        let _ = Bytes::new(&[0; 65]);
+    }
 
     #[test]
     fn untouched_memory_reads_zero() {

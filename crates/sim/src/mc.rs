@@ -118,6 +118,10 @@ pub struct MemCtrl {
     /// Engine reads satisfied by WPQ forwarding, delivered next tick
     /// (tag, line, data, poisoned).
     engine_fwd: Vec<(u64, PhysAddr, LineData, bool)>,
+    /// The collector handed to every engine call, emptied by
+    /// [`Self::apply_io`] and reused so that an engine call allocates
+    /// nothing.
+    io: EngineIo,
     draining: bool,
     /// Fault-injection state (None ⇔ empty plan ⇒ all hooks are no-ops).
     fault: Option<McFault>,
@@ -142,6 +146,7 @@ impl MemCtrl {
             parked: false,
             last_tick: 0,
             engine_fwd: Vec::new(),
+            io: EngineIo::default(),
             draining: false,
             fault: None,
             stats: McStats::default(),
@@ -289,12 +294,18 @@ impl MemCtrl {
         (self.rpq.len(), self.wpq.len(), self.inflight.len())
     }
 
-    fn fresh_io(&self) -> EngineIo {
-        EngineIo { wpq: (self.wpq.len(), self.cfg.wpq_cap), ..EngineIo::default() }
+    /// The empty engine collector, stamped with this call's WPQ
+    /// occupancy. Hand it back through [`Self::apply_io`].
+    fn take_io(&mut self) -> EngineIo {
+        let mut io = std::mem::take(&mut self.io);
+        io.wpq = (self.wpq.len(), self.cfg.wpq_cap);
+        io
     }
 
-    fn apply_io(&mut self, now: Cycle, io: EngineIo, out: &mut Vec<(Packet, Cycle)>) {
-        for (tag, addr) in io.dram_reads {
+    /// Enter the engine's DRAM reads and writes and pass on its packets,
+    /// then keep the emptied collector for the next call.
+    fn apply_io(&mut self, now: Cycle, mut io: EngineIo, out: &mut Vec<(Packet, Cycle)>) {
+        for (tag, addr) in io.dram_reads.drain(..) {
             self.stats.engine_reads += 1;
             // WPQ forwarding applies to engine reads too: a pending write
             // to the line is newer than DRAM contents.
@@ -311,7 +322,7 @@ impl MemCtrl {
             });
             self.rpq.push_back(RpqEntry { addr, origin: ReadOrigin::Engine(tag), enq: now });
         }
-        for (addr, data, poison) in io.dram_writes {
+        for (addr, data, poison) in io.dram_writes.drain(..) {
             self.stats.engine_writes += 1;
             #[cfg(feature = "trace")]
             mcs_trace::emit(mcs_trace::Event::McEnqueue {
@@ -328,9 +339,8 @@ impl MemCtrl {
                 class: mcs_trace::PacketClass::EngineWrite,
             });
         }
-        for send in io.sends {
-            out.push(send);
-        }
+        out.append(&mut io.sends);
+        self.io = io;
     }
 
     /// Advance one cycle.
@@ -381,7 +391,7 @@ impl MemCtrl {
             if poisoned {
                 self.stats.poisoned_reads += 1;
             }
-            let mut io = self.fresh_io();
+            let mut io = self.take_io();
             engine.on_dram_read(now, self.id, tag, addr, data, poisoned, &mut io);
             self.apply_io(now, io, out);
         }
@@ -426,7 +436,7 @@ impl MemCtrl {
                                 out.push((resp, 0));
                             }
                             ReadOrigin::Engine(tag) => {
-                                let mut io = self.fresh_io();
+                                let mut io = self.take_io();
                                 engine
                                     .on_dram_read(now, self.id, tag, f.addr, data, poisoned, &mut io);
                                 self.apply_io(now, io, out);
@@ -449,7 +459,7 @@ impl MemCtrl {
         engine: &mut dyn CopyEngine,
         out: &mut Vec<(Packet, Cycle)>,
     ) {
-        let mut io = self.fresh_io();
+        let mut io = self.take_io();
         engine.tick(now, self.id, &mut io);
         self.apply_io(now, io, out);
     }
@@ -480,7 +490,7 @@ impl MemCtrl {
         // LazyDestWrite deliveries that may share this input port.
         for _ in 0..self.retry_q.len() {
             let Some(pkt) = self.retry_q.pop_front() else { break };
-            let mut io = self.fresh_io();
+            let mut io = self.take_io();
             let verdict = engine.on_arrive(now, self.id, pkt, &mut io);
             self.parked = matches!(verdict, Verdict::Wait(_));
             match verdict {
@@ -522,7 +532,7 @@ impl MemCtrl {
                     self.stats.fault_stalls += 1;
                 }
             }
-            let mut io = self.fresh_io();
+            let mut io = self.take_io();
             let verdict = engine.on_arrive(now, self.id, pkt, &mut io);
             let wait = matches!(verdict, Verdict::Wait(_));
             self.apply_io(now, io, out);

@@ -576,8 +576,7 @@ impl System {
         let mut refused = false;
         for _ in 0..8 {
             let Some(msg) = self.core_to_l1[i].peek(now) else { break };
-            let msg = msg.clone();
-            if self.l1s[i].handle_core(now, &msg, &mut out) {
+            if self.l1s[i].handle_core(now, msg, &mut out) {
                 let _ = self.core_to_l1[i].pop(now);
             } else {
                 refused = true;
