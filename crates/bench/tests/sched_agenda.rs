@@ -3,16 +3,19 @@
 //! most (the Mess bandwidth–latency points, where every controller is
 //! busy), where source writes wait for a full BPQ (Fig. 21 at one entry,
 //! also with injected controller stalls, so that a controller sleeping
-//! with a parked write wakes on the far side of a stall window), and
-//! where eight cores wait to send CLWBs behind their stores (Fig. 16's
-//! (MC)² MVCC), `EventDriven` must reproduce `Conservative` on every
-//! machine statistic and on the executed and skipped cycle counts, and
-//! must enter fewer cycles than it executes. (`Conservative` runs every
+//! with a parked write wakes on the far side of a stall window), where
+//! eight cores wait to send CLWBs behind their stores (Fig. 16's (MC)²
+//! MVCC), and where controllers bounce reconstruction traffic to each
+//! other while refresh windows or injected faults keep them due (the
+//! `sweep_memtech` and `fault_sweep` (MC)² jobs), `EventDriven` must
+//! reproduce `Conservative` on every machine statistic and on the
+//! executed and skipped cycle counts, and must enter fewer cycles than it
+//! executes. (`Conservative` runs every
 //! phase on every executed cycle, so its phase-execution counts are
 //! higher by design.) The liveness watchdog, which counts executed
 //! cycles, must stop a hung machine at the same cycle under both.
 
-use mcs_bench::figs::fig21_job;
+use mcs_bench::figs::{fig21_job, memtech_cfg, memtech_mech, select};
 use mcs_bench::mess::{job_for, Point, Scale};
 use mcs_bench::{BenchOpts, Job};
 use mcs_sim::alloc::AddrSpace;
@@ -23,6 +26,7 @@ use mcs_sim::stats::{RunStats, SchedStats};
 use mcs_sim::system::SimError;
 use mcs_sim::uop::{StatTag, Uop, UopId, UopKind};
 use mcs_sim::{PhysAddr, SchedMode, System};
+use mcs_workloads::micro::seq_access;
 use mcs_workloads::mvcc::{mvcc_multithread, MvccConfig, UpdateKind};
 use mcs_workloads::CopyMech;
 use mcsquare::McSquareConfig;
@@ -132,6 +136,34 @@ fn fig16_eight_core_mcsquare_matches_conservative() {
         },
         "fig16 8 cores, (MC)² 25%",
     );
+}
+
+/// `sweep_memtech --smoke`'s Fig. 12 (MC)² job on `tech`: a misaligned
+/// 64 KB lazy copy, then a read of the whole destination, refresh on.
+fn memtech_seq_mcsquare(tech: MemTech) -> Job {
+    let g = seq_access(memtech_mech(true), 64 << 10, 1.0, true, &mut AddrSpace::dram_3gb());
+    Job::single(memtech_cfg(tech), Some(McSquareConfig::default()), g.uops, g.pokes)
+}
+
+#[test]
+fn controller_bounces_match_conservative() {
+    // The source is misaligned, so each destination line is rebuilt from
+    // two source lines, and a source line on another controller is
+    // fetched with a bounce to that controller. That send lowers another
+    // controller's agenda entry while the controllers' loop runs. Under
+    // `check-invariants`, `next_due` checks each stage's running minimum
+    // against a scan of its entries, which a lowering folded in and then
+    // overridden by the same loop would leave stale.
+    for tech in [MemTech::Ddr5, MemTech::Hbm2] {
+        assert_agenda_exact(|| memtech_seq_mcsquare(tech), &format!("sweep_memtech {tech:?} (MC)²"));
+    }
+    // `fault_sweep --smoke`'s last job: (MC)² at the highest severity,
+    // with link jitter and duplication on the bounces.
+    let fault_sweep = select(&["fault_sweep".to_string()]).expect("registered")[0];
+    let jobs = (fault_sweep.jobs)(true);
+    let job = jobs.last().expect("fault_sweep has jobs");
+    let (cons, _) = assert_agenda_exact(job, "fault_sweep severity 4 (MC)²");
+    assert!(cons.engine["bounces_sent"] > 0, "the copy must bounce between controllers");
 }
 
 /// Four loads, then a frontend that stalls forever: the machine goes

@@ -93,8 +93,7 @@ impl<T> CacheArray<T> {
     }
 
     /// Insert `line` (which must not be present). Does **not** evict;
-    /// callers pick a victim first via [`Self::victim`] when the set is
-    /// full.
+    /// callers make room first via [`Self::evict`] when the set is full.
     ///
     /// # Panics
     /// Panics if the set is full or the line is already present.
@@ -111,30 +110,59 @@ impl<T> CacheArray<T> {
         self.payloads[set].push(payload);
     }
 
-    /// The LRU victim in `line`'s set among ways for which `keep` returns
-    /// false, or `None` if every way must be kept.
-    pub fn victim(&self, line: PhysAddr, keep: impl Fn(PhysAddr, &T) -> bool) -> Option<PhysAddr> {
+    /// The set of `line` and the slot of its LRU way among those for
+    /// which `keep` returns false, if any.
+    fn victim_slot(
+        &self,
+        line: PhysAddr,
+        keep: impl Fn(PhysAddr, &T) -> bool,
+    ) -> (usize, Option<usize>) {
         let set = self.set_of(line.line_base());
         let base = set * self.ways;
-        self.payloads[set]
+        let slot = self.payloads[set]
             .iter()
             .enumerate()
             .filter(|&(i, p)| !keep(self.line_at(set, i), p))
             .min_by_key(|&(i, _)| self.lru[base + i])
-            .map(|(i, _)| self.line_at(set, i))
+            .map(|(i, _)| i);
+        (set, slot)
     }
 
-    /// Remove a line, returning its payload. The set's last slot moves
-    /// into the freed one, keeping the occupied slots first.
+    /// The LRU victim in `line`'s set among ways for which `keep` returns
+    /// false, or `None` if every way must be kept.
+    pub fn victim(&self, line: PhysAddr, keep: impl Fn(PhysAddr, &T) -> bool) -> Option<PhysAddr> {
+        let (set, i) = self.victim_slot(line, keep);
+        Some(self.line_at(set, i?))
+    }
+
+    /// Remove the LRU way in `line`'s set among those for which `keep`
+    /// returns false, returning its line and payload, or `None` if every
+    /// way must be kept: [`Self::victim`] and [`Self::remove`] in one scan.
+    pub fn evict(
+        &mut self,
+        line: PhysAddr,
+        keep: impl Fn(PhysAddr, &T) -> bool,
+    ) -> Option<(PhysAddr, T)> {
+        let (set, i) = self.victim_slot(line, keep);
+        let i = i?;
+        Some((self.line_at(set, i), self.remove_at(set, i)))
+    }
+
+    /// Remove a line, returning its payload.
     pub fn remove(&mut self, line: PhysAddr) -> Option<T> {
         let (set, i) = self.find(line);
-        let i = i?;
+        Some(self.remove_at(set, i?))
+    }
+
+    /// Remove `set`'s slot `i`, returning its payload. The set's last slot
+    /// moves into the freed one, keeping the occupied slots first.
+    fn remove_at(&mut self, set: usize, i: usize) -> T {
         let base = set * self.ways;
         let last = self.payloads[set].len() - 1;
         self.tags[base + i] = self.tags[base + last];
         self.lru[base + i] = self.lru[base + last];
         self.tags[base + last] = 0;
-        Some(self.payloads[set].swap_remove(i))
+        self.payloads[set].swap_remove(i)
     }
 
     /// Iterate over all (line, payload) pairs, set by set.
@@ -227,9 +255,9 @@ mod tests {
     }
 
     proptest! {
-        /// Random inserts, hits, peeks, victim choices (with and without a
-        /// keep filter) and removals over four 4-way sets give the same
-        /// hits, victims, contents and order as the reference.
+        /// Random inserts, hits, peeks, victim choices and evictions (with
+        /// and without a keep filter) and removals over four 4-way sets give
+        /// the same hits, victims, contents and order as the reference.
         #[test]
         fn matches_the_vec_of_sets_reference(
             ops in prop::collection::vec((0u8..6, 0u64..24, 0u32..1000), 1..200)
@@ -261,11 +289,13 @@ mod tests {
                     3 => prop_assert_eq!(a.victim(l, |_, _| false), r.victim(l, |_, _| false)),
                     4 => prop_assert_eq!(a.victim(l, keep), r.victim(l, keep)),
                     _ => {
-                        // Evict the LRU victim, as a cache making room does.
-                        let victim = a.victim(l, |_, _| false);
-                        prop_assert_eq!(victim, r.victim(l, |_, _| false));
-                        if let Some(victim) = victim {
-                            prop_assert_eq!(a.remove(victim), r.remove(victim));
+                        // Evict as a cache making room does, first from every
+                        // way, then from the ways `keep` does not spare; then
+                        // remove `l`.
+                        for spare in [false, true] {
+                            let filter = |l: PhysAddr, p: &u32| spare && keep(l, p);
+                            let want = r.victim(l, filter).map(|v| (v, r.remove(v).expect("resident")));
+                            prop_assert_eq!(a.evict(l, filter), want);
                         }
                         prop_assert_eq!(a.remove(l), r.remove(l));
                     }

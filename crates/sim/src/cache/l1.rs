@@ -409,11 +409,7 @@ impl L1 {
         if self.array.has_room(line) {
             return;
         }
-        let victim = self
-            .array
-            .victim(line, |_, _| false)
-            .expect("full set has a victim");
-        let v = self.array.remove(victim).expect("victim present");
+        let (victim, v) = self.array.evict(line, |_, _| false).expect("full set has a victim");
         self.stats.evictions += 1;
         if v.modified && v.dirty {
             self.stats.writebacks += 1;

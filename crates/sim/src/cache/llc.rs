@@ -432,10 +432,9 @@ impl Llc {
         let busy = |l: PhysAddr| self.mshrs.contains_key(&l.0);
         let victim = self
             .array
-            .victim(line, |l, p| p.owner.is_some() || p.sharers != 0 || busy(l))
-            .or_else(|| self.array.victim(line, |l, p| p.owner.is_some() || busy(l)));
-        if let Some(v) = victim {
-            let p = self.array.remove(v).expect("victim resident");
+            .evict(line, |l, p| p.owner.is_some() || p.sharers != 0 || busy(l))
+            .or_else(|| self.array.evict(line, |l, p| p.owner.is_some() || busy(l)));
+        if let Some((v, p)) = victim {
             self.stats.evictions += 1;
             // Clean sharers are force-invalidated without acks; inclusion is
             // restored within a link delay and clean reads in the window are

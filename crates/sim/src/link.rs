@@ -12,23 +12,31 @@ use crate::Cycle;
 use std::collections::VecDeque;
 
 /// A FIFO queue whose entries become poppable `latency` cycles after push.
+///
+/// The head's ready cycle is kept inline, so the scheduler's many "when
+/// is this link next deliverable?" questions, and every `pop`/`peek` that
+/// finds nothing deliverable, read one number without touching the
+/// buffer.
 #[derive(Debug)]
 pub struct DelayQueue<T> {
     latency: Cycle,
+    /// The ready cycle of the oldest queued message, `Cycle::MAX` when
+    /// the queue is empty.
+    head: Cycle,
     q: VecDeque<(Cycle, T)>,
 }
 
 impl<T> DelayQueue<T> {
     /// Create a link with the given one-way latency in cycles.
     pub fn new(latency: Cycle) -> Self {
-        Self { latency, q: VecDeque::new() }
+        Self { latency, head: Cycle::MAX, q: VecDeque::new() }
     }
 
     /// Enqueue a message at time `now`; it is deliverable at `now + latency`.
     pub fn push(&mut self, now: Cycle, msg: T) {
         let ready = now + self.latency;
         debug_assert!(self.q.back().is_none_or(|(r, _)| *r <= ready));
-        self.q.push_back((ready, msg));
+        self.enqueue(ready, msg);
     }
 
     /// Enqueue with an extra delay on top of the link latency.
@@ -40,24 +48,32 @@ impl<T> DelayQueue<T> {
         if let Some((prev, _)) = self.q.back() {
             ready = ready.max(*prev);
         }
+        self.enqueue(ready, msg);
+    }
+
+    fn enqueue(&mut self, ready: Cycle, msg: T) {
+        if self.q.is_empty() {
+            self.head = ready;
+        }
         self.q.push_back((ready, msg));
     }
 
     /// Pop the head message if it has arrived by `now`.
     pub fn pop(&mut self, now: Cycle) -> Option<T> {
-        if self.q.front().is_some_and(|(r, _)| *r <= now) {
-            self.q.pop_front().map(|(_, m)| m)
-        } else {
-            None
+        if self.head > now {
+            return None;
         }
+        let (_, m) = self.q.pop_front()?;
+        self.head = self.q.front().map_or(Cycle::MAX, |(r, _)| *r);
+        Some(m)
     }
 
     /// Peek at the head message if it has arrived by `now`.
     pub fn peek(&self, now: Cycle) -> Option<&T> {
-        match self.q.front() {
-            Some((r, m)) if *r <= now => Some(m),
-            _ => None,
+        if self.head > now {
+            return None;
         }
+        self.q.front().map(|(_, m)| m)
     }
 
     /// Number of in-flight messages.
@@ -70,10 +86,11 @@ impl<T> DelayQueue<T> {
         self.q.is_empty()
     }
 
-    /// The earliest cycle at which a currently queued message becomes
-    /// deliverable, if any. Used for idle skip-ahead.
-    pub fn next_ready(&self) -> Option<Cycle> {
-        self.q.front().map(|(r, _)| *r)
+    /// The cycle at which the head message becomes deliverable,
+    /// `Cycle::MAX` when the link is empty. FIFO links never hold a head
+    /// later than a newer message, so this bounds every queued arrival.
+    pub fn head(&self) -> Cycle {
+        self.head
     }
 
     /// Iterate over in-flight messages (oldest first), regardless of
@@ -87,6 +104,49 @@ impl<T> DelayQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random plain pushes, pushes with an extra delay (which FIFO
+        /// order may clamp), pops and peeks, on links with and without
+        /// latency, agree with a plain queue of `(ready, message)` pairs on
+        /// `head()`, the length and every popped or peeked message.
+        #[test]
+        fn matches_a_plain_queue(
+            latency in 0u64..3,
+            ops in prop::collection::vec((0u8..4, 0u64..3, 0u64..8), 1..200)
+        ) {
+            let mut l = DelayQueue::new(latency);
+            let mut r: VecDeque<(Cycle, u32)> = VecDeque::new();
+            let mut now = 0;
+            for (msg, (op, step, extra)) in (0u32..).zip(ops) {
+                now += step;
+                let back = r.back().map_or(0, |&(ready, _)| ready);
+                match op {
+                    // A plain push never lands before the queued tail.
+                    0 if back <= now + latency => {
+                        l.push(now, msg);
+                        r.push_back((now + latency, msg));
+                    }
+                    0 | 1 => {
+                        l.push_after(now, extra, msg);
+                        r.push_back(((now + latency + extra).max(back), msg));
+                    }
+                    2 => {
+                        let due = r.front().is_some_and(|&(ready, _)| ready <= now);
+                        let want = if due { r.pop_front().map(|(_, m)| m) } else { None };
+                        prop_assert_eq!(l.pop(now), want);
+                    }
+                    _ => {
+                        let want = r.front().filter(|&&(ready, _)| ready <= now).map(|(_, m)| m);
+                        prop_assert_eq!(l.peek(now), want);
+                    }
+                }
+                prop_assert_eq!(l.head(), r.front().map_or(Cycle::MAX, |&(ready, _)| ready));
+                prop_assert_eq!(l.len(), r.len());
+            }
+        }
+    }
 
     #[test]
     fn delivers_after_latency() {
@@ -119,11 +179,16 @@ mod tests {
     }
 
     #[test]
-    fn next_ready_reports_head() {
+    fn head_reports_the_oldest_ready_cycle() {
         let mut l: DelayQueue<u8> = DelayQueue::new(7);
-        assert_eq!(l.next_ready(), None);
+        assert_eq!(l.head(), Cycle::MAX);
         l.push(1, 9);
-        assert_eq!(l.next_ready(), Some(8));
+        l.push(3, 10);
+        assert_eq!(l.head(), 8);
+        assert_eq!(l.pop(8), Some(9));
+        assert_eq!(l.head(), 10);
+        assert_eq!(l.pop(10), Some(10));
+        assert_eq!(l.head(), Cycle::MAX);
     }
 
     #[test]

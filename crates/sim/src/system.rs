@@ -125,11 +125,51 @@ pub enum SchedMode {
     EventDriven,
 }
 
-/// The agenda entry a link posts for its receiver: the cycle its head
-/// becomes deliverable (`Cycle::MAX` when empty). FIFO links never hold a
-/// head later than a newer message, so this bounds every queued arrival.
-fn head<T>(q: &DelayQueue<T>) -> Cycle {
-    q.next_ready().unwrap_or(Cycle::MAX)
+/// One stage's agenda entries (the cores, the L1s or the controllers)
+/// and their running minimum, so that finding the next due cycle reads
+/// one number per stage instead of every entry.
+///
+/// Outside the stage's own loop in [`System::visit`], `min` is exactly
+/// the minimum entry: entries change there only through [`Stage::lower`],
+/// which folds what it writes. The loop rewrites entries, so it refolds
+/// `min` from `Cycle::MAX` over every entry it reads.
+struct Stage {
+    due: Vec<Cycle>,
+    min: Cycle,
+}
+
+impl Stage {
+    fn new(n: usize) -> Stage {
+        let mut stage = Stage { due: vec![0; n], min: 0 };
+        stage.reset();
+        stage
+    }
+
+    /// Lower entry `i` to `at` if that is earlier. Only a strict lowering
+    /// is folded into `min`, which keeps the minimum exact even while the
+    /// stage's own loop runs (a controller sending to another controller):
+    /// an entry the loop has not reached yet may be due and then raised,
+    /// but a strict lowering makes it `at`, which lies after the current
+    /// cycle (the interconnect's latency is at least one), and any later
+    /// recompute of the entry is no later than its inbound head, `at` or
+    /// earlier.
+    fn lower(&mut self, i: usize, at: Cycle) {
+        if at < self.due[i] {
+            self.due[i] = at;
+            self.min = self.min.min(at);
+        }
+    }
+
+    /// Put every entry on the agenda for the next cycle.
+    fn reset(&mut self) {
+        self.due.fill(0);
+        self.min = self.scan();
+    }
+
+    /// The minimum entry, by a scan.
+    fn scan(&self) -> Cycle {
+        self.due.iter().copied().fold(Cycle::MAX, Cycle::min)
+    }
 }
 
 /// A complete simulated machine.
@@ -195,11 +235,12 @@ pub struct System {
     /// pushes a message; a component's own entry is recomputed from its
     /// state and inbound queue heads each time the event-driven loop
     /// looks at it. A core runs exactly when its entry is due. 0 = look
-    /// next cycle.
-    due_core: Vec<Cycle>,
-    due_l1: Vec<Cycle>,
+    /// next cycle. Each stage keeps its running minimum; the LLC's single
+    /// entry is its own.
+    due_core: Stage,
+    due_l1: Stage,
     due_llc: Cycle,
-    due_mc: Vec<Cycle>,
+    due_mc: Stage,
     /// The rest of a whole-machine skip that the previous run's budget
     /// cut short; the next run finishes it before it executes anything.
     skip_to: Option<Cycle>,
@@ -289,6 +330,9 @@ impl System {
             jitter: cfg.fault.stream(crate::fault::domain::LINK_JITTER, 0),
             dup: cfg.fault.stream(crate::fault::domain::LINK_DUP, 0),
         });
+        // A controller's send to another controller may lower an agenda
+        // entry that the same loop reads later (`Stage::lower`).
+        assert!(cfg.links.llc_mc >= 1, "the memory interconnect's latency must be at least one cycle");
         fn mk<T>(n: usize, lat: Cycle) -> Vec<DelayQueue<T>> {
             (0..n).map(|_| DelayQueue::new(lat)).collect()
         }
@@ -316,10 +360,10 @@ impl System {
             llc_refused: vec![false; n],
             mc_wake: vec![0; cfg.channels],
             last_executed: None,
-            due_core: vec![0; n],
-            due_l1: vec![0; n],
+            due_core: Stage::new(n),
+            due_l1: Stage::new(n),
             due_llc: 0,
-            due_mc: vec![0; cfg.channels],
+            due_mc: Stage::new(cfg.channels),
             skip_to: None,
             unfinished,
             sched_stats: SchedStats::default(),
@@ -359,11 +403,11 @@ impl System {
         match pkt.dest {
             Node::Llc => {
                 self.to_llc.push_after(now, extra, pkt);
-                self.due_llc = self.due_llc.min(head(&self.to_llc));
+                self.due_llc = self.due_llc.min(self.to_llc.head());
             }
             Node::Mc(j) => {
                 self.to_mc[j].push_after(now, extra, pkt);
-                self.due_mc[j] = self.due_mc[j].min(head(&self.to_mc[j]));
+                self.due_mc.lower(j, self.to_mc[j].head());
             }
         }
     }
@@ -423,34 +467,41 @@ impl System {
         //    response, it has internal work, or an internal timer (compute
         //    completion, delayed load issue) has matured. Its entry is the
         //    earliest of these, and every sender lowers it to the head it
-        //    pushed, so a due core always has one of them.
+        //    pushed, so a due core always has one of them. Each stage's
+        //    loop refolds its running minimum over every entry it reads.
+        self.due_core.min = Cycle::MAX;
         for i in 0..self.cores.len() {
-            if self.due_core[i] > now {
-                continue;
+            let mut due = self.due_core.due[i];
+            if due <= now {
+                let act = self.phase_core(now, i);
+                let c = &self.cores[i];
+                let wake = if act {
+                    now + 1
+                } else if c.finished() {
+                    Cycle::MAX
+                } else {
+                    c.wake_at().unwrap_or(Cycle::MAX)
+                };
+                due = wake.min(self.l1_to_core[i].head());
+                self.due_core.due[i] = due;
             }
-            let act = self.phase_core(now, i);
-            let c = &self.cores[i];
-            let wake = if act {
-                now + 1
-            } else if c.finished() {
-                Cycle::MAX
-            } else {
-                c.wake_at().unwrap_or(Cycle::MAX)
-            };
-            self.due_core[i] = wake.min(head(&self.l1_to_core[i]));
+            self.due_core.min = self.due_core.min.min(due);
         }
 
         // 2. L1s are purely message-driven: no input, no work. A refused
         //    core request blocks its queue until an LLC message (a fill)
         //    frees an MSHR, so only LLC input wakes a refused L1.
+        self.due_l1.min = Cycle::MAX;
         for i in 0..self.l1s.len() {
-            if self.due_l1[i] > now {
-                continue;
+            let mut due = self.due_l1.due[i];
+            if due <= now {
+                if self.l1_inbox(i) <= now {
+                    self.l1_refused[i] = self.phase_l1(now, i);
+                }
+                due = self.l1_inbox(i);
+                self.due_l1.due[i] = due;
             }
-            if self.l1_inbox(i) <= now {
-                self.l1_refused[i] = self.phase_l1(now, i);
-            }
-            self.due_l1[i] = self.l1_inbox(i);
+            self.due_l1.min = self.due_l1.min.min(due);
         }
 
         // 3. LLC: deferred replays or any deliverable input, except a
@@ -476,13 +527,16 @@ impl System {
         //    count as work so `sync` applies them (and stats/trace see
         //    them) at exactly the cycles the full tick would. Blocked
         //    input stays at the head of the controller's queue, so it
-        //    keeps the controller due and its input-stall count exact.
+        //    keeps the controller due and its input-stall count exact. A
+        //    controller's send to another one lowers that entry while this
+        //    loop runs, which `Stage::lower` keeps exact.
         let mut mc_ran = false;
+        self.due_mc.min = Cycle::MAX;
         for i in 0..self.mcs.len() {
-            let due = self.due_mc[i] <= now;
+            let due = self.due_mc.due[i] <= now;
             let run = if due {
                 self.mc_wake[i] <= now
-                    || self.to_mc[i].peek(now).is_some()
+                    || self.to_mc[i].head() <= now
                     || self.engine.needs_tick(i)
             } else {
                 mc_ran && self.engine.needs_tick(i)
@@ -493,13 +547,14 @@ impl System {
                 mc_ran = true;
             }
             if due || run {
-                self.due_mc[i] = self.mc_wake[i].min(head(&self.to_mc[i]));
+                self.due_mc.due[i] = self.mc_wake[i].min(self.to_mc[i].head());
             }
+            self.due_mc.min = self.due_mc.min.min(self.due_mc.due[i]);
         }
         if mc_ran {
             for i in 0..self.mcs.len() {
                 if self.engine.needs_tick(i) {
-                    self.due_mc[i] = self.due_mc[i].min(now + 1);
+                    self.due_mc.lower(i, now + 1);
                 }
             }
         }
@@ -510,17 +565,17 @@ impl System {
     /// The first cycle at which L1 `i` has a message it can take: any LLC
     /// message, or its core's head request unless it refused that head.
     fn l1_inbox(&self, i: usize) -> Cycle {
-        let core = if self.l1_refused[i] { Cycle::MAX } else { head(&self.core_to_l1[i]) };
-        head(&self.llc_to_l1[i]).min(core)
+        let core = if self.l1_refused[i] { Cycle::MAX } else { self.core_to_l1[i].head() };
+        self.llc_to_l1[i].head().min(core)
     }
 
     /// The first cycle at which the LLC has a message it can take: a fill,
     /// a response, or a request head it did not refuse when it last ran.
     fn llc_inbox(&self) -> Cycle {
         let requests = self.l1_to_llc.iter().zip(&self.llc_refused);
-        let requests = requests.filter(|(_, &refused)| !refused).map(|(q, _)| head(q));
-        let responses = self.l1_to_llc_resp.iter().map(head);
-        requests.chain(responses).fold(head(&self.to_llc), Cycle::min)
+        let requests = requests.filter(|(_, &refused)| !refused).map(|(q, _)| q.head());
+        let responses = self.l1_to_llc_resp.iter().map(DelayQueue::head);
+        requests.chain(responses).fold(self.to_llc.head(), Cycle::min)
     }
 
     /// Replay core `i`'s accounting for the executed cycles it was elided
@@ -553,7 +608,7 @@ impl System {
             for m in out.to_l1.drain(..) {
                 self.core_to_l1[i].push(now, m);
             }
-            self.due_l1[i] = self.due_l1[i].min(self.l1_inbox(i));
+            self.due_l1.lower(i, self.l1_inbox(i));
         }
         self.scratch_core = out;
         let c = &self.cores[i];
@@ -587,7 +642,7 @@ impl System {
             for (m, extra) in out.to_core.drain(..) {
                 self.l1_to_core[i].push_after(now, extra, m);
             }
-            self.due_core[i] = self.due_core[i].min(head(&self.l1_to_core[i]));
+            self.due_core.lower(i, self.l1_to_core[i].head());
         }
         if !out.to_llc.is_empty() {
             for m in out.to_llc.drain(..) {
@@ -636,7 +691,7 @@ impl System {
                     // refused core request may now be accepted.
                     self.l1_refused.fill(false);
                     for l1 in 0..self.l1s.len() {
-                        self.due_l1[l1] = self.due_l1[l1].min(self.l1_inbox(l1));
+                        self.due_l1.lower(l1, self.l1_inbox(l1));
                     }
                 }
                 let msg = self.l1_to_llc[i].peek(now).expect("still there").clone();
@@ -656,7 +711,7 @@ impl System {
         }
         for (l1, m, extra) in out.to_l1.drain(..) {
             self.llc_to_l1[l1].push_after(now, extra, m);
-            self.due_l1[l1] = self.due_l1[l1].min(self.l1_inbox(l1));
+            self.due_l1.lower(l1, self.l1_inbox(l1));
         }
         for (pkt, extra) in out.to_bus.drain(..) {
             self.send_bus(now, pkt, extra);
@@ -733,13 +788,22 @@ impl System {
         self.now = to;
     }
 
-    /// The first cycle at which any component is due.
+    /// The first cycle at which any component is due: the least of the
+    /// stages' running minimums.
     fn next_due(&self) -> Cycle {
-        self.due_core
-            .iter()
-            .chain(&self.due_l1)
-            .chain(&self.due_mc)
-            .fold(self.due_llc, |d, &c| d.min(c))
+        let due = self.due_core.min.min(self.due_l1.min).min(self.due_llc).min(self.due_mc.min);
+        #[cfg(feature = "check-invariants")]
+        {
+            let scan = self.due_core.scan().min(self.due_l1.scan());
+            let scan = scan.min(self.due_llc).min(self.due_mc.scan());
+            assert_eq!(
+                due, scan,
+                "invariant violation (scheduler): the agenda's running minimum disagrees \
+                 with a scan of its entries at cycle {}",
+                self.now
+            );
+        }
+        due
     }
 
     /// Account every core's elided cycles (run exits and whole-machine
@@ -758,10 +822,10 @@ impl System {
         self.l1_refused.fill(false);
         self.llc_refused.fill(false);
         self.mc_wake.fill(0);
-        self.due_core.fill(0);
-        self.due_l1.fill(0);
+        self.due_core.reset();
+        self.due_l1.reset();
         self.due_llc = 0;
-        self.due_mc.fill(0);
+        self.due_mc.reset();
     }
 
     /// Push one interval sample per memory controller into the armed
@@ -868,7 +932,7 @@ impl System {
             acc: A,
             f: &mut impl FnMut(A, Cycle, usize) -> Option<A>,
         ) -> Option<A> {
-            qs.iter().try_fold(acc, |acc, q| f(acc, head(q), q.len()))
+            qs.iter().try_fold(acc, |acc, q| f(acc, q.head(), q.len()))
         }
         let acc = fold(&self.core_to_l1, init, &mut f)?;
         let acc = fold(&self.l1_to_core, acc, &mut f)?;
