@@ -711,13 +711,8 @@ impl McSquareEngine {
         let do_flush = f.flush.roll(f.plan.ctt_flush_rate);
         let drop_draw = f.drop.roll(f.plan.ctt_drop_rate).then(|| f.pick.next_u64());
 
-        if do_flush {
-            let exclude: Vec<ByteRange> = self.drains.iter().flatten().map(|d| d.range).collect();
-            if let Some((range, _)) = self.ctt.smallest_entry(&exclude) {
-                let cursor = PhysAddr(range.start).line_base().0;
-                self.drains[mcid].push(DrainJob { range, cursor });
-                self.n.forced_flushes += 1;
-            }
+        if do_flush && self.launch_drain(mcid) {
+            self.n.forced_flushes += 1;
         }
 
         if let Some(draw) = drop_draw {
@@ -746,6 +741,23 @@ impl McSquareEngine {
         }
     }
 
+    /// Start a drain job on controller `mcid` for the smallest CTT entry
+    /// no job is draining yet. Returns whether there was one. Any
+    /// controller may orchestrate a drain (page-aligned buffers would
+    /// otherwise all land on channel 0's controller); the line reads and
+    /// writes still route to their owning channels.
+    fn launch_drain(&mut self, mcid: usize) -> bool {
+        let exclude: Vec<ByteRange> = self.drains.iter().flatten().map(|d| d.range).collect();
+        let Some((range, _)) = self.ctt.smallest_entry(&exclude) else {
+            return false;
+        };
+        // Chain collapse can leave byte-granular entry bounds; the drain
+        // walks whole destination lines.
+        let cursor = PhysAddr(range.start).line_base().0;
+        self.drains[mcid].push(DrainJob { range, cursor });
+        true
+    }
+
     /// Launch and advance controller `mcid`'s drain jobs. Returns whether
     /// any job was added, advanced or finished.
     fn drain_tick(&mut self, mcid: usize, io: &mut EngineIo) -> bool {
@@ -761,24 +773,7 @@ impl McSquareEngine {
         // copying at 50% occupancy, smallest entries first, bounded
         // parallelism per controller).
         if self.ctt.occupancy() >= self.cfg.drain_threshold {
-            while self.drains[mcid].len() < self.cfg.parallel_free {
-                let exclude: Vec<ByteRange> = self
-                    .drains
-                    .iter()
-                    .flatten()
-                    .map(|d| d.range)
-                    .collect();
-                // Any controller may orchestrate a drain (page-aligned
-                // buffers would otherwise all land on channel 0's
-                // controller); the line reads and writes still route to
-                // their owning channels.
-                let Some((range, _)) = self.ctt.smallest_entry(&exclude) else {
-                    break;
-                };
-                // Chain collapse can leave byte-granular entry bounds; the
-                // drain walks whole destination lines.
-                let cursor = PhysAddr(range.start).line_base().0;
-                self.drains[mcid].push(DrainJob { range, cursor });
+            while self.drains[mcid].len() < self.cfg.parallel_free && self.launch_drain(mcid) {
                 changed = true;
             }
         }

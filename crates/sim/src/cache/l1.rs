@@ -92,11 +92,6 @@ impl L1 {
         }
     }
 
-    /// Hit latency in cycles.
-    pub fn hit_latency(&self) -> Cycle {
-        self.cfg.hit_latency
-    }
-
     /// Whether the cache has in-flight transactions.
     pub fn busy(&self) -> bool {
         !self.mshrs.is_empty()

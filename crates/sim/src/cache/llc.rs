@@ -196,11 +196,10 @@ impl Llc {
 
     /// Whether [`Llc::handle_l1`] would refuse `msg` without changing any
     /// state: a `GetS`/`GetM` miss (no MSHR, not resident) while every
-    /// MSHR is in use. Its `misses` bump is undone and the LRU stamp it
-    /// advances reorders nothing, so until a response or fill frees an
-    /// MSHR, re-offering the request is a no-op. Refusals that do change
-    /// state (a hit that needs a recall or invalidation adds to `hits`)
-    /// are not covered.
+    /// MSHR is in use. Its only effect is an LRU stamp that reorders
+    /// nothing, so until a response or fill frees an MSHR, re-offering
+    /// the request is a no-op. Refusals that do change state (a hit that
+    /// needs a recall or invalidation adds to `hits`) are not covered.
     pub(crate) fn refuses(&self, msg: &L1ToLlc) -> bool {
         match msg {
             L1ToLlc::GetS { line, .. } | L1ToLlc::GetM { line, .. } => {
@@ -213,10 +212,10 @@ impl Llc {
     }
 
     /// Replay deferred requests (call once per cycle before new input).
-    pub fn begin_cycle(&mut self, now: Cycle, out: &mut LlcOut) {
+    pub fn begin_cycle(&mut self, out: &mut LlcOut) {
         for _ in 0..self.retry.len() {
             let Some(msg) = self.retry.pop_front() else { break };
-            if !self.handle_l1(now, msg.clone(), out) {
+            if !self.handle_l1(&msg, out) {
                 self.retry.push_back(msg);
                 break; // still blocked; keep order, try next cycle
             }
@@ -224,9 +223,10 @@ impl Llc {
     }
 
     /// Handle a message from an L1. Returns `false` if it could not be
-    /// accepted (caller must retry); acks are always accepted.
-    pub fn handle_l1(&mut self, _now: Cycle, msg: L1ToLlc, out: &mut LlcOut) -> bool {
-        match msg {
+    /// accepted (caller must retry); acks are always accepted. A request
+    /// for a busy line is cloned into that line's MSHR queue.
+    pub fn handle_l1(&mut self, msg: &L1ToLlc, out: &mut LlcOut) -> bool {
+        match *msg {
             L1ToLlc::RecallAck { line, data, .. } => {
                 self.on_ack(line, data, out);
                 true
@@ -235,7 +235,7 @@ impl Llc {
                 self.on_putm(line, data, core);
                 true
             }
-            L1ToLlc::WbRange { addr, size, dirty, id, core } => {
+            L1ToLlc::WbRange { addr, size, ref dirty, id, core } => {
                 self.wb_range(addr, size, dirty, id, core, out);
                 true
             }
@@ -285,7 +285,7 @@ impl Llc {
             | L1ToLlc::NtWrite { line, .. }
                 if self.mshrs.contains_key(&line.0) =>
             {
-                self.mshrs.get_mut(&line.0).expect("busy line").queue.push_back(msg);
+                self.mshrs.get_mut(&line.0).expect("busy line").queue.push_back(msg.clone());
                 true
             }
             L1ToLlc::GetS { line, core, prefetch } => self.get_s(line, core, prefetch, out),
@@ -364,12 +364,11 @@ impl Llc {
                 }
             };
         }
-        // Miss.
-        self.stats.misses += 1;
+        // Miss, counted once the fill starts (a refusal is retried).
         if !self.start_fill(line, false, core, prefetch, out) {
-            self.stats.misses -= 1; // retried later; don't double count
             return false;
         }
+        self.stats.misses += 1;
         if !prefetch {
             self.issue_prefetches(line, out);
         }
@@ -393,11 +392,10 @@ impl Llc {
                 }
             };
         }
-        self.stats.misses += 1;
         if !self.start_fill(line, true, core, false, out) {
-            self.stats.misses -= 1;
             return false;
         }
+        self.stats.misses += 1;
         true
     }
 
@@ -478,13 +476,13 @@ impl Llc {
         &mut self,
         addr: PhysAddr,
         size: u64,
-        l1_dirty: Vec<(PhysAddr, LineData)>,
+        l1_dirty: &[(PhysAddr, LineData)],
         id: UopId,
         core: usize,
         out: &mut LlcOut,
     ) {
         let mut writes: Vec<(PhysAddr, LineData)> = Vec::new();
-        for (line, data) in l1_dirty {
+        for &(line, data) in l1_dirty {
             if let Some(l) = self.array.peek_mut(line) {
                 l.data = data;
                 l.dirty = false;
@@ -758,7 +756,7 @@ mod tests {
     fn miss_fetches_from_memory_then_grants() {
         let mut llc = mk();
         let mut out = LlcOut::default();
-        assert!(llc.handle_l1(0, gets(0x100, 0), &mut out));
+        assert!(llc.handle_l1(&gets(0x100, 0), &mut out));
         assert_eq!(llc.stats.misses, 1);
         fill(&mut llc, 0x100, LineData::splat(4), &mut out);
         let grant = out
@@ -783,8 +781,8 @@ mod tests {
         for _ in 0..2 {
             let mut llc = mk();
             let mut out = LlcOut::default();
-            llc.handle_l1(0, gets(0x100, 0), &mut out);
-            llc.handle_l1(0, gets(0x200, 0), &mut out);
+            llc.handle_l1(&gets(0x100, 0), &mut out);
+            llc.handle_l1(&gets(0x200, 0), &mut out);
             let ids: Vec<u64> = out.to_bus.iter().map(|(p, _)| p.id).collect();
             assert_eq!(ids, [1, 2]);
         }
@@ -794,10 +792,10 @@ mod tests {
     fn second_reader_hits() {
         let mut llc = mk();
         let mut out = LlcOut::default();
-        llc.handle_l1(0, gets(0x100, 0), &mut out);
+        llc.handle_l1(&gets(0x100, 0), &mut out);
         fill(&mut llc, 0x100, LineData::splat(4), &mut out);
         let mut out = LlcOut::default();
-        llc.handle_l1(2, gets(0x100, 1), &mut out);
+        llc.handle_l1(&gets(0x100, 1), &mut out);
         assert_eq!(llc.stats.hits, 1);
         assert!(out.to_bus.is_empty());
     }
@@ -806,12 +804,12 @@ mod tests {
     fn getm_invalidates_sharers_before_grant() {
         let mut llc = mk();
         let mut out = LlcOut::default();
-        llc.handle_l1(0, gets(0x100, 0), &mut out);
+        llc.handle_l1(&gets(0x100, 0), &mut out);
         fill(&mut llc, 0x100, LineData::ZERO, &mut out);
-        llc.handle_l1(2, gets(0x100, 1), &mut out);
+        llc.handle_l1(&gets(0x100, 1), &mut out);
 
         let mut out = LlcOut::default();
-        llc.handle_l1(3, L1ToLlc::GetM { line: PhysAddr(0x100), core: 2 }, &mut out);
+        llc.handle_l1(&L1ToLlc::GetM { line: PhysAddr(0x100), core: 2 }, &mut out);
         // Invals to cores 0 and 1, no grant yet.
         let invals: Vec<_> = out
             .to_l1
@@ -824,9 +822,9 @@ mod tests {
 
         // Acks arrive; grant fires on the last one.
         let mut out = LlcOut::default();
-        llc.handle_l1(4, L1ToLlc::RecallAck { line: PhysAddr(0x100), data: None, core: 0 }, &mut out);
+        llc.handle_l1(&L1ToLlc::RecallAck { line: PhysAddr(0x100), data: None, core: 0 }, &mut out);
         assert!(out.to_l1.is_empty());
-        llc.handle_l1(5, L1ToLlc::RecallAck { line: PhysAddr(0x100), data: None, core: 1 }, &mut out);
+        llc.handle_l1(&L1ToLlc::RecallAck { line: PhysAddr(0x100), data: None, core: 1 }, &mut out);
         match &out.to_l1[0].1 {
             LlcToL1::Data { excl: true, .. } => {}
             other => panic!("expected M grant, got {other:?}"),
@@ -837,18 +835,17 @@ mod tests {
     fn gets_to_owned_line_recalls_owner() {
         let mut llc = mk();
         let mut out = LlcOut::default();
-        llc.handle_l1(0, L1ToLlc::GetM { line: PhysAddr(0x100), core: 0 }, &mut out);
+        llc.handle_l1(&L1ToLlc::GetM { line: PhysAddr(0x100), core: 0 }, &mut out);
         fill(&mut llc, 0x100, LineData::ZERO, &mut out);
 
         let mut out = LlcOut::default();
-        llc.handle_l1(2, gets(0x100, 1), &mut out);
+        llc.handle_l1(&gets(0x100, 1), &mut out);
         assert!(matches!(&out.to_l1[0], (0, LlcToL1::Recall { inval: false, .. }, _)));
 
         // Owner returns dirty data; requester gets it.
         let mut out = LlcOut::default();
         llc.handle_l1(
-            3,
-            L1ToLlc::RecallAck { line: PhysAddr(0x100), data: Some(LineData::splat(9)), core: 0 },
+            &L1ToLlc::RecallAck { line: PhysAddr(0x100), data: Some(LineData::splat(9)), core: 0 },
             &mut out,
         );
         match &out.to_l1[0] {
@@ -863,15 +860,15 @@ mod tests {
     fn requests_to_busy_line_are_queued() {
         let mut llc = mk();
         let mut out = LlcOut::default();
-        llc.handle_l1(0, gets(0x100, 0), &mut out);
+        llc.handle_l1(&gets(0x100, 0), &mut out);
         // Second request while fill outstanding: must not issue a second read.
-        llc.handle_l1(1, gets(0x100, 1), &mut out);
+        llc.handle_l1(&gets(0x100, 1), &mut out);
         let reads = out.to_bus.iter().filter(|(p, _)| p.cmd == MemCmd::ReadReq).count();
         assert_eq!(reads, 1);
         fill(&mut llc, 0x100, LineData::splat(2), &mut out);
         // Queued request replays via retry queue.
         let mut out = LlcOut::default();
-        llc.begin_cycle(2, &mut out);
+        llc.begin_cycle(&mut out);
         assert!(out
             .to_l1
             .iter()
@@ -882,12 +879,11 @@ mod tests {
     fn clwb_with_data_writes_through() {
         let mut llc = mk();
         let mut out = LlcOut::default();
-        llc.handle_l1(0, L1ToLlc::GetM { line: PhysAddr(0x80), core: 0 }, &mut out);
+        llc.handle_l1(&L1ToLlc::GetM { line: PhysAddr(0x80), core: 0 }, &mut out);
         fill(&mut llc, 0x80, LineData::ZERO, &mut out);
         let mut out = LlcOut::default();
         llc.handle_l1(
-            2,
-            L1ToLlc::Clwb { line: PhysAddr(0x80), data: Some(LineData::splat(6)), id: 11, core: 0 },
+            &L1ToLlc::Clwb { line: PhysAddr(0x80), data: Some(LineData::splat(6)), id: 11, core: 0 },
             &mut out,
         );
         let (wr, _) = out
@@ -909,8 +905,7 @@ mod tests {
         let mut llc = mk();
         let mut out = LlcOut::default();
         llc.handle_l1(
-            0,
-            L1ToLlc::NtWrite { line: PhysAddr(0xc0), data: LineData::splat(3), id: 4, core: 0 },
+            &L1ToLlc::NtWrite { line: PhysAddr(0xc0), data: LineData::splat(3), id: 4, core: 0 },
             &mut out,
         );
         assert!(out.to_bus.iter().any(|(p, _)| p.cmd == MemCmd::WriteReq));
@@ -923,7 +918,7 @@ mod tests {
         let mut llc = mk();
         let mut out = LlcOut::default();
         let desc = crate::packet::LazyDesc { dst: PhysAddr(0x1000), src: PhysAddr(0x2000), size: 64 };
-        llc.handle_l1(0, L1ToLlc::Mclazy { desc, id: 77, core: 0 }, &mut out);
+        llc.handle_l1(&L1ToLlc::Mclazy { desc, id: 77, core: 0 }, &mut out);
         let (pkt, _) = out
             .to_bus
             .iter()
@@ -942,14 +937,13 @@ mod tests {
         let mut out = LlcOut::default();
         // Two LLC-dirty lines via PutM.
         for a in [0u64, 0x40] {
-            llc.handle_l1(0, gets(a, 0), &mut out);
+            llc.handle_l1(&gets(a, 0), &mut out);
             fill(&mut llc, a, LineData::ZERO, &mut out);
-            llc.handle_l1(1, L1ToLlc::PutM { line: PhysAddr(a), data: LineData::splat(9), core: 0 }, &mut out);
+            llc.handle_l1(&L1ToLlc::PutM { line: PhysAddr(a), data: LineData::splat(9), core: 0 }, &mut out);
         }
         let mut out = LlcOut::default();
         llc.handle_l1(
-            2,
-            L1ToLlc::WbRange { addr: PhysAddr(0), size: 128, dirty: vec![], id: 5, core: 0 },
+            &L1ToLlc::WbRange { addr: PhysAddr(0), size: 128, dirty: vec![], id: 5, core: 0 },
             &mut out,
         );
         let writes: Vec<_> =
@@ -970,8 +964,7 @@ mod tests {
         let mut llc = mk();
         let mut out = LlcOut::default();
         llc.handle_l1(
-            0,
-            L1ToLlc::WbRange { addr: PhysAddr(0x1000), size: 256, dirty: vec![], id: 6, core: 0 },
+            &L1ToLlc::WbRange { addr: PhysAddr(0x1000), size: 256, dirty: vec![], id: 6, core: 0 },
             &mut out,
         );
         assert!(out.to_bus.is_empty());
@@ -983,14 +976,14 @@ mod tests {
         let mut llc = mk(); // tiny llc: 4096B, 4-way, 16 sets
         // Make line 0 dirty via PutM, then stream 4 more lines into set 0.
         let mut out = LlcOut::default();
-        llc.handle_l1(0, gets(0, 0), &mut out);
+        llc.handle_l1(&gets(0, 0), &mut out);
         fill(&mut llc, 0, LineData::ZERO, &mut out);
-        llc.handle_l1(1, L1ToLlc::PutM { line: PhysAddr(0), data: LineData::splat(8), core: 0 }, &mut out);
+        llc.handle_l1(&L1ToLlc::PutM { line: PhysAddr(0), data: LineData::splat(8), core: 0 }, &mut out);
         // Set stride = 16 sets * 64B = 1024B.
         for k in 1..=4u64 {
             let addr = k * 1024;
             let mut out2 = LlcOut::default();
-            llc.handle_l1(2, gets(addr, 0), &mut out2);
+            llc.handle_l1(&gets(addr, 0), &mut out2);
             fill(&mut llc, addr, LineData::ZERO, &mut out2);
             out.to_bus.extend(out2.to_bus);
         }
@@ -1008,12 +1001,12 @@ mod tests {
     fn with_busy_mshrs(busy: u64) -> Llc {
         let mut llc = Llc::new(CacheConfig { mshrs: 2, ..SystemConfig::tiny().llc }, 2);
         let mut out = LlcOut::default();
-        llc.handle_l1(0, L1ToLlc::GetM { line: PhysAddr(0x100), core: 0 }, &mut out);
+        llc.handle_l1(&L1ToLlc::GetM { line: PhysAddr(0x100), core: 0 }, &mut out);
         fill(&mut llc, 0x100, LineData::ZERO, &mut out);
-        llc.handle_l1(0, gets(0x140, 1), &mut out);
+        llc.handle_l1(&gets(0x140, 1), &mut out);
         fill(&mut llc, 0x140, LineData::ZERO, &mut out);
         for k in 0..busy {
-            assert!(llc.handle_l1(0, gets(0x1000 + 64 * k, 0), &mut out));
+            assert!(llc.handle_l1(&gets(0x1000 + 64 * k, 0), &mut out));
         }
         assert_eq!(llc.mshr_count(), busy as usize);
         llc
@@ -1034,7 +1027,7 @@ mod tests {
             let refuses = llc.refuses(&msg);
             let (stats, mshrs) = (llc.stats.clone(), llc.mshr_count());
             let mut out = LlcOut::default();
-            let accepted = llc.handle_l1(1, msg, &mut out);
+            let accepted = llc.handle_l1(&msg, &mut out);
             let unchanged = llc.stats == stats
                 && llc.mshr_count() == mshrs
                 && out.to_l1.is_empty()

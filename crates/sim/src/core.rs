@@ -109,8 +109,9 @@ pub struct Core {
     /// entry (`None` = no such entry). Min-merged at dispatch, recomputed
     /// exactly whenever the completion scan runs.
     compute_ready_min: Option<Cycle>,
-    /// Uop that failed a resource check at dispatch, retried next cycle.
-    held: Option<Uop>,
+    /// Uop that failed a resource check at dispatch, retried next cycle,
+    /// with the reason it was refused.
+    held: Option<(Uop, StallReason)>,
     /// The program returned `Fetch::Stall`; only a load completion can
     /// change its answer (see the [`Program`] contract).
     frontend_stalled: bool,
@@ -180,7 +181,7 @@ impl Core {
     /// Compute entry in the ROB, done ones included, and the `issue_after`
     /// of any unissued load. A done compute waiting to retire makes this
     /// `≤ now`, so it is too early to serve as a sleep verdict (see
-    /// [`Core::wake_at`]); the skip keeps it because it decides which
+    /// `Core::wake_at`); the skip keeps it because it decides which
     /// cycles execute (DESIGN.md §2.10, trap 3).
     pub fn next_event(&self) -> Option<Cycle> {
         let mut hint = self.rob.iter().filter_map(|e| e.ready_at).min();
@@ -537,9 +538,9 @@ impl Core {
                 Ok(()) => {
                     self.next_id += 1;
                 }
-                Err((uop, reason)) => {
-                    self.held = Some(uop);
-                    stall = Some(reason);
+                Err(held) => {
+                    stall = Some(held.1);
+                    self.held = Some(held);
                     break;
                 }
             }
@@ -548,7 +549,7 @@ impl Core {
     }
 
     fn held_or_fetch(&mut self, id: UopId) -> HeldFetch {
-        if let Some(u) = self.held.take() {
+        if let Some((u, _)) = self.held.take() {
             return HeldFetch::Uop(u);
         }
         match self.program.fetch(id) {
@@ -593,7 +594,7 @@ impl Core {
             head,
             self.fence_blocked,
             self.frontend_stalled,
-            self.held.as_ref().map(|u| u.to_string()),
+            self.held.as_ref().map(|(u, _)| u.to_string()),
             self.clwbs.len(),
             self.outstanding_mclazy,
             self.outstanding_nt,
@@ -868,7 +869,8 @@ impl Core {
 
     /// What [`Core::dispatch`] would return on a frozen core — a pure
     /// function of state that cannot change while frozen. Mirrors the
-    /// check order in `dispatch`/`try_dispatch`.
+    /// check order in `dispatch`: a held uop fails the same resource
+    /// check it failed when it was held.
     fn idle_dispatch_stall(&self) -> Option<StallReason> {
         if self.program_done {
             return None;
@@ -879,25 +881,8 @@ impl Core {
         if self.rob.len() >= self.cfg.rob_size {
             return Some(StallReason::RobFull);
         }
-        if let Some(u) = &self.held {
-            // A held uop failed a resource check last cycle and, with the
-            // core frozen, fails the same one again.
-            let r = match &u.kind {
-                UopKind::Load { .. } => StallReason::RobFull,
-                UopKind::Store { .. } => StallReason::StoreBuffer,
-                UopKind::Clwb { .. } | UopKind::WbRange { .. } => StallReason::ClwbSlots,
-                UopKind::Mclazy { .. } => {
-                    if self.outstanding_mclazy >= self.cfg.max_mclazy {
-                        StallReason::MclazySlots
-                    } else {
-                        StallReason::StoreBuffer
-                    }
-                }
-                // Remaining kinds never fail a resource check, so they
-                // are never held.
-                _ => StallReason::Frontend,
-            };
-            return Some(r);
+        if let Some((_, reason)) = self.held {
+            return Some(reason);
         }
         if self.frontend_stalled {
             return Some(StallReason::Frontend);

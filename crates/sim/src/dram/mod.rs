@@ -204,12 +204,6 @@ impl DramBackend {
         self.probe(0, addr).1
     }
 
-    /// Whether the addressed bank can start a new access at `now`.
-    #[inline]
-    pub fn bank_ready(&self, now: Cycle, addr: PhysAddr) -> bool {
-        self.probe(now, addr).0
-    }
-
     /// Whether the controller may issue another column command at `now`:
     /// some bus may be booked up to one CAS latency ahead, so bursts
     /// pipeline behind in-flight accesses instead of serialising with their
@@ -236,7 +230,7 @@ impl DramBackend {
     /// Start an access at `now`. Returns the completion cycle (data fully
     /// transferred) and the row outcome.
     ///
-    /// Callers should check [`Self::bank_ready`] and [`Self::bus_ready`]
+    /// Callers should check [`Self::probe`] and [`Self::bus_ready`]
     /// first; starting anyway simply queues behind the busy resource.
     pub fn access(&mut self, now: Cycle, addr: PhysAddr) -> (Cycle, RowOutcome) {
         self.sync(now);
@@ -493,8 +487,8 @@ mod tests {
         // blocked until the window ends at 140.
         d.sync(100);
         assert!(!d.is_row_hit(PhysAddr(64)));
-        assert!(!d.bank_ready(100, PhysAddr(64)));
-        assert!(d.bank_ready(140, PhysAddr(64)));
+        assert!(!d.probe(100, PhysAddr(64)).0);
+        assert!(d.probe(140, PhysAddr(64)).0);
         assert_eq!(d.refreshes(), 1);
         // The re-access is a row empty (refresh precharged), not a hit.
         let (done, out) = d.access(140, PhysAddr(64));
@@ -574,8 +568,8 @@ mod tests {
         d.sync(50);
         assert_eq!(d.refreshes(), 1);
         assert!(!d.is_row_hit(PhysAddr(0)));
-        assert!(!d.bank_ready(50, PhysAddr(0)));
-        assert!(d.bank_ready(70, PhysAddr(0)));
+        assert!(!d.probe(50, PhysAddr(0)).0);
+        assert!(d.probe(70, PhysAddr(0)).0);
     }
 
     // --- HBM2 geometry: pseudo-channels -----------------------------------
@@ -630,8 +624,8 @@ mod tests {
         let _ = d.access(0, PhysAddr(64));
         d.sync(50);
         assert_eq!(d.refreshes(), 1);
-        assert!(!d.bank_ready(50, PhysAddr(0)));
-        assert!(!d.bank_ready(50, PhysAddr(64)));
-        assert!(d.bank_ready(70, PhysAddr(0)));
+        assert!(!d.probe(50, PhysAddr(0)).0);
+        assert!(!d.probe(50, PhysAddr(64)).0);
+        assert!(d.probe(70, PhysAddr(0)).0);
     }
 }

@@ -284,11 +284,6 @@ impl MemCtrl {
         }
     }
 
-    /// Current WPQ occupancy as (len, capacity).
-    pub fn wpq_occupancy(&self) -> (usize, usize) {
-        (self.wpq.len(), self.cfg.wpq_cap)
-    }
-
     /// (rpq len, wpq len, in-flight DRAM accesses) — diagnostics.
     pub fn queue_depths(&self) -> (usize, usize, usize) {
         (self.rpq.len(), self.wpq.len(), self.inflight.len())
@@ -1179,7 +1174,7 @@ mod tests {
                 twin_in.push(now, pkt.clone());
             }
             tick_logged(&mut every, now, &mut every_in, &mut every_eng, &mut every_mem, &mut every_log);
-            let wpq = every.wpq_occupancy().0;
+            let wpq = every.queue_depths().1;
             wpq_peak = wpq_peak.max(wpq);
             if wpq_peak as f64 >= every.cfg.wpq_drain_hi * every.cfg.wpq_cap as f64 {
                 wpq_low_after_peak = wpq_low_after_peak.min(wpq);

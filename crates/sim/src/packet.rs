@@ -96,16 +96,6 @@ pub enum MemCmd {
     WriteAck,
 }
 
-impl MemCmd {
-    /// True for commands that carry a data payload.
-    pub fn has_data(&self) -> bool {
-        matches!(
-            self,
-            MemCmd::ReadResp | MemCmd::WriteReq | MemCmd::BounceResp(_) | MemCmd::LazyDestWrite
-        )
-    }
-}
-
 /// A packet on the memory interconnect.
 #[derive(Clone)]
 pub struct Packet {
@@ -119,7 +109,8 @@ pub struct Packet {
     pub cmd: MemCmd,
     /// Address the command operates on (line-aligned for line ops).
     pub addr: PhysAddr,
-    /// Data payload for commands where [`MemCmd::has_data`] holds.
+    /// Data payload, carried by `ReadResp`, `WriteReq`, `BounceResp` and
+    /// `LazyDestWrite`.
     pub data: Option<LineData>,
     /// Routing target.
     pub dest: Node,
@@ -275,14 +266,5 @@ mod tests {
     fn read_resp_from_write_panics() {
         let w = Packet::write(PhysAddr(0), LineData::ZERO, Node::Mc(0));
         let _ = w.make_read_resp(LineData::ZERO);
-    }
-
-    #[test]
-    fn has_data_classification() {
-        assert!(!MemCmd::ReadReq.has_data());
-        assert!(MemCmd::ReadResp.has_data());
-        assert!(MemCmd::WriteReq.has_data());
-        assert!(MemCmd::LazyDestWrite.has_data());
-        assert!(!MemCmd::MclazyAck.has_data());
     }
 }

@@ -669,24 +669,16 @@ impl System {
         // Responses first: they are always accepted and unblock MSHRs.
         for i in 0..self.l1_to_llc_resp.len() {
             while let Some(msg) = self.l1_to_llc_resp[i].pop(now) {
-                let accepted = self.llc.handle_l1(now, msg, &mut out);
+                let accepted = self.llc.handle_l1(&msg, &mut out);
                 debug_assert!(accepted, "responses are always accepted");
             }
         }
-        self.llc.begin_cycle(now, &mut out);
+        self.llc.begin_cycle(&mut out);
         for i in 0..self.l1_to_llc.len() {
             for _ in 0..8 {
                 let Some(msg) = self.l1_to_llc[i].peek(now) else { break };
-                if self.llc.refuses(msg) {
-                    break;
-                }
-                if let L1ToLlc::Mclazy { desc, .. } = msg {
-                    let desc = *desc;
-                    let queues: Vec<&DelayQueue<L1ToLlc>> = self
-                        .l1_to_llc_resp
-                        .iter()
-                        .collect();
-                    Self::snoop_mclazy(&mut self.l1s, &mut self.llc, &queues, desc, &mut out);
+                if let L1ToLlc::Mclazy { desc, .. } = *msg {
+                    Self::snoop_mclazy(&mut self.l1s, &mut self.llc, &self.l1_to_llc_resp, desc, &mut out);
                     // The snoop mutates L1s outside their own phase, so a
                     // refused core request may now be accepted.
                     self.l1_refused.fill(false);
@@ -694,12 +686,10 @@ impl System {
                         self.due_l1.lower(l1, self.l1_inbox(l1));
                     }
                 }
-                let msg = self.l1_to_llc[i].peek(now).expect("still there").clone();
-                if self.llc.handle_l1(now, msg, &mut out) {
-                    let _ = self.l1_to_llc[i].pop(now);
-                } else {
+                if !self.llc.handle_l1(msg, &mut out) {
                     break;
                 }
+                let _ = self.l1_to_llc[i].pop(now);
             }
         }
         while let Some(pkt) = self.to_llc.pop(now) {
@@ -869,7 +859,7 @@ impl System {
     fn snoop_mclazy(
         l1s: &mut [L1],
         llc: &mut Llc,
-        in_flight: &[&DelayQueue<L1ToLlc>],
+        in_flight: &[DelayQueue<L1ToLlc>],
         desc: LazyDesc,
         out: &mut LlcOut,
     ) {

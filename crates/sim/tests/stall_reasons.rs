@@ -1,15 +1,17 @@
 //! Regression tests for stall attribution (`CoreStats::stalls`).
 //!
-//! Two properties: (a) every [`StallReason`] variant is reachable — a
-//! workload exists whose stalls are attributed to it — and (b) every
-//! stalled cycle is attributed to exactly one reason, i.e. the per-reason
-//! histogram sums to `stalled_cycles` and never exceeds total cycles.
+//! Three properties: (a) every [`StallReason`] variant is reachable — a
+//! workload exists whose stalls are attributed to it — (b) every stalled
+//! cycle is attributed to exactly one reason, i.e. the per-reason
+//! histogram sums to `stalled_cycles` and never exceeds total cycles, and
+//! (c) a core frozen behind a held uop is charged the reason that uop was
+//! refused for, on elided cycles as on executed ones.
 
 use mcs_sim::addr::PhysAddr;
 use mcs_sim::config::SystemConfig;
 use mcs_sim::program::FixedProgram;
 use mcs_sim::stats::{RunStats, StallReason};
-use mcs_sim::system::System;
+use mcs_sim::system::{SchedMode, System};
 use mcs_sim::uop::{StatTag, StoreData, Uop, UopKind};
 
 fn ld(addr: u64) -> Uop {
@@ -28,8 +30,24 @@ fn st(addr: u64) -> Uop {
     )
 }
 
+fn mclazy(i: u64) -> Uop {
+    Uop::new(
+        UopKind::Mclazy {
+            dst: PhysAddr(0x400000 + i * 8192),
+            src: PhysAddr(0x300000 + i * 8192),
+            size: 4096,
+        },
+        StatTag::Memcpy,
+    )
+}
+
 fn run(uops: Vec<Uop>) -> RunStats {
+    run_in(SchedMode::EventDriven, uops)
+}
+
+fn run_in(mode: SchedMode, uops: Vec<Uop>) -> RunStats {
     let mut sys = System::new(SystemConfig::tiny(), vec![Box::new(FixedProgram::new(uops))]);
+    sys.set_sched_mode(mode);
     sys.run(10_000_000).expect("workload finishes")
 }
 
@@ -73,18 +91,7 @@ fn mclazy_slots_is_reachable() {
     // More MCLAZYs than slots (tiny: 2); the baseline NullEngine acks
     // them, but acks take interconnect round-trips during which dispatch
     // is blocked on a slot.
-    let uops: Vec<Uop> = (0..6u64)
-        .map(|i| {
-            Uop::new(
-                UopKind::Mclazy {
-                    dst: PhysAddr(0x400000 + i * 8192),
-                    src: PhysAddr(0x300000 + i * 8192),
-                    size: 4096,
-                },
-                StatTag::Memcpy,
-            )
-        })
-        .collect();
+    let uops: Vec<Uop> = (0..6u64).map(mclazy).collect();
     let stats = run_checked(uops);
     assert_reaches(&stats, StallReason::MclazySlots);
 }
@@ -147,4 +154,36 @@ fn attribution_is_exact_on_a_mixed_workload() {
     assert!(c.stalled_cycles > 0);
     // Several distinct reasons must appear in one run.
     assert!(c.stalls.len() >= 3, "expected a mixed histogram, got {:?}", c.stalls);
+}
+
+/// Run `uops` under the reference `Conservative` loop and the default
+/// event-driven one, which elides the cycles a core sits frozen behind a
+/// held uop; both must charge those cycles to `reason` and agree on
+/// every core statistic.
+fn held_reason_on_elided_cycles(uops: impl Fn() -> Vec<Uop>, reason: StallReason) {
+    let cons = run_in(SchedMode::Conservative, uops());
+    let ev = run_in(SchedMode::EventDriven, uops());
+    assert_reaches(&cons, reason);
+    assert!(
+        ev.sched.core_execs < ev.cores[0].cycles,
+        "the event-driven loop elided no core cycle ({} runs for {} cycles)",
+        ev.sched.core_execs,
+        ev.cores[0].cycles
+    );
+    assert_eq!(cons.cores, ev.cores);
+}
+
+#[test]
+fn mclazy_held_behind_the_store_buffer() {
+    // Two stores to uncached lines leave the store buffer (tiny: 4) half
+    // empty, so the only StoreBuffer stalls are the MCLAZY's: it waits
+    // for both stores to drain while they miss to DRAM.
+    let uops = || vec![st(0x70000), st(0x71000), mclazy(0)];
+    held_reason_on_elided_cycles(uops, StallReason::StoreBuffer);
+}
+
+#[test]
+fn mclazy_held_on_full_mclazy_slots() {
+    // A third MCLAZY with both slots (tiny: 2) taken waits for an ack.
+    held_reason_on_elided_cycles(|| (0..3).map(mclazy).collect(), StallReason::MclazySlots);
 }

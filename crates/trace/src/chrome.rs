@@ -1,12 +1,12 @@
 //! Chrome `trace_event` JSON exporter.
 //!
-//! Serialises a [`TraceSink`](crate::TraceSink) into the Trace Event
-//! Format that Perfetto and `chrome://tracing` load: complete events
-//! (`ph:"X"`) for spans, instant events (`ph:"i"`) for point events,
-//! counter events (`ph:"C"`) from the interval series, and metadata
-//! events naming the lanes. The tree has no JSON dependency, so the
-//! writer emits JSON by hand; the unit tests include a small
-//! recursive-descent parser that validates well-formedness.
+//! Serialises a [`TraceSink`] into the Trace Event Format that Perfetto
+//! and `chrome://tracing` load: complete events (`ph:"X"`) for spans,
+//! instant events (`ph:"i"`) for point events, counter events
+//! (`ph:"C"`) from the interval series, and metadata events naming the
+//! lanes. The tree has no JSON dependency, so the writer emits JSON by
+//! hand; the unit tests include a small recursive-descent parser that
+//! validates well-formedness.
 //!
 //! Lane layout: pid 0 = cores (tid = core id), pid 1 = memory controllers
 //! (tid = channel id), pid 2 = the (MC)² engine (tid = channel id). DRAM
