@@ -402,17 +402,7 @@ impl McSquareEngine {
                     at: self.now,
                 });
                 let info = BounceInfo { reply_to: mcid, token: line.0, src, len, dest_off };
-                let pkt = Packet {
-                    id: 0,
-                    cmd: MemCmd::BounceRead(info),
-                    addr: src_line,
-                    data: None,
-                    dest: Node::Mc(src_mc),
-                    is_prefetch: false,
-                    core: None,
-                    needs_ack: false,
-                    poisoned: false,
-                };
+                let pkt = Packet::new(MemCmd::BounceRead(info), src_line, Node::Mc(src_mc));
                 io.send_after(pkt, self.cfg.ctt_latency);
             }
         }
@@ -492,28 +482,14 @@ impl McSquareEngine {
         let dest_mc = self.mc_of(line);
         if dest_mc == mcid {
             self.ctt.remove_dst(line, CACHELINE);
-            if poisoned {
-                io.dram_write_poisoned(line, buf);
-            } else {
-                io.dram_write(line, buf);
-            }
+            io.dram_write(line, buf, poisoned);
             self.recons.remove(&line.0);
         } else {
             // The entry is untracked when the write arrives at the owning
             // controller, so a racing read still bounces correctly.
             self.n.lazy_dest_writes += 1;
-            let pkt = Packet {
-                id: 0,
-                cmd: MemCmd::LazyDestWrite,
-                addr: line,
-                data: Some(buf),
-                dest: Node::Mc(dest_mc),
-                is_prefetch: false,
-                core: None,
-                needs_ack: false,
-                poisoned,
-            };
-            io.send(pkt);
+            let write = Packet::new(MemCmd::LazyDestWrite, line, Node::Mc(dest_mc));
+            io.send(Packet { data: Some(buf), poisoned, ..write });
             let r = self.recons.get_mut(&line.0).expect("recon present");
             r.state = ReconState::AwaitingDestWrite;
         }
@@ -844,7 +820,7 @@ impl McSquareEngine {
         }
         let released = !ready.is_empty();
         for e in ready {
-            io.dram_write(e.line, e.data);
+            io.dram_write(e.line, e.data, false);
         }
         released
     }
@@ -916,18 +892,12 @@ impl CopyEngine for McSquareEngine {
                 let mut payload = LineData::ZERO;
                 let off = info.src.line_off() as usize;
                 payload.write(info.dest_off as usize, data.read(off, info.len as usize));
-                let pkt = Packet {
-                    id: 0,
-                    cmd: MemCmd::BounceResp(info),
-                    addr: info.src.line_base(),
-                    data: Some(payload),
-                    dest: Node::Mc(info.reply_to),
-                    is_prefetch: false,
-                    core: None,
-                    needs_ack: false,
-                    poisoned,
-                };
-                io.send(pkt);
+                let resp = Packet::new(
+                    MemCmd::BounceResp(info),
+                    info.src.line_base(),
+                    Node::Mc(info.reply_to),
+                );
+                io.send(Packet { data: Some(payload), poisoned, ..resp });
             }
         }
     }
@@ -1162,17 +1132,8 @@ mod tests {
     /// One copy of an MCLAZY broadcast, numbered by its destination: no
     /// test arms two broadcasts to one destination at once.
     fn mclazy_pkt(dst: u64, src: u64, size: u64, mc: usize) -> Packet {
-        Packet {
-            id: dst,
-            cmd: MemCmd::Mclazy(LazyDesc { dst: PhysAddr(dst), src: PhysAddr(src), size }),
-            addr: PhysAddr(dst),
-            data: None,
-            dest: Node::Mc(mc),
-            is_prefetch: false,
-            core: Some(0),
-            needs_ack: false,
-            poisoned: false,
-        }
+        let cmd = MemCmd::Mclazy(LazyDesc { dst: PhysAddr(dst), src: PhysAddr(src), size });
+        Packet { id: dst, core: Some(0), ..Packet::new(cmd, PhysAddr(dst), Node::Mc(mc)) }
     }
 
     /// Deliver an MCLAZY broadcast (one copy per controller); the table
@@ -1414,17 +1375,8 @@ mod tests {
     fn mcfree_drops_tracking_without_traffic() {
         let mut e = engine();
         insert(&mut e, 0x2000, 0x10000, 128);
-        let pkt = Packet {
-            id: 0,
-            cmd: MemCmd::Mcfree(FreeDesc { addr: PhysAddr(0x2000), size: 128 }),
-            addr: PhysAddr(0x2000),
-            data: None,
-            dest: Node::Mc(0),
-            is_prefetch: false,
-            core: None,
-            needs_ack: false,
-            poisoned: false,
-        };
+        let free = MemCmd::Mcfree(FreeDesc { addr: PhysAddr(0x2000), size: 128 });
+        let pkt = Packet::new(free, PhysAddr(0x2000), Node::Mc(0));
         let mut io = EngineIo::default();
         assert!(matches!(e.on_arrive(0, 0, pkt, &mut io), Verdict::Consumed));
         assert!(io.dram_reads.is_empty() && io.dram_writes.is_empty());

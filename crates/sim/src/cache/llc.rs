@@ -249,33 +249,16 @@ impl Llc {
                 let bid = self.next_id();
                 self.pending_lazy.insert(bid, (core, id));
                 for k in 0..self.channels {
-                    let pkt = Packet {
-                        id: bid,
-                        cmd: MemCmd::Mclazy(desc),
-                        addr: desc.dst,
-                        data: None,
-                        dest: Node::Mc(k),
-                        is_prefetch: false,
-                        core: Some(core),
-                        needs_ack: false,
-                        poisoned: false,
-                    };
+                    let mclazy = Packet::new(MemCmd::Mclazy(desc), desc.dst, Node::Mc(k));
+                    let pkt = Packet { id: bid, core: Some(core), ..mclazy };
                     out.to_bus.push((pkt, self.cfg.hit_latency));
                 }
                 true
             }
             L1ToLlc::Mcfree { addr, size } => {
-                let pkt = Packet {
-                    id: self.next_id(),
-                    cmd: MemCmd::Mcfree(crate::packet::FreeDesc { addr, size }),
-                    addr: addr.line_base(),
-                    data: None,
-                    dest: self.mc_of(addr),
-                    is_prefetch: false,
-                    core: None,
-                    needs_ack: false,
-                    poisoned: false,
-                };
+                let free = MemCmd::Mcfree(crate::packet::FreeDesc { addr, size });
+                let mcfree = Packet::new(free, addr.line_base(), self.mc_of(addr));
+                let pkt = Packet { id: self.next_id(), ..mcfree };
                 out.to_bus.push((pkt, self.cfg.hit_latency));
                 true
             }

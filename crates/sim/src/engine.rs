@@ -75,15 +75,11 @@ impl EngineIo {
         self.dram_reads.push((tag, addr.line_base()));
     }
 
-    /// Issue a write of the line containing `addr` on this channel.
-    pub fn dram_write(&mut self, addr: PhysAddr, data: LineData) {
-        self.dram_writes.push((addr.line_base(), data, false));
-    }
-
-    /// Issue a write whose data is poisoned (derived from an uncorrectable
-    /// ECC error): the controller will mark the line poisoned on commit.
-    pub fn dram_write_poisoned(&mut self, addr: PhysAddr, data: LineData) {
-        self.dram_writes.push((addr.line_base(), data, true));
+    /// Issue a write of the line containing `addr` on this channel. A
+    /// `poisoned` write carries data derived from an uncorrectable ECC
+    /// error: the controller will mark the line poisoned on commit.
+    pub fn dram_write(&mut self, addr: PhysAddr, data: LineData, poisoned: bool) {
+        self.dram_writes.push((addr.line_base(), data, poisoned));
     }
 
     /// Send a packet on the interconnect after the base link latency.
@@ -262,21 +258,9 @@ mod tests {
     fn null_engine_acks_mclazy() {
         let mut e = NullEngine;
         let mut io = EngineIo::default();
-        let p = Packet {
-            id: 7,
-            cmd: MemCmd::Mclazy(crate::packet::LazyDesc {
-                dst: PhysAddr(0),
-                src: PhysAddr(64),
-                size: 64,
-            }),
-            addr: PhysAddr(0),
-            data: None,
-            dest: Node::Mc(0),
-            is_prefetch: false,
-            core: Some(0),
-            needs_ack: false,
-            poisoned: false,
-        };
+        let desc = crate::packet::LazyDesc { dst: PhysAddr(0), src: PhysAddr(64), size: 64 };
+        let mclazy = Packet::new(MemCmd::Mclazy(desc), PhysAddr(0), Node::Mc(0));
+        let p = Packet { id: 7, core: Some(0), ..mclazy };
         match e.on_arrive(0, 0, p, &mut io) {
             Verdict::Consumed => {}
             other => panic!("expected consumed, got {other:?}"),

@@ -1,5 +1,11 @@
 //! Memory controller: read/write pending queues, FR-FCFS-style scheduling,
 //! write-drain watermarks, WPQ read forwarding, and the [`CopyEngine`] hook.
+//!
+//! Each step of a request is one function: `offer` hands an arriving
+//! packet to the engine and acts on its verdict, `enqueue` turns a passed
+//! packet into a queue entry or a forwarded answer, `engine_call` enters
+//! what an engine call asked for, `pick` chooses the next DRAM access, and
+//! `answer` returns a read's data to whoever asked.
 
 use crate::config::McConfig;
 use crate::data::{LineData, SparseMem};
@@ -46,7 +52,9 @@ struct WpqEntry {
 struct Inflight {
     done: Cycle,
     addr: PhysAddr,
-    kind: InflightKind,
+    /// Who asked, for a read; `None` for a write, whose data was applied
+    /// to the memory image at issue.
+    read: Option<ReadOrigin>,
     /// Cycle the request entered its pending queue (service latency base).
     enq: Cycle,
 }
@@ -70,10 +78,33 @@ fn trace_row(outcome: RowOutcome) -> mcs_trace::RowKind {
     }
 }
 
-#[derive(Debug)]
-enum InflightKind {
-    Read(ReadOrigin),
-    Write,
+/// FR-FCFS with demand priority over one pending queue, given each
+/// entry's line and whether it is demand traffic: the first ready demand
+/// row hit, else the first ready demand entry, else the first ready
+/// non-demand row hit, else the first ready non-demand entry. One pass
+/// probes each candidate's bank once. Engine reads (lazy-copy drains) are
+/// the non-demand class: they issue only when no demand read is ready,
+/// bounding their bandwidth interference (§III-A1 limits outstanding
+/// asynchronous copies for the same reason). Every write is demand, so a
+/// write row hit goes before an older ready write.
+fn pick(
+    dram: &DramBackend,
+    now: Cycle,
+    queue: impl Iterator<Item = (PhysAddr, bool)>,
+) -> Option<usize> {
+    // The first ready demand entry, non-demand row hit and non-demand entry.
+    let mut first = [None; 3];
+    for (i, (addr, demand)) in queue.enumerate() {
+        let class = match (demand, dram.probe(now, addr)) {
+            (_, (false, _)) => continue,
+            (true, (true, true)) => return Some(i), // top class: first match wins outright
+            (true, _) => 0,
+            (false, (true, true)) => 1,
+            (false, _) => 2,
+        };
+        first[class].get_or_insert(i);
+    }
+    first.into_iter().flatten().next()
 }
 
 /// Per-controller fault-injection state. Present only when the configured
@@ -115,11 +146,11 @@ pub struct MemCtrl {
     /// The cycle of the last [`Self::tick`]; a parked controller re-asked
     /// its head on every cycle since (see [`Self::replay_elided`]).
     last_tick: Cycle,
-    /// Engine reads satisfied by WPQ forwarding, delivered next tick
+    /// Engine reads satisfied by WPQ forwarding, answered next tick
     /// (tag, line, data, poisoned).
     engine_fwd: Vec<(u64, PhysAddr, LineData, bool)>,
     /// The collector handed to every engine call, emptied by
-    /// [`Self::apply_io`] and reused so that an engine call allocates
+    /// [`Self::engine_call`] and reused so that an engine call allocates
     /// nothing.
     io: EngineIo,
     draining: bool,
@@ -289,53 +320,34 @@ impl MemCtrl {
         (self.rpq.len(), self.wpq.len(), self.inflight.len())
     }
 
-    /// The empty engine collector, stamped with this call's WPQ
-    /// occupancy. Hand it back through [`Self::apply_io`].
-    fn take_io(&mut self) -> EngineIo {
+    /// Make one engine call: hand `call` this controller's collector,
+    /// stamped with the WPQ occupancy, then queue the engine's DRAM reads
+    /// and writes, pass on its packets and keep the emptied collector.
+    fn engine_call<R>(
+        &mut self,
+        now: Cycle,
+        out: &mut Vec<(Packet, Cycle)>,
+        call: impl FnOnce(&mut EngineIo) -> R,
+    ) -> R {
         let mut io = std::mem::take(&mut self.io);
         io.wpq = (self.wpq.len(), self.cfg.wpq_cap);
-        io
-    }
-
-    /// Enter the engine's DRAM reads and writes and pass on its packets,
-    /// then keep the emptied collector for the next call.
-    fn apply_io(&mut self, now: Cycle, mut io: EngineIo, out: &mut Vec<(Packet, Cycle)>) {
+        let result = call(&mut io);
         for (tag, addr) in io.dram_reads.drain(..) {
             self.stats.engine_reads += 1;
-            // WPQ forwarding applies to engine reads too: a pending write
-            // to the line is newer than DRAM contents.
-            if let Some(w) = self.wpq.iter().rev().find(|w| w.addr == addr) {
-                self.stats.wpq_forwards += 1;
-                self.engine_fwd.push((tag, addr, w.data, w.poison));
-                continue;
+            // A pending write to the line is newer than DRAM contents; the
+            // engine hears of it on the next tick.
+            match self.forward(addr) {
+                Some((data, poison)) => self.engine_fwd.push((tag, addr, data, poison)),
+                None => self.push_read(now, addr, ReadOrigin::Engine(tag)),
             }
-            #[cfg(feature = "trace")]
-            mcs_trace::emit(mcs_trace::Event::McEnqueue {
-                mc: self.id as u16,
-                class: mcs_trace::PacketClass::EngineRead,
-                at: now,
-            });
-            self.rpq.push_back(RpqEntry { addr, origin: ReadOrigin::Engine(tag), enq: now });
         }
         for (addr, data, poison) in io.dram_writes.drain(..) {
             self.stats.engine_writes += 1;
-            #[cfg(feature = "trace")]
-            mcs_trace::emit(mcs_trace::Event::McEnqueue {
-                mc: self.id as u16,
-                class: mcs_trace::PacketClass::EngineWrite,
-                at: now,
-            });
-            self.wpq.push_back(WpqEntry {
-                addr,
-                data,
-                poison,
-                enq: now,
-                #[cfg(feature = "trace")]
-                class: mcs_trace::PacketClass::EngineWrite,
-            });
+            self.push_write(now, addr, data, poison, true);
         }
         out.append(&mut io.sends);
         self.io = io;
+        result
     }
 
     /// Advance one cycle.
@@ -367,28 +379,41 @@ impl MemCtrl {
                 });
             }
         }
-        self.deliver_forwarded(now, engine, out);
+        for (tag, addr, data, poisoned) in std::mem::take(&mut self.engine_fwd) {
+            self.answer(now, ReadOrigin::Engine(tag), addr, data, poisoned, engine, out);
+        }
         self.complete_inflight(now, engine, mem, out);
-        self.engine_tick(now, engine, out);
+        let id = self.id;
+        self.engine_call(now, out, |io| engine.tick(now, id, io));
         self.accept_input(now, input, engine, out);
         self.schedule_dram(now, mem);
         self.stats.refreshes = self.dram.refreshes();
     }
 
-    fn deliver_forwarded(
+    /// Return a read's `data` to whoever asked: a response packet to the
+    /// LLC, or [`CopyEngine::on_dram_read`].
+    #[allow(clippy::too_many_arguments)]
+    fn answer(
         &mut self,
         now: Cycle,
+        origin: ReadOrigin,
+        addr: PhysAddr,
+        data: LineData,
+        poisoned: bool,
         engine: &mut dyn CopyEngine,
         out: &mut Vec<(Packet, Cycle)>,
     ) {
-        let fwd = std::mem::take(&mut self.engine_fwd);
-        for (tag, addr, data, poisoned) in fwd {
-            if poisoned {
-                self.stats.poisoned_reads += 1;
+        if poisoned {
+            self.stats.poisoned_reads += 1;
+        }
+        match origin {
+            ReadOrigin::Llc(req) => out.push((Packet { poisoned, ..req.make_read_resp(data) }, 0)),
+            ReadOrigin::Engine(tag) => {
+                let id = self.id;
+                self.engine_call(now, out, |io| {
+                    engine.on_dram_read(now, id, tag, addr, data, poisoned, io)
+                });
             }
-            let mut io = self.take_io();
-            engine.on_dram_read(now, self.id, tag, addr, data, poisoned, &mut io);
-            self.apply_io(now, io, out);
         }
     }
 
@@ -401,62 +426,28 @@ impl MemCtrl {
     ) {
         let mut i = 0;
         while i < self.inflight.len() {
-            if self.inflight[i].done <= now {
-                let f = self.inflight.swap_remove(i);
-                match f.kind {
-                    InflightKind::Read(origin) => {
-                        let data = mem.read_line(f.addr);
-                        let poisoned = self
-                            .fault
-                            .as_ref()
-                            .is_some_and(|fs| fs.poisoned.contains(&f.addr.line_base().0));
-                        if poisoned {
-                            self.stats.poisoned_reads += 1;
-                        }
-                        #[cfg(feature = "trace")]
-                        mcs_trace::emit(mcs_trace::Event::McComplete {
-                            mc: self.id as u16,
-                            class: trace_class(&origin),
-                            enq: f.enq,
-                            at: now,
-                        });
-                        match origin {
-                            ReadOrigin::Llc(req) => {
-                                if !req.is_prefetch {
-                                    self.stats.demand_read_lat_sum += now - f.enq;
-                                    self.stats.demand_reads_done += 1;
-                                }
-                                let mut resp = req.make_read_resp(data);
-                                resp.poisoned = poisoned;
-                                out.push((resp, 0));
-                            }
-                            ReadOrigin::Engine(tag) => {
-                                let mut io = self.take_io();
-                                engine
-                                    .on_dram_read(now, self.id, tag, f.addr, data, poisoned, &mut io);
-                                self.apply_io(now, io, out);
-                            }
-                        }
-                    }
-                    InflightKind::Write => {
-                        // Data was applied to the image at issue; nothing to do.
-                    }
-                }
-            } else {
+            if self.inflight[i].done > now {
                 i += 1;
+                continue;
             }
+            let f = self.inflight.swap_remove(i);
+            let Some(origin) = f.read else { continue };
+            let data = mem.read_line(f.addr);
+            let poisoned =
+                self.fault.as_ref().is_some_and(|fs| fs.poisoned.contains(&f.addr.line_base().0));
+            #[cfg(feature = "trace")]
+            mcs_trace::emit(mcs_trace::Event::McComplete {
+                mc: self.id as u16,
+                class: trace_class(&origin),
+                enq: f.enq,
+                at: now,
+            });
+            if matches!(&origin, ReadOrigin::Llc(req) if !req.is_prefetch) {
+                self.stats.demand_read_lat_sum += now - f.enq;
+                self.stats.demand_reads_done += 1;
+            }
+            self.answer(now, origin, f.addr, data, poisoned, engine, out);
         }
-    }
-
-    fn engine_tick(
-        &mut self,
-        now: Cycle,
-        engine: &mut dyn CopyEngine,
-        out: &mut Vec<(Packet, Cycle)>,
-    ) {
-        let mut io = self.take_io();
-        engine.tick(now, self.id, &mut io);
-        self.apply_io(now, io, out);
     }
 
     fn accept_input(
@@ -483,42 +474,22 @@ impl MemCtrl {
         // They retry without blocking the packets behind them, which is
         // required for forward progress: freeing CTT entries depends on
         // LazyDestWrite deliveries that may share this input port.
-        for _ in 0..self.retry_q.len() {
-            let Some(pkt) = self.retry_q.pop_front() else { break };
-            let mut io = self.take_io();
-            let verdict = engine.on_arrive(now, self.id, pkt, &mut io);
-            self.parked = matches!(verdict, Verdict::Wait(_));
-            match verdict {
-                Verdict::Consumed => {}
-                Verdict::Retry(pkt) | Verdict::Wait(pkt) => {
-                    self.apply_io(now, io, out);
-                    self.retry_q.push_front(pkt);
-                    self.stats.input_stall_cycles += 1;
-                    break;
-                }
-                Verdict::Pass(pkt) => {
-                    self.apply_io(now, io, out);
-                    self.enqueue(now, pkt, out);
-                    continue;
-                }
+        while let Some(pkt) = self.retry_q.pop_front() {
+            if !self.offer(now, pkt, true, engine, out) {
+                break;
             }
-            self.apply_io(now, io, out);
         }
         for _ in 0..INPUT_PER_CYCLE {
             // Flow control: don't pop what we can't queue.
             let Some(head) = input.peek(now) else { break };
-            match head.cmd {
-                MemCmd::ReadReq if self.rpq.len() >= self.cfg.rpq_cap => {
-                    self.stats.input_stall_cycles += 1;
-                    break;
-                }
-                MemCmd::WriteReq | MemCmd::LazyDestWrite
-                    if self.wpq.len() >= self.cfg.wpq_cap =>
-                {
-                    self.stats.input_stall_cycles += 1;
-                    break;
-                }
-                _ => {}
+            let full = match head.cmd {
+                MemCmd::ReadReq => self.rpq.len() >= self.cfg.rpq_cap,
+                MemCmd::WriteReq | MemCmd::LazyDestWrite => self.wpq.len() >= self.cfg.wpq_cap,
+                _ => false,
+            };
+            if full {
+                self.stats.input_stall_cycles += 1;
+                break;
             }
             let pkt = input.pop(now).expect("peeked");
             if let Some(f) = self.fault.as_mut() {
@@ -527,21 +498,7 @@ impl MemCtrl {
                     self.stats.fault_stalls += 1;
                 }
             }
-            let mut io = self.take_io();
-            let verdict = engine.on_arrive(now, self.id, pkt, &mut io);
-            let wait = matches!(verdict, Verdict::Wait(_));
-            self.apply_io(now, io, out);
-            match verdict {
-                Verdict::Consumed => {}
-                Verdict::Retry(pkt) | Verdict::Wait(pkt) => {
-                    self.stats.input_stall_cycles += 1;
-                    if self.retry_q.is_empty() {
-                        self.parked = wait;
-                    }
-                    self.retry_q.push_back(pkt);
-                }
-                Verdict::Pass(pkt) => self.enqueue(now, pkt, out),
-            }
+            self.offer(now, pkt, false, engine, out);
             // A stall tripped by this packet pauses intake immediately.
             if self.fault.as_ref().is_some_and(|f| now < f.stall_until) {
                 break;
@@ -549,35 +506,60 @@ impl MemCtrl {
         }
     }
 
-    fn enqueue(&mut self, now: Cycle, pkt: Packet, out: &mut Vec<(Packet, Cycle)>) {
-        match pkt.cmd {
-            MemCmd::ReadReq => {
-                // WPQ forwarding: a pending write to the same line services
-                // the read without touching DRAM.
-                if let Some(w) = self.wpq.iter().rev().find(|w| w.addr == pkt.addr) {
-                    self.stats.wpq_forwards += 1;
-                    let data = w.data;
-                    let poison = w.poison;
-                    if poison {
-                        self.stats.poisoned_reads += 1;
-                    }
-                    let mut resp = pkt.make_read_resp(data);
-                    resp.poisoned = poison;
-                    out.push((resp, 0));
-                    return;
-                }
-                #[cfg(feature = "trace")]
-                mcs_trace::emit(mcs_trace::Event::McEnqueue {
-                    mc: self.id as u16,
-                    class: if pkt.is_prefetch {
-                        mcs_trace::PacketClass::PrefetchRead
-                    } else {
-                        mcs_trace::PacketClass::DemandRead
-                    },
-                    at: now,
-                });
-                self.rpq.push_back(RpqEntry { addr: pkt.addr, origin: ReadOrigin::Llc(pkt), enq: now });
+    /// Offer `pkt` to the engine and act on its verdict. A passed packet
+    /// is queued. A refused one counts an input stall and goes back to the
+    /// retry queue: at its front if it came from there (`retried`), else
+    /// at its back. A refused packet that heads the retry queue parks the
+    /// controller if the refusal was a [`Verdict::Wait`]. Returns whether
+    /// the engine took the packet.
+    fn offer(
+        &mut self,
+        now: Cycle,
+        pkt: Packet,
+        retried: bool,
+        engine: &mut dyn CopyEngine,
+        out: &mut Vec<(Packet, Cycle)>,
+    ) -> bool {
+        let id = self.id;
+        let verdict = self.engine_call(now, out, |io| engine.on_arrive(now, id, pkt, io));
+        let (pkt, wait) = match verdict {
+            Verdict::Consumed => return true,
+            Verdict::Pass(pkt) => {
+                self.enqueue(now, pkt, engine, out);
+                return true;
             }
+            Verdict::Retry(pkt) => (pkt, false),
+            Verdict::Wait(pkt) => (pkt, true),
+        };
+        self.stats.input_stall_cycles += 1;
+        if retried || self.retry_q.is_empty() {
+            self.parked = wait;
+        }
+        if retried {
+            self.retry_q.push_front(pkt);
+        } else {
+            self.retry_q.push_back(pkt);
+        }
+        false
+    }
+
+    /// Queue a request the engine passed; a read of a line with a pending
+    /// write is answered from the WPQ at once.
+    fn enqueue(
+        &mut self,
+        now: Cycle,
+        pkt: Packet,
+        engine: &mut dyn CopyEngine,
+        out: &mut Vec<(Packet, Cycle)>,
+    ) {
+        match pkt.cmd {
+            MemCmd::ReadReq => match self.forward(pkt.addr) {
+                Some((data, poison)) => {
+                    let addr = pkt.addr;
+                    self.answer(now, ReadOrigin::Llc(pkt), addr, data, poison, engine, out);
+                }
+                None => self.push_read(now, pkt.addr, ReadOrigin::Llc(pkt)),
+            },
             MemCmd::WriteReq | MemCmd::LazyDestWrite => {
                 // A write without a payload is a simulator bug in its sender.
                 let Some(data) = pkt.data else {
@@ -586,31 +568,54 @@ impl MemCtrl {
                 if pkt.needs_ack {
                     out.push((pkt.make_write_ack(), 0));
                 }
-                #[cfg(feature = "trace")]
-                let class = if matches!(pkt.cmd, MemCmd::LazyDestWrite) {
-                    mcs_trace::PacketClass::EngineWrite
-                } else {
-                    mcs_trace::PacketClass::Write
-                };
-                #[cfg(feature = "trace")]
-                mcs_trace::emit(mcs_trace::Event::McEnqueue {
-                    mc: self.id as u16,
-                    class,
-                    at: now,
-                });
-                self.wpq.push_back(WpqEntry {
-                    addr: pkt.addr,
-                    data,
-                    poison: pkt.poisoned,
-                    enq: now,
-                    #[cfg(feature = "trace")]
-                    class,
-                });
+                let engine_write = pkt.cmd == MemCmd::LazyDestWrite;
+                self.push_write(now, pkt.addr, data, pkt.poisoned, engine_write);
             }
             // Mclazy/Mcfree/Bounce* are engine commands: an engine never
             // passes them and NullEngine consumes them.
             _ => panic!("mc{} @{now}: unexpected command: {pkt:?}", self.id),
         }
+    }
+
+    /// The data and poison flag of the newest pending write to `addr`'s
+    /// line, which serves a read of it without touching DRAM.
+    fn forward(&mut self, addr: PhysAddr) -> Option<(LineData, bool)> {
+        let w = self.wpq.iter().rev().find(|w| w.addr == addr)?;
+        self.stats.wpq_forwards += 1;
+        Some((w.data, w.poison))
+    }
+
+    fn push_read(&mut self, now: Cycle, addr: PhysAddr, origin: ReadOrigin) {
+        #[cfg(feature = "trace")]
+        mcs_trace::emit(mcs_trace::Event::McEnqueue {
+            mc: self.id as u16,
+            class: trace_class(&origin),
+            at: now,
+        });
+        self.rpq.push_back(RpqEntry { addr, origin, enq: now });
+    }
+
+    /// Queue a write; `eng` marks one the engine made (an engine write or
+    /// a lazy destination write), which only the trace tells apart.
+    fn push_write(&mut self, now: Cycle, addr: PhysAddr, data: LineData, poison: bool, eng: bool) {
+        #[cfg(feature = "trace")]
+        let class = if eng {
+            mcs_trace::PacketClass::EngineWrite
+        } else {
+            mcs_trace::PacketClass::Write
+        };
+        #[cfg(feature = "trace")]
+        mcs_trace::emit(mcs_trace::Event::McEnqueue { mc: self.id as u16, class, at: now });
+        #[cfg(not(feature = "trace"))]
+        let _ = eng;
+        self.wpq.push_back(WpqEntry {
+            addr,
+            data,
+            poison,
+            enq: now,
+            #[cfg(feature = "trace")]
+            class,
+        });
     }
 
     fn schedule_dram(&mut self, now: Cycle, mem: &mut SparseMem) {
@@ -622,19 +627,18 @@ impl MemCtrl {
 
         // Issue while the channel can accept column commands (the data bus
         // may be booked ahead; see DramBackend::bus_ready), bounded per
-        // tick to model the command bus.
+        // tick to model the command bus. The mode's own queue goes first;
+        // the other issues opportunistically.
         for _ in 0..4 {
             if !self.dram.bus_ready(now) {
                 break;
             }
-            let did = if self.draining { self.issue_write(now, mem) } else { self.issue_read(now) };
-            if !did {
-                // Try the other kind opportunistically.
-                let did2 =
-                    if self.draining { self.issue_read(now) } else { self.issue_write(now, mem) };
-                if !did2 {
-                    break;
-                }
+            let is_write = [self.draining, !self.draining];
+            let issued = is_write.into_iter().any(|write| {
+                if write { self.issue_write(now, mem) } else { self.issue_read(now) }
+            });
+            if !issued {
+                break;
             }
         }
     }
@@ -657,39 +661,8 @@ impl MemCtrl {
     }
 
     fn issue_read(&mut self, now: Cycle) -> bool {
-        // FR-FCFS-lite with demand priority: engine reads (lazy-copy
-        // drains) only issue when no demand read is ready, bounding their
-        // bandwidth interference (§III-A1 limits outstanding asynchronous
-        // copies for the same reason). One pass records the first entry in
-        // each priority class (demand row-hit > demand > row-hit > ready),
-        // probing each candidate's bank exactly once.
-        let mut demand_ready = None;
-        let mut any_hit = None;
-        let mut any_ready = None;
-        let mut pick = None;
-        for (i, e) in self.rpq.iter().enumerate() {
-            let (ready, hit) = self.dram.probe(now, e.addr);
-            if !ready {
-                continue;
-            }
-            if matches!(e.origin, ReadOrigin::Llc(_)) {
-                if hit {
-                    pick = Some(i); // top class: first match wins outright
-                    break;
-                }
-                if demand_ready.is_none() {
-                    demand_ready = Some(i);
-                }
-            } else if hit {
-                if any_hit.is_none() {
-                    any_hit = Some(i);
-                }
-            } else if any_ready.is_none() {
-                any_ready = Some(i);
-            }
-        }
-        let pick = pick.or(demand_ready).or(any_hit).or(any_ready);
-        let Some(idx) = pick else { return false };
+        let queue = self.rpq.iter().map(|e| (e.addr, matches!(e.origin, ReadOrigin::Llc(_))));
+        let Some(idx) = pick(&self.dram, now, queue) else { return false };
         let e = self.rpq.remove(idx).expect("index valid");
         let (mut done, outcome) = self.dram.access(now, e.addr);
         self.note_row(outcome);
@@ -727,34 +700,13 @@ impl MemCtrl {
             at: now,
             done,
         });
-        self.inflight.push(Inflight {
-            done,
-            addr: e.addr,
-            kind: InflightKind::Read(e.origin),
-            enq: e.enq,
-        });
+        self.inflight.push(Inflight { done, addr: e.addr, read: Some(e.origin), enq: e.enq });
         true
     }
 
     fn issue_write(&mut self, now: Cycle, mem: &mut SparseMem) -> bool {
-        // One pass: first ready row-hit wins, else first ready entry.
-        let mut any_ready = None;
-        let mut pick = None;
-        for (i, e) in self.wpq.iter().enumerate() {
-            let (ready, hit) = self.dram.probe(now, e.addr);
-            if !ready {
-                continue;
-            }
-            if hit {
-                pick = Some(i);
-                break;
-            }
-            if any_ready.is_none() {
-                any_ready = Some(i);
-            }
-        }
-        let pick = pick.or(any_ready);
-        let Some(idx) = pick else { return false };
+        let queue = self.wpq.iter().map(|e| (e.addr, true));
+        let Some(idx) = pick(&self.dram, now, queue) else { return false };
         let e = self.wpq.remove(idx).expect("index valid");
         let (done, outcome) = self.dram.access(now, e.addr);
         self.note_row(outcome);
@@ -782,7 +734,7 @@ impl MemCtrl {
                 f.poisoned.remove(&line);
             }
         }
-        self.inflight.push(Inflight { done, addr: e.addr, kind: InflightKind::Write, enq: e.enq });
+        self.inflight.push(Inflight { done, addr: e.addr, read: None, enq: e.enq });
         true
     }
 
@@ -823,7 +775,7 @@ mod tests {
         mc: &mut MemCtrl,
         input: &mut DelayQueue<Packet>,
         mem: &mut SparseMem,
-        eng: &mut NullEngine,
+        eng: &mut dyn CopyEngine,
         cycles: Cycle,
     ) -> Vec<Packet> {
         let mut got = Vec::new();
@@ -861,9 +813,59 @@ mod tests {
     fn wpq_forwarding_counts() {
         let (mut mc, mut input, mut mem, mut eng) = mk();
         input.push(0, Packet::write(PhysAddr(0x80), LineData::splat(7), Node::Mc(0)));
+        input.push(0, Packet::write(PhysAddr(0x80), LineData::splat(8), Node::Mc(0)));
         input.push(0, Packet::read(PhysAddr(0x80), Node::Mc(0)));
-        let _ = run(&mut mc, &mut input, &mut mem, &mut eng, 60);
-        assert!(mc.stats.wpq_forwards >= 1 || mc.stats.reads == 1);
+        let resps = run(&mut mc, &mut input, &mut mem, &mut eng, 60);
+        assert_eq!(resps.len(), 1);
+        assert_eq!(resps[0].data, Some(LineData::splat(8)), "the newer write answers");
+        assert_eq!((mc.stats.wpq_forwards, mc.stats.reads, mc.stats.writes), (1, 0, 2));
+    }
+
+    #[test]
+    fn pick_orders_demand_before_engine_and_row_hits_first() {
+        let (mut mc, ..) = mk();
+        // Open row 0 of bank 0 (lines 0..16); line 64 is row 1 of that
+        // bank, line 16 is bank 1, whose row is closed.
+        mc.dram.access(0, PhysAddr(0));
+        let now = 100;
+        let (hit, hit2, closed, conflict) =
+            (PhysAddr(0x40), PhysAddr(0x80), PhysAddr(16 * 64), PhysAddr(64 * 64));
+        let pick_of = |queue: &[(PhysAddr, bool)]| pick(&mc.dram, now, queue.iter().copied());
+        // Engine entries (not demand) go last, row hits first in each class.
+        let mut queue = vec![(closed, false), (hit, false), (conflict, true), (hit2, true)];
+        assert_eq!(pick_of(&queue), Some(3), "demand row hit");
+        queue.pop();
+        assert_eq!(pick_of(&queue), Some(2), "demand ready");
+        queue.pop();
+        assert_eq!(pick_of(&queue), Some(1), "engine row hit");
+        queue.pop();
+        assert_eq!(pick_of(&queue), Some(0), "engine ready");
+        // Writes are all demand: a row hit goes before an older ready write.
+        assert_eq!(pick_of(&[(closed, true), (conflict, true), (hit, true)]), Some(2));
+        // A bank that is not ready yields nothing.
+        mc.dram.access(now, PhysAddr(0));
+        assert_eq!(pick(&mc.dram, now, [(hit, true), (conflict, false)].into_iter()), None);
+    }
+
+    #[test]
+    fn forwarded_engine_read_is_answered_next_tick_with_the_write() {
+        let (mut mc, mut input, mut mem, _) = mk();
+        let mut eng = EchoEngine::default();
+        // Three poisoned writes to line 0 arrive at cycle 5. The first
+        // issues at once; the others wait for its bank.
+        for k in 0..3 {
+            let write = Packet::write(PhysAddr(0), LineData::splat(7 + k), Node::Mc(0));
+            input.push(5, Packet { poisoned: true, ..write });
+        }
+        run(&mut mc, &mut input, &mut mem, &mut eng, 100);
+        // The engine reads line 0 three times at cycle 6, finds the newest
+        // write queued, and hears at cycle 7 with its bytes and poison; no
+        // read reaches DRAM.
+        let answer = (7, 6, PhysAddr(0), LineData::splat(9), true);
+        assert_eq!(eng.answers, vec![answer; 3]);
+        assert_eq!((mc.stats.wpq_forwards, mc.stats.reads, mc.stats.poisoned_reads), (3, 0, 3));
+        assert_eq!((mc.stats.engine_reads, mc.stats.engine_writes, mc.stats.writes), (3, 3, 6));
+        assert!(mc.idle());
     }
 
     #[test]
@@ -920,40 +922,27 @@ mod tests {
 
     #[test]
     fn ecc_retries_add_latency() {
-        let baseline = {
+        // The cycle a single read's response leaves the controller.
+        let answered_at = |plan: &FaultPlan| {
             let (mut mc, mut input, mut mem, mut eng) = mk();
+            mc.set_fault_plan(plan);
             input.push(0, Packet::read(PhysAddr(0x40), Node::Mc(0)));
-            let mut done = 0;
-            for now in 0..500 {
+            (0..500).find(|&now| {
                 let mut out = Vec::new();
                 mc.tick(now, &mut input, &mut eng, &mut mem, &mut out);
-                if !out.is_empty() {
-                    done = now;
-                    break;
-                }
-            }
-            done
+                !out.is_empty()
+            })
         };
-        let (mut mc, mut input, mut mem, mut eng) = mk();
-        mc.set_fault_plan(&FaultPlan {
+        let baseline = answered_at(&FaultPlan::none()).expect("answered");
+        let plan = FaultPlan {
             seed: 7,
             ecc_correctable_rate: 1.0,
             ecc_max_retries: 2,
             ecc_penalty: 8,
             ..FaultPlan::none()
-        });
-        input.push(0, Packet::read(PhysAddr(0x40), Node::Mc(0)));
-        let mut done = 0;
-        for now in 0..500 {
-            let mut out = Vec::new();
-            mc.tick(now, &mut input, &mut eng, &mut mem, &mut out);
-            if !out.is_empty() {
-                done = now;
-                break;
-            }
-        }
+        };
         // Two retries with 8-cycle exponential backoff: 8 + 16 = 24 extra.
-        assert_eq!(done, baseline + 24, "backoff penalty must be visible");
+        assert_eq!(answered_at(&plan), Some(baseline + 24), "backoff penalty must be visible");
     }
 
     #[test]
@@ -1108,6 +1097,50 @@ mod tests {
 
         fn needs_tick(&self, _: usize) -> bool {
             self.waiting && self.version != self.seen
+        }
+    }
+
+    /// A copy engine that, on the tick after a request for a line at a
+    /// multiple of eight lines arrives, reads that line (so a read after a
+    /// write often finds the write still queued) and writes what it reads
+    /// back to it. It logs each answer (cycle, tag = the cycle it asked,
+    /// line, data, poison) and needs a tick only with reads to ask.
+    #[derive(Debug, Default)]
+    struct EchoEngine {
+        to_read: Vec<PhysAddr>,
+        answers: Vec<(Cycle, u64, PhysAddr, LineData, bool)>,
+    }
+
+    impl CopyEngine for EchoEngine {
+        fn on_arrive(&mut self, _: Cycle, _: usize, pkt: Packet, _: &mut EngineIo) -> Verdict {
+            if pkt.addr.line().is_multiple_of(8) {
+                self.to_read.push(pkt.addr);
+            }
+            Verdict::Pass(pkt)
+        }
+
+        fn on_dram_read(
+            &mut self,
+            now: Cycle,
+            _: usize,
+            tag: u64,
+            addr: PhysAddr,
+            data: LineData,
+            poisoned: bool,
+            io: &mut EngineIo,
+        ) {
+            self.answers.push((now, tag, addr, data, poisoned));
+            io.dram_write(addr, data, poisoned);
+        }
+
+        fn tick(&mut self, now: Cycle, _: usize, io: &mut EngineIo) {
+            for addr in self.to_read.drain(..) {
+                io.dram_read(now, addr);
+            }
+        }
+
+        fn needs_tick(&self, _: usize) -> bool {
+            !self.to_read.is_empty()
         }
     }
 
@@ -1270,6 +1303,30 @@ mod tests {
         }
         assert!(parked > 1_000, "the twin must sleep parked ({parked} cycles)");
         assert!(stalled > 0, "parked spans must cross injected stall windows");
+    }
+
+    #[test]
+    fn engine_traffic_controller_matches_one_ticked_every_cycle() {
+        // The engine's reads go through the RPQ or, for a line with a
+        // queued write, are answered from the WPQ on the next tick, which
+        // keeps the twin awake for that tick. Every other packet of the
+        // traffic is dropped, so that with the engine's accesses added the
+        // controller still idles part of the time.
+        let (mut forwarded, mut from_dram) = (0, 0);
+        for seed in 1..=24 {
+            let traffic: Vec<_> = random_traffic(seed, HORIZON).into_iter().step_by(2).collect();
+            let t = run_twins(&traffic, &twin_plan(seed), EchoEngine::default);
+            assert_twins_agree(seed, &t);
+            assert_eq!(t.every_eng.answers, t.twin_eng.answers, "seed {seed}: engines diverged");
+            let s = &t.every.stats;
+            assert!(s.engine_reads > 0 && s.engine_writes == s.engine_reads, "seed {seed}");
+            // Only a forwarded read is answered the cycle after it is asked.
+            let fwd = t.every_eng.answers.iter().filter(|a| a.0 == a.1 + 1).count();
+            forwarded += fwd;
+            from_dram += t.every_eng.answers.len() - fwd;
+        }
+        assert!(forwarded > 100, "engine reads must be forwarded ({forwarded})");
+        assert!(from_dram > 100, "engine reads must reach DRAM ({from_dram})");
     }
 
     #[test]

@@ -132,13 +132,14 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Construct a read request for the line containing `addr`, with id 0
-    /// (a sender that matches the response by id numbers it).
-    pub fn read(addr: PhysAddr, dest: Node) -> Packet {
+    /// A packet with command `cmd` for `dest` at `addr`, taken as given
+    /// (not line-aligned), and every other field at its default: id 0, no
+    /// data, not a prefetch, no core, no ack asked, not poisoned.
+    pub fn new(cmd: MemCmd, addr: PhysAddr, dest: Node) -> Packet {
         Packet {
             id: 0,
-            cmd: MemCmd::ReadReq,
-            addr: addr.line_base(),
+            cmd,
+            addr,
             data: None,
             dest,
             is_prefetch: false,
@@ -148,19 +149,21 @@ impl Packet {
         }
     }
 
+    /// Construct a read request for the line containing `addr`, with id 0
+    /// (a sender that matches the response by id numbers it).
+    pub fn read(addr: PhysAddr, dest: Node) -> Packet {
+        Packet::new(MemCmd::ReadReq, addr.line_base(), dest)
+    }
+
     /// Construct a posted full-line write, with id 0 (as [`Packet::read`]).
     pub fn write(addr: PhysAddr, data: LineData, dest: Node) -> Packet {
-        Packet {
-            id: 0,
-            cmd: MemCmd::WriteReq,
-            addr: addr.line_base(),
-            data: Some(data),
-            dest,
-            is_prefetch: false,
-            core: None,
-            needs_ack: false,
-            poisoned: false,
-        }
+        Packet { data: Some(data), ..Packet::new(MemCmd::WriteReq, addr.line_base(), dest) }
+    }
+
+    /// A `cmd` reply to this packet, sent to the LLC with its id, address
+    /// and core.
+    fn reply(&self, cmd: MemCmd) -> Packet {
+        Packet { id: self.id, core: self.core, ..Packet::new(cmd, self.addr, Node::Llc) }
     }
 
     /// Build the response to this read request with the given payload.
@@ -169,17 +172,7 @@ impl Packet {
     /// Panics if `self` is not a `ReadReq`.
     pub fn make_read_resp(&self, data: LineData) -> Packet {
         assert_eq!(self.cmd, MemCmd::ReadReq, "make_read_resp on non-read");
-        Packet {
-            id: self.id,
-            cmd: MemCmd::ReadResp,
-            addr: self.addr,
-            data: Some(data),
-            dest: Node::Llc,
-            is_prefetch: self.is_prefetch,
-            core: self.core,
-            needs_ack: false,
-            poisoned: false,
-        }
+        Packet { data: Some(data), is_prefetch: self.is_prefetch, ..self.reply(MemCmd::ReadResp) }
     }
 
     /// Build the `MclazyAck` for this MCLAZY broadcast copy.
@@ -188,17 +181,7 @@ impl Packet {
     /// Panics if `self` is not an `Mclazy` command.
     pub fn make_mclazy_ack(&self) -> Packet {
         assert!(matches!(self.cmd, MemCmd::Mclazy(_)), "make_mclazy_ack on non-MCLAZY");
-        Packet {
-            id: self.id,
-            cmd: MemCmd::MclazyAck,
-            addr: self.addr,
-            data: None,
-            dest: Node::Llc,
-            is_prefetch: false,
-            core: self.core,
-            needs_ack: false,
-            poisoned: false,
-        }
+        self.reply(MemCmd::MclazyAck)
     }
 
     /// Build the `WriteAck` for this write request.
@@ -210,17 +193,7 @@ impl Packet {
             matches!(self.cmd, MemCmd::WriteReq | MemCmd::LazyDestWrite),
             "make_write_ack on non-write"
         );
-        Packet {
-            id: self.id,
-            cmd: MemCmd::WriteAck,
-            addr: self.addr,
-            data: None,
-            dest: Node::Llc,
-            is_prefetch: false,
-            core: self.core,
-            needs_ack: false,
-            poisoned: false,
-        }
+        self.reply(MemCmd::WriteAck)
     }
 }
 
