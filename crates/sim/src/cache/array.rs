@@ -30,6 +30,14 @@ pub struct CacheArray<T> {
     stamp: u64,
 }
 
+/// One occupied way of a [`CacheArray`], as a search found it. It names
+/// that way only until the array next changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Way {
+    set: usize,
+    slot: usize,
+}
+
 impl<T> CacheArray<T> {
     /// Create an array with `sets` sets of `ways` ways.
     ///
@@ -110,13 +118,9 @@ impl<T> CacheArray<T> {
         self.payloads[set].push(payload);
     }
 
-    /// The set of `line` and the slot of its LRU way among those for
-    /// which `keep` returns false, if any.
-    fn victim_slot(
-        &self,
-        line: PhysAddr,
-        keep: impl Fn(PhysAddr, &T) -> bool,
-    ) -> (usize, Option<usize>) {
+    /// The LRU way in `line`'s set among those for which `keep` returns
+    /// false, if any.
+    pub fn lru_way(&self, line: PhysAddr, keep: impl Fn(PhysAddr, &T) -> bool) -> Option<Way> {
         let set = self.set_of(line.line_base());
         let base = set * self.ways;
         let slot = self.payloads[set]
@@ -125,14 +129,47 @@ impl<T> CacheArray<T> {
             .filter(|&(i, p)| !keep(self.line_at(set, i), p))
             .min_by_key(|&(i, _)| self.lru[base + i])
             .map(|(i, _)| i);
-        (set, slot)
+        Some(Way { set, slot: slot? })
+    }
+
+    /// [`Self::lru_way`] for two payload filters at once, in one pass over
+    /// `line`'s set: the LRU way `keep_a` spares not, and the LRU way
+    /// `keep_b` spares not.
+    pub fn lru_ways(
+        &self,
+        line: PhysAddr,
+        keep_a: impl Fn(&T) -> bool,
+        keep_b: impl Fn(&T) -> bool,
+    ) -> [Option<Way>; 2] {
+        let set = self.set_of(line.line_base());
+        let stamps = &self.lru[set * self.ways..];
+        // (stamp, slot) of each filter's LRU way so far.
+        let mut best: [Option<(u64, usize)>; 2] = [None; 2];
+        for (slot, p) in self.payloads[set].iter().enumerate() {
+            let stamp = stamps[slot];
+            for (b, keep) in best.iter_mut().zip([keep_a(p), keep_b(p)]) {
+                if !keep && b.is_none_or(|(s, _)| stamp < s) {
+                    *b = Some((stamp, slot));
+                }
+            }
+        }
+        best.map(|b| b.map(|(_, slot)| Way { set, slot }))
+    }
+
+    /// The line `way` holds.
+    pub fn way_line(&self, way: Way) -> PhysAddr {
+        self.line_at(way.set, way.slot)
+    }
+
+    /// Remove `way`, returning its line and payload.
+    pub fn take(&mut self, way: Way) -> (PhysAddr, T) {
+        (self.way_line(way), self.remove_at(way.set, way.slot))
     }
 
     /// The LRU victim in `line`'s set among ways for which `keep` returns
     /// false, or `None` if every way must be kept.
     pub fn victim(&self, line: PhysAddr, keep: impl Fn(PhysAddr, &T) -> bool) -> Option<PhysAddr> {
-        let (set, i) = self.victim_slot(line, keep);
-        Some(self.line_at(set, i?))
+        Some(self.way_line(self.lru_way(line, keep)?))
     }
 
     /// Remove the LRU way in `line`'s set among those for which `keep`
@@ -143,9 +180,7 @@ impl<T> CacheArray<T> {
         line: PhysAddr,
         keep: impl Fn(PhysAddr, &T) -> bool,
     ) -> Option<(PhysAddr, T)> {
-        let (set, i) = self.victim_slot(line, keep);
-        let i = i?;
-        Some((self.line_at(set, i), self.remove_at(set, i)))
+        Some(self.take(self.lru_way(line, keep)?))
     }
 
     /// Remove a line, returning its payload.
@@ -287,7 +322,14 @@ mod tests {
                     }
                     2 => prop_assert_eq!(a.peek(l), r.peek(l)),
                     3 => prop_assert_eq!(a.victim(l, |_, _| false), r.victim(l, |_, _| false)),
-                    4 => prop_assert_eq!(a.victim(l, keep), r.victim(l, keep)),
+                    4 => {
+                        prop_assert_eq!(a.victim(l, keep), r.victim(l, keep));
+                        // Both filters of one pass answer as two scans do.
+                        let (odd, third) = (|p: &u32| p % 2 == 1, |p: &u32| p.is_multiple_of(3));
+                        let ways = a.lru_ways(l, odd, third).map(|w| w.map(|w| a.way_line(w)));
+                        let want = [r.victim(l, |_, p| odd(p)), r.victim(l, |_, p| third(p))];
+                        prop_assert_eq!(ways, want);
+                    }
                     _ => {
                         // Evict as a cache making room does, first from every
                         // way, then from the ways `keep` does not spare; then

@@ -6,7 +6,7 @@
 //! packets: fills, writebacks, CLWB write-throughs, non-temporal writes,
 //! and the forwarding of MCLAZY/MCFREE toward the memory controllers.
 
-use super::array::CacheArray;
+use super::array::{CacheArray, Way};
 use super::prefetch::StridePrefetcher;
 use super::{L1ToLlc, LlcToL1, ServiceLevel};
 use crate::addr::PhysAddr;
@@ -408,14 +408,8 @@ impl Llc {
     /// Try to free a way in `line`'s set. Returns false if eviction needs a
     /// recall that is now in flight (caller retries the original request).
     fn make_room(&mut self, line: PhysAddr, out: &mut LlcOut) -> bool {
-        // Prefer victims that are not resident in any L1 and not mid-transaction.
-        // The directory fields are tested before the MSHR map is probed.
-        let busy = |l: PhysAddr| self.mshrs.contains_key(&l.0);
-        let victim = self
-            .array
-            .evict(line, |l, p| p.owner.is_some() || p.sharers != 0 || busy(l))
-            .or_else(|| self.array.evict(line, |l, p| p.owner.is_some() || busy(l)));
-        if let Some((v, p)) = victim {
+        if let Some(way) = self.victim_way(line) {
+            let (v, p) = self.array.take(way);
             self.stats.evictions += 1;
             // Clean sharers are force-invalidated without acks; inclusion is
             // restored within a link delay and clean reads in the window are
@@ -431,11 +425,39 @@ impl Llc {
         }
         // Every candidate is owned dirty in an L1: recall the LRU owner and
         // retry the request once the recall lands.
-        if let Some(v) = self.array.victim(line, |l, _| busy(l)) {
+        if let Some(v) = self.array.victim(line, |l, _| self.mshrs.contains_key(&l.0)) {
             let owner = self.array.peek(v).and_then(|p| p.owner).expect("owned victim");
             self.recall(v, owner, true, After::Evict, out);
         }
         false
+    }
+
+    /// The way [`Self::make_room`] evicts from `line`'s set: the LRU way no
+    /// L1 holds, else the LRU way no L1 owns, passing over lines with a
+    /// transaction in flight; `None` if every other way is owned. One pass
+    /// over the set finds both candidates, and the MSHR map is probed for
+    /// the chosen one only. If that line is busy, the definition decides
+    /// ([`Self::victim_way_by_scans`]).
+    fn victim_way(&self, line: PhysAddr) -> Option<Way> {
+        let [unheld, unowned] = self.array.lru_ways(
+            line,
+            |p| p.owner.is_some() || p.sharers != 0,
+            |p| p.owner.is_some(),
+        );
+        let way = unheld.or(unowned)?;
+        if self.mshrs.contains_key(&self.array.way_line(way).0) {
+            return self.victim_way_by_scans(line);
+        }
+        Some(way)
+    }
+
+    /// The definition of [`Self::victim_way`]: two scans over the set that
+    /// probe the MSHR map for every way the directory fields do not spare.
+    fn victim_way_by_scans(&self, line: PhysAddr) -> Option<Way> {
+        let busy = |l: PhysAddr| self.mshrs.contains_key(&l.0);
+        self.array
+            .lru_way(line, |l, p| p.owner.is_some() || p.sharers != 0 || busy(l))
+            .or_else(|| self.array.lru_way(line, |l, p| p.owner.is_some() || busy(l)))
     }
 
     fn issue_prefetches(&mut self, line: PhysAddr, out: &mut LlcOut) {
@@ -993,6 +1015,50 @@ mod tests {
         }
         assert_eq!(llc.mshr_count(), busy as usize);
         llc
+    }
+
+    #[test]
+    fn one_pass_victim_equals_the_two_scan_definition() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        // 8 sets of 8 ways; lines k * 512 share set 0.
+        let cfg = CacheConfig { ways: 8, mshrs: 64, ..SystemConfig::tiny().llc };
+        let (mut all_owned, mut busy_pick, mut one_pass) = (0, 0, 0);
+        for _ in 0..2_000 {
+            let mut llc = Llc::new(cfg.clone(), 2);
+            let n = rng.random_range(1..=8u64);
+            // Mostly owned ways, so that every way is owned now and then.
+            let owned_pct = if rng.random_range(0..4u32) == 0 { 100 } else { 50 };
+            for k in 0..n {
+                let owned = rng.random_range(0..100u32) < owned_pct;
+                let owner = owned.then(|| rng.random_range(0..4usize));
+                let shared = rng.random_range(0..2u32) == 0;
+                let sharers = if shared { rng.random_range(1..16u32) } else { 0 };
+                let l = LlcLine { data: LineData::ZERO, dirty: false, owner, sharers, prefetched: false };
+                llc.array.insert(PhysAddr(k * 512), l);
+                if rng.random_range(0..3u32) == 0 {
+                    let txn = Txn::Mem { excl: false, core: 0, prefetch: false };
+                    llc.mshrs.insert(k * 512, Mshr { txn, queue: VecDeque::new() });
+                }
+            }
+            // Touch random ways, so the LRU order is not the insertion order.
+            for _ in 0..rng.random_range(0..12u32) {
+                let _ = llc.array.get_mut(PhysAddr(rng.random_range(0..n) * 512));
+            }
+            let line = PhysAddr(n * 512);
+            let way_line = |w: Option<Way>| w.map(|w| llc.array.way_line(w));
+            let want = way_line(llc.victim_way_by_scans(line));
+            assert_eq!(way_line(llc.victim_way(line)), want);
+            let held = |p: &LlcLine| p.owner.is_some() || p.sharers != 0;
+            let [unheld, unowned] = llc.array.lru_ways(line, held, |p| p.owner.is_some());
+            match way_line(unheld.or(unowned)) {
+                None => all_owned += 1,
+                Some(v) if llc.mshrs.contains_key(&v.0) => busy_pick += 1,
+                Some(_) => one_pass += 1,
+            }
+        }
+        let paths = (all_owned, busy_pick, one_pass);
+        assert!(all_owned > 100 && busy_pick > 100 && one_pass > 100, "each path is taken: {paths:?}");
     }
 
     #[test]

@@ -82,6 +82,25 @@ struct Loc {
     row: u64,
 }
 
+/// Where a line lives in its channel, decoded once by [`DramBackend::key`]:
+/// its flat bank index and its row in that bank. Two lines of one channel
+/// have equal keys exactly when they share a bank and a row. A memory
+/// controller keeps the key of every queued request, so its scheduling
+/// scans read bank state without decoding addresses again.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct DramKey {
+    row: u64,
+    bank: u32,
+}
+
+impl DramKey {
+    /// The flat bank index, as [`DramBackend::bank_of`] gives it.
+    #[inline]
+    pub fn bank(self) -> usize {
+        self.bank as usize
+    }
+}
+
 /// log2 of the geometry counts (see the module docs for the decode order).
 #[derive(Debug, Clone)]
 struct Shifts {
@@ -189,8 +208,22 @@ impl DramBackend {
         }
     }
 
-    /// `(bank_ready, is_row_hit)` for `addr` with a single address decode
-    /// — the FR-FCFS queue scans need both per candidate.
+    /// The bank and row of `addr`, for the key-based checks below.
+    #[inline]
+    pub fn key(&self, addr: PhysAddr) -> DramKey {
+        let loc = self.locate(addr);
+        DramKey { row: loc.row, bank: loc.bank as u32 }
+    }
+
+    /// `(bank_ready, is_row_hit)` for the line `key` names, read from its
+    /// bank alone — the FR-FCFS queue scans need both per candidate.
+    #[inline]
+    pub fn probe_key(&self, now: Cycle, key: DramKey) -> (bool, bool) {
+        let b = &self.banks[key.bank()];
+        (b.next_cas <= now, b.open_row == Some(key.row))
+    }
+
+    /// `(bank_ready, is_row_hit)` for `addr` with a single address decode.
     #[inline]
     pub fn probe(&self, now: Cycle, addr: PhysAddr) -> (bool, bool) {
         let loc = self.locate(addr);
@@ -218,6 +251,12 @@ impl DramBackend {
     #[inline]
     pub fn bank_ready_at(&self, addr: PhysAddr) -> Cycle {
         self.banks[self.locate(addr).bank].next_cas
+    }
+
+    /// [`Self::bank_ready_at`] for the line `key` names.
+    #[inline]
+    pub fn bank_ready_at_key(&self, key: DramKey) -> Cycle {
+        self.banks[key.bank()].next_cas
     }
 
     /// First cycle at which [`Self::bus_ready`] holds, given the current
@@ -343,6 +382,7 @@ impl RefreshTimer {
 mod tests {
     use super::*;
     use crate::config::MemTech;
+    use proptest::prelude::*;
 
     /// DDR4 geometry: 1 bus × 1 group × 4 banks, 1 KB rows.
     fn ddr4() -> DramConfig {
@@ -413,6 +453,58 @@ mod tests {
     #[should_panic(expected = "must divide evenly into bank_groups")]
     fn rejects_banks_not_divisible_by_groups() {
         build(&DramConfig { banks: 6, bank_groups: 4, ..ddr4() }, 1);
+    }
+
+    // --- Decoded keys -----------------------------------------------------
+
+    /// Every key-based answer equals the address-decoding one for `lines`.
+    fn assert_keys_agree(
+        d: &DramBackend,
+        lines: &[PhysAddr],
+        now: Cycle,
+    ) -> Result<(), TestCaseError> {
+        for &a in lines {
+            let k = d.key(a);
+            for t in [0, now, now + 7] {
+                prop_assert_eq!(d.probe_key(t, k), d.probe(t, a), "probe of {:?} at {}", a, t);
+            }
+            prop_assert_eq!(d.bank_ready_at_key(k), d.bank_ready_at(a), "bank ready of {:?}", a);
+            prop_assert_eq!(k.bank(), d.bank_of(a), "bank of {:?}", a);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// For random lines on the DDR4, DDR5 and HBM2 geometries, with
+        /// one or four channels, a line's key answers bank-ready, row-hit
+        /// and bank-index questions as its address does: on a fresh
+        /// channel, after random accesses, and after a refresh window
+        /// closed every row.
+        #[test]
+        fn keys_answer_as_addresses_do(
+            lines in prop::collection::vec(0u64..1 << 20, 1..40),
+            accesses in prop::collection::vec((0u64..60, 0usize..40), 0..60),
+            geometry in 0usize..3,
+            four_channels in any::<bool>(),
+        ) {
+            let geometry = [ddr4(), ddr5(), hbm2()][geometry].clone();
+            let cfg = DramConfig { t_refi: 5_000, t_rfc: 40, ..geometry };
+            let mut d = build(&cfg, if four_channels { 4 } else { 1 });
+            // Lines far apart, plus neighbours that share rows and banks.
+            let lines: Vec<PhysAddr> =
+                lines.iter().flat_map(|&l| [PhysAddr(l * 64), PhysAddr((l + 1) * 64 + 5)]).collect();
+            assert_keys_agree(&d, &lines, 0)?;
+            let mut now = 0;
+            for (gap, i) in accesses {
+                now += gap;
+                let _ = d.access(now, lines[i % lines.len()]);
+            }
+            assert_keys_agree(&d, &lines, now)?;
+            let refresh = now.div_ceil(cfg.t_refi).max(1) * cfg.t_refi;
+            d.sync(refresh);
+            prop_assert!(d.refreshes() >= 1);
+            assert_keys_agree(&d, &lines, refresh)?;
+        }
     }
 
     // --- DDR4 geometry ----------------------------------------------------

@@ -6,14 +6,18 @@
 //! packet into a queue entry or a forwarded answer, `engine_call` enters
 //! what an engine call asked for, `pick` chooses the next DRAM access, and
 //! `answer` returns a read's data to whoever asked.
+//!
+//! Each queued request's bank and row are decoded once, when it enters its
+//! queue, into a `Slot` kept apart from the payloads: the scheduling
+//! scans (`pick`, `next_issue`, `forward`) read only the slots.
 
 use crate::config::McConfig;
 use crate::data::{LineData, SparseMem};
-use crate::dram::{DramBackend, RowOutcome};
+use crate::dram::{DramBackend, DramKey, RowOutcome};
 use crate::engine::{CopyEngine, EngineIo, Verdict};
 use crate::fault::{domain, FaultPlan, FaultStream};
 use crate::link::DelayQueue;
-use crate::packet::{MemCmd, Packet};
+use crate::packet::{MemCmd, Node, Packet};
 use crate::stats::McStats;
 use crate::addr::PhysAddr;
 use crate::hash::FastSet;
@@ -21,24 +25,72 @@ use crate::Cycle;
 use std::collections::VecDeque;
 
 /// Who asked for a DRAM read.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum ReadOrigin {
-    /// A cache read: respond to the LLC with this request packet.
-    Llc(Packet),
+    /// A cache read: what its response copies from the request besides the
+    /// line (see [`Packet::make_read_resp`]).
+    Llc { id: u64, core: Option<usize>, prefetch: bool },
     /// An engine read with the engine's tag.
     Engine(u64),
 }
 
+impl ReadOrigin {
+    /// The origin of the LLC read request `req`.
+    fn llc(req: &Packet) -> ReadOrigin {
+        ReadOrigin::Llc { id: req.id, core: req.core, prefetch: req.is_prefetch }
+    }
+}
+
+/// A queued request as the scheduler sees it: its line, the line's bank
+/// and row, and whether it is demand traffic (every write is).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    addr: PhysAddr,
+    key: DramKey,
+    demand: bool,
+}
+
+/// A pending queue in age order: the scheduling slots in one array and
+/// the payloads in another, entry `i` of each describing one request.
+#[derive(Debug)]
+struct Queue<T> {
+    slots: VecDeque<Slot>,
+    items: VecDeque<T>,
+}
+
+impl<T> Queue<T> {
+    fn new() -> Queue<T> {
+        Queue { slots: VecDeque::new(), items: VecDeque::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn push(&mut self, slot: Slot, item: T) {
+        self.slots.push_back(slot);
+        self.items.push_back(item);
+    }
+
+    /// Remove entry `i`, returning its slot and payload.
+    fn remove(&mut self, i: usize) -> (Slot, T) {
+        let slot = self.slots.remove(i).expect("index valid");
+        (slot, self.items.remove(i).expect("index valid"))
+    }
+}
+
 #[derive(Debug)]
 struct RpqEntry {
-    addr: PhysAddr,
     origin: ReadOrigin,
     enq: Cycle,
 }
 
 #[derive(Debug)]
 struct WpqEntry {
-    addr: PhysAddr,
     data: LineData,
     /// The data was derived from an uncorrectable ECC error: committing
     /// this write re-poisons the line instead of clearing it.
@@ -59,12 +111,18 @@ struct Inflight {
     enq: Cycle,
 }
 
+// Queue entries hold no `Packet` (160 B): a read's slot is 32 B and its
+// payload 40 B, a line's key 16 B.
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+const _: () = assert!(std::mem::size_of::<RpqEntry>() == 40);
+const _: () = assert!(std::mem::size_of::<DramKey>() == 16);
+
 /// Traffic class of a read origin, for latency histograms.
 #[cfg(feature = "trace")]
 fn trace_class(origin: &ReadOrigin) -> mcs_trace::PacketClass {
     match origin {
-        ReadOrigin::Llc(p) if p.is_prefetch => mcs_trace::PacketClass::PrefetchRead,
-        ReadOrigin::Llc(_) => mcs_trace::PacketClass::DemandRead,
+        ReadOrigin::Llc { prefetch: true, .. } => mcs_trace::PacketClass::PrefetchRead,
+        ReadOrigin::Llc { .. } => mcs_trace::PacketClass::DemandRead,
         ReadOrigin::Engine(_) => mcs_trace::PacketClass::EngineRead,
     }
 }
@@ -78,24 +136,19 @@ fn trace_row(outcome: RowOutcome) -> mcs_trace::RowKind {
     }
 }
 
-/// FR-FCFS with demand priority over one pending queue, given each
-/// entry's line and whether it is demand traffic: the first ready demand
-/// row hit, else the first ready demand entry, else the first ready
-/// non-demand row hit, else the first ready non-demand entry. One pass
-/// probes each candidate's bank once. Engine reads (lazy-copy drains) are
+/// FR-FCFS with demand priority over one pending queue's slots: the first
+/// ready demand row hit, else the first ready demand entry, else the first
+/// ready non-demand row hit, else the first ready non-demand entry. One
+/// pass reads each candidate's bank once. Engine reads (lazy-copy drains) are
 /// the non-demand class: they issue only when no demand read is ready,
 /// bounding their bandwidth interference (§III-A1 limits outstanding
 /// asynchronous copies for the same reason). Every write is demand, so a
 /// write row hit goes before an older ready write.
-fn pick(
-    dram: &DramBackend,
-    now: Cycle,
-    queue: impl Iterator<Item = (PhysAddr, bool)>,
-) -> Option<usize> {
+fn pick(dram: &DramBackend, now: Cycle, slots: &VecDeque<Slot>) -> Option<usize> {
     // The first ready demand entry, non-demand row hit and non-demand entry.
     let mut first = [None; 3];
-    for (i, (addr, demand)) in queue.enumerate() {
-        let class = match (demand, dram.probe(now, addr)) {
+    for (i, slot) in slots.iter().enumerate() {
+        let class = match (slot.demand, dram.probe_key(now, slot.key)) {
             (_, (false, _)) => continue,
             (true, (true, true)) => return Some(i), // top class: first match wins outright
             (true, _) => 0,
@@ -133,8 +186,12 @@ pub struct MemCtrl {
     pub id: usize,
     cfg: McConfig,
     dram: DramBackend,
-    rpq: VecDeque<RpqEntry>,
-    wpq: VecDeque<WpqEntry>,
+    rpq: Queue<RpqEntry>,
+    wpq: Queue<WpqEntry>,
+    /// The drain-mode watermarks as WPQ lengths: draining starts at
+    /// `drain_start` entries and may stop below `drain_stop`.
+    drain_start: usize,
+    drain_stop: usize,
     inflight: Vec<Inflight>,
     /// Packets the engine asked to retry; reprocessed before new input so
     /// a blocked MCLAZY never head-of-line-blocks engine-critical traffic.
@@ -163,15 +220,40 @@ pub struct MemCtrl {
 /// How many input packets a controller accepts per cycle.
 const INPUT_PER_CYCLE: usize = 4;
 
+/// The least queue length for which `pred` holds, given that it holds for
+/// every length from there on ([`usize::MAX`] if it holds for none up to
+/// 2^53, beyond which lengths stop converting to `f64` exactly).
+fn least_len(pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, 1 << 53);
+    if !pred(hi) {
+        return usize::MAX;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
 impl MemCtrl {
     /// Create controller `id` with the given queue config and channel model.
     pub fn new(id: usize, cfg: McConfig, dram: DramBackend) -> MemCtrl {
+        // WPQ occupancy as `update_drain_mode` has always computed it; it
+        // never falls as the queue grows, so each watermark test flips once.
+        let occ = |len: usize| len as f64 / cfg.wpq_cap as f64;
+        let below_lo = |len: usize| occ(len) <= cfg.wpq_drain_lo;
         MemCtrl {
             id,
+            drain_start: least_len(|len| occ(len) >= cfg.wpq_drain_hi),
+            drain_stop: least_len(|len| !below_lo(len)),
             cfg,
             dram,
-            rpq: VecDeque::new(),
-            wpq: VecDeque::new(),
+            rpq: Queue::new(),
+            wpq: Queue::new(),
             inflight: Vec::new(),
             retry_q: VecDeque::new(),
             parked: false,
@@ -265,8 +347,8 @@ impl MemCtrl {
     fn next_issue(&self) -> Option<Cycle> {
         let bus = self.dram.bus_ready_at();
         let mut bank: Option<Cycle> = None;
-        for addr in self.rpq.iter().map(|e| e.addr).chain(self.wpq.iter().map(|e| e.addr)) {
-            let at = self.dram.bank_ready_at(addr);
+        for slot in self.rpq.slots.iter().chain(&self.wpq.slots) {
+            let at = self.dram.bank_ready_at_key(slot.key);
             bank = Some(bank.map_or(at, |b| b.min(at)));
             if at <= bus {
                 break; // the bus is the binding constraint
@@ -407,7 +489,12 @@ impl MemCtrl {
             self.stats.poisoned_reads += 1;
         }
         match origin {
-            ReadOrigin::Llc(req) => out.push((Packet { poisoned, ..req.make_read_resp(data) }, 0)),
+            ReadOrigin::Llc { id, core, prefetch } => {
+                // The response `make_read_resp` would build from the request.
+                let resp = Packet::new(MemCmd::ReadResp, addr, Node::Llc);
+                let data = Some(data);
+                out.push((Packet { id, core, data, is_prefetch: prefetch, poisoned, ..resp }, 0));
+            }
             ReadOrigin::Engine(tag) => {
                 let id = self.id;
                 self.engine_call(now, out, |io| {
@@ -442,7 +529,7 @@ impl MemCtrl {
                 enq: f.enq,
                 at: now,
             });
-            if matches!(&origin, ReadOrigin::Llc(req) if !req.is_prefetch) {
+            if matches!(origin, ReadOrigin::Llc { prefetch: false, .. }) {
                 self.stats.demand_read_lat_sum += now - f.enq;
                 self.stats.demand_reads_done += 1;
             }
@@ -555,10 +642,9 @@ impl MemCtrl {
         match pkt.cmd {
             MemCmd::ReadReq => match self.forward(pkt.addr) {
                 Some((data, poison)) => {
-                    let addr = pkt.addr;
-                    self.answer(now, ReadOrigin::Llc(pkt), addr, data, poison, engine, out);
+                    self.answer(now, ReadOrigin::llc(&pkt), pkt.addr, data, poison, engine, out);
                 }
-                None => self.push_read(now, pkt.addr, ReadOrigin::Llc(pkt)),
+                None => self.push_read(now, pkt.addr, ReadOrigin::llc(&pkt)),
             },
             MemCmd::WriteReq | MemCmd::LazyDestWrite => {
                 // A write without a payload is a simulator bug in its sender.
@@ -580,7 +666,8 @@ impl MemCtrl {
     /// The data and poison flag of the newest pending write to `addr`'s
     /// line, which serves a read of it without touching DRAM.
     fn forward(&mut self, addr: PhysAddr) -> Option<(LineData, bool)> {
-        let w = self.wpq.iter().rev().find(|w| w.addr == addr)?;
+        let i = self.wpq.slots.iter().rposition(|s| s.addr == addr)?;
+        let w = &self.wpq.items[i];
         self.stats.wpq_forwards += 1;
         Some((w.data, w.poison))
     }
@@ -592,7 +679,9 @@ impl MemCtrl {
             class: trace_class(&origin),
             at: now,
         });
-        self.rpq.push_back(RpqEntry { addr, origin, enq: now });
+        let demand = matches!(origin, ReadOrigin::Llc { .. });
+        let slot = Slot { addr, key: self.dram.key(addr), demand };
+        self.rpq.push(slot, RpqEntry { origin, enq: now });
     }
 
     /// Queue a write; `eng` marks one the engine made (an engine write or
@@ -608,14 +697,15 @@ impl MemCtrl {
         mcs_trace::emit(mcs_trace::Event::McEnqueue { mc: self.id as u16, class, at: now });
         #[cfg(not(feature = "trace"))]
         let _ = eng;
-        self.wpq.push_back(WpqEntry {
-            addr,
+        let slot = Slot { addr, key: self.dram.key(addr), demand: true };
+        let entry = WpqEntry {
             data,
             poison,
             enq: now,
             #[cfg(feature = "trace")]
             class,
-        });
+        };
+        self.wpq.push(slot, entry);
     }
 
     fn schedule_dram(&mut self, now: Cycle, mem: &mut SparseMem) {
@@ -648,23 +738,22 @@ impl MemCtrl {
     /// result depends on the previous mode, so every cycle that runs the
     /// scheduler must apply it (see [`Self::replay_elided`]).
     fn update_drain_mode(&mut self) {
-        let occ = self.wpq.len() as f64 / self.cfg.wpq_cap as f64;
-        if (occ >= self.cfg.wpq_drain_hi || self.rpq.is_empty()) && !self.wpq.is_empty() {
+        let len = self.wpq.len();
+        if (len >= self.drain_start || self.rpq.is_empty()) && len > 0 {
             self.draining = true;
         }
-        if occ <= self.cfg.wpq_drain_lo && !self.rpq.is_empty() {
+        if len < self.drain_stop && !self.rpq.is_empty() {
             self.draining = false;
         }
-        if self.wpq.is_empty() {
+        if len == 0 {
             self.draining = false;
         }
     }
 
     fn issue_read(&mut self, now: Cycle) -> bool {
-        let queue = self.rpq.iter().map(|e| (e.addr, matches!(e.origin, ReadOrigin::Llc(_))));
-        let Some(idx) = pick(&self.dram, now, queue) else { return false };
-        let e = self.rpq.remove(idx).expect("index valid");
-        let (mut done, outcome) = self.dram.access(now, e.addr);
+        let Some(idx) = pick(&self.dram, now, &self.rpq.slots) else { return false };
+        let (slot, e) = self.rpq.remove(idx);
+        let (mut done, outcome) = self.dram.access(now, slot.addr);
         self.note_row(outcome);
         self.stats.reads += 1;
         if let Some(f) = self.fault.as_mut() {
@@ -673,7 +762,7 @@ impl MemCtrl {
                 // carries the functional bytes (poison is metadata), so
                 // differential checks against an eager oracle remain valid.
                 self.stats.ecc_uncorrectable += 1;
-                f.poisoned.insert(e.addr.line_base().0);
+                f.poisoned.insert(slot.addr.line_base().0);
             } else if f.ecc.roll(f.plan.ecc_correctable_rate) {
                 // Correctable: bounded re-reads with exponential backoff.
                 // The retry occupies the same bank reservation; only the
@@ -693,28 +782,27 @@ impl MemCtrl {
         #[cfg(feature = "trace")]
         mcs_trace::emit(mcs_trace::Event::McIssue {
             mc: self.id as u16,
-            bank: self.dram.bank_of(e.addr) as u16,
+            bank: slot.key.bank() as u16,
             class: trace_class(&e.origin),
             row: trace_row(outcome),
             enq: e.enq,
             at: now,
             done,
         });
-        self.inflight.push(Inflight { done, addr: e.addr, read: Some(e.origin), enq: e.enq });
+        self.inflight.push(Inflight { done, addr: slot.addr, read: Some(e.origin), enq: e.enq });
         true
     }
 
     fn issue_write(&mut self, now: Cycle, mem: &mut SparseMem) -> bool {
-        let queue = self.wpq.iter().map(|e| (e.addr, true));
-        let Some(idx) = pick(&self.dram, now, queue) else { return false };
-        let e = self.wpq.remove(idx).expect("index valid");
-        let (done, outcome) = self.dram.access(now, e.addr);
+        let Some(idx) = pick(&self.dram, now, &self.wpq.slots) else { return false };
+        let (slot, e) = self.wpq.remove(idx);
+        let (done, outcome) = self.dram.access(now, slot.addr);
         self.note_row(outcome);
         self.stats.writes += 1;
         #[cfg(feature = "trace")]
         mcs_trace::emit(mcs_trace::Event::McIssue {
             mc: self.id as u16,
-            bank: self.dram.bank_of(e.addr) as u16,
+            bank: slot.key.bank() as u16,
             class: e.class,
             row: trace_row(outcome),
             enq: e.enq,
@@ -724,9 +812,9 @@ impl MemCtrl {
         // Apply functionally at issue: any later read goes through the RPQ
         // behind this write's bank occupancy, and reads that raced ahead
         // were already served by WPQ forwarding.
-        mem.write_line(e.addr, e.data);
+        mem.write_line(slot.addr, e.data);
         if let Some(f) = self.fault.as_mut() {
-            let line = e.addr.line_base().0;
+            let line = slot.addr.line_base().0;
             if e.poison {
                 f.poisoned.insert(line);
             } else {
@@ -734,7 +822,7 @@ impl MemCtrl {
                 f.poisoned.remove(&line);
             }
         }
-        self.inflight.push(Inflight { done, addr: e.addr, read: None, enq: e.enq });
+        self.inflight.push(Inflight { done, addr: slot.addr, read: None, enq: e.enq });
         true
     }
 
@@ -810,6 +898,68 @@ mod tests {
     }
 
     #[test]
+    fn llc_reads_are_answered_as_make_read_resp_answers() {
+        let (mut mc, mut input, mut mem, mut eng) = mk();
+        // Three reads from DRAM, then one of a line with a queued write.
+        let asks = [
+            (7, Some(1), false, 4),
+            (8, Some(usize::MAX), true, 5),
+            (9, None, false, 6),
+            (10, Some(0), false, 7),
+        ];
+        let mut want = Vec::new();
+        for (k, (id, core, is_prefetch, byte)) in asks.into_iter().enumerate() {
+            let addr = PhysAddr(0x40 + 1024 * k as u64);
+            let req = Packet { id, core, is_prefetch, ..Packet::read(addr, Node::Mc(0)) };
+            if id == 10 {
+                input.push(0, Packet::write(addr, LineData::splat(byte), Node::Mc(0)));
+            } else {
+                mem.write_line(addr, LineData::splat(byte));
+            }
+            want.push(req.make_read_resp(LineData::splat(byte)));
+            input.push(0, req);
+        }
+        let mut resps = run(&mut mc, &mut input, &mut mem, &mut eng, 100);
+        resps.sort_by_key(|p| p.id);
+        let fields = |p: &Packet| {
+            (p.id, p.cmd.clone(), p.addr, p.data, p.dest, p.is_prefetch, p.core, p.needs_ack, p.poisoned)
+        };
+        let got: Vec<_> = resps.iter().map(fields).collect();
+        assert_eq!(got, want.iter().map(fields).collect::<Vec<_>>());
+        assert_eq!((mc.stats.reads, mc.stats.wpq_forwards), (3, 1));
+    }
+
+    #[test]
+    fn requests_picked_out_of_order_keep_their_payloads() {
+        let (mut mc, mut input, mut mem, mut eng) = mk();
+        // Lines k and 64 + k share bank 0 in different rows, so once a
+        // row is open the picker takes its hits from behind the conflicts.
+        let lines: Vec<u64> = (0..8).flat_map(|k| [k, 64 + k]).collect();
+        for &l in &lines {
+            mem.write_line(PhysAddr(l * 64), LineData::splat(l as u8));
+            let read = Packet::read(PhysAddr(l * 64), Node::Mc(0));
+            input.push(0, Packet { id: l + 1, ..read });
+        }
+        // The same pattern of writes, in bank 2.
+        for &l in &lines {
+            let line = 32 + l;
+            input.push(1, Packet::write(PhysAddr(line * 64), LineData::splat(line as u8), Node::Mc(0)));
+        }
+        let resps = run(&mut mc, &mut input, &mut mem, &mut eng, 2_000);
+        let order: Vec<u64> = resps.iter().map(|p| p.id - 1).collect();
+        assert_ne!(order, lines, "the picker must reorder");
+        for p in &resps {
+            let l = p.addr.line();
+            assert_eq!((p.id, p.data), (l + 1, Some(LineData::splat(l as u8))), "read of line {l}");
+        }
+        for &l in &lines {
+            let line = 32 + l;
+            assert_eq!(mem.read_line(PhysAddr(line * 64)), LineData::splat(line as u8), "line {line}");
+        }
+        assert!(mc.idle());
+    }
+
+    #[test]
     fn wpq_forwarding_counts() {
         let (mut mc, mut input, mut mem, mut eng) = mk();
         input.push(0, Packet::write(PhysAddr(0x80), LineData::splat(7), Node::Mc(0)));
@@ -830,7 +980,10 @@ mod tests {
         let now = 100;
         let (hit, hit2, closed, conflict) =
             (PhysAddr(0x40), PhysAddr(0x80), PhysAddr(16 * 64), PhysAddr(64 * 64));
-        let pick_of = |queue: &[(PhysAddr, bool)]| pick(&mc.dram, now, queue.iter().copied());
+        let slots = |dram: &DramBackend, queue: &[(PhysAddr, bool)]| -> VecDeque<Slot> {
+            queue.iter().map(|&(addr, demand)| Slot { addr, key: dram.key(addr), demand }).collect()
+        };
+        let pick_of = |queue: &[(PhysAddr, bool)]| pick(&mc.dram, now, &slots(&mc.dram, queue));
         // Engine entries (not demand) go last, row hits first in each class.
         let mut queue = vec![(closed, false), (hit, false), (conflict, true), (hit2, true)];
         assert_eq!(pick_of(&queue), Some(3), "demand row hit");
@@ -844,7 +997,28 @@ mod tests {
         assert_eq!(pick_of(&[(closed, true), (conflict, true), (hit, true)]), Some(2));
         // A bank that is not ready yields nothing.
         mc.dram.access(now, PhysAddr(0));
-        assert_eq!(pick(&mc.dram, now, [(hit, true), (conflict, false)].into_iter()), None);
+        assert_eq!(pick(&mc.dram, now, &slots(&mc.dram, &[(hit, true), (conflict, false)])), None);
+    }
+
+    #[test]
+    fn drain_thresholds_equal_the_occupancy_predicates() {
+        let shipped = [
+            McConfig::default(),
+            crate::config::SystemConfig::table1().mc,
+            crate::config::SystemConfig::tiny().mc,
+        ];
+        let edges = [0.0, 1.0].into_iter().flat_map(|hi| {
+            [0.0, 1.0].map(|lo| McConfig { wpq_drain_hi: hi, wpq_drain_lo: lo, ..McConfig::default() })
+        });
+        for cfg in shipped.into_iter().chain(edges) {
+            let (hi, lo) = (cfg.wpq_drain_hi, cfg.wpq_drain_lo);
+            let mc = MemCtrl::new(0, cfg.clone(), crate::dram::build(&DramConfig::default(), 1));
+            for len in 0..=2 * cfg.wpq_cap {
+                let occ = len as f64 / cfg.wpq_cap as f64;
+                assert_eq!(len >= mc.drain_start, occ >= hi, "{cfg:?}: start at length {len}");
+                assert_eq!(len < mc.drain_stop, occ <= lo, "{cfg:?}: stop at length {len}");
+            }
+        }
     }
 
     #[test]

@@ -132,7 +132,9 @@ pub enum SchedMode {
 /// Outside the stage's own loop in [`System::visit`], `min` is exactly
 /// the minimum entry: entries change there only through [`Stage::lower`],
 /// which folds what it writes. The loop rewrites entries, so it refolds
-/// `min` from `Cycle::MAX` over every entry it reads.
+/// `min` from `Cycle::MAX` over every entry it reads; when `min` says no
+/// entry is due, the loop would only refold the same number, and `visit`
+/// skips it ([`Stage::due_at`]).
 struct Stage {
     due: Vec<Cycle>,
     min: Cycle,
@@ -164,6 +166,18 @@ impl Stage {
     fn reset(&mut self) {
         self.due.fill(0);
         self.min = self.scan();
+    }
+
+    /// Whether some entry is due at `now`, read from `min`. Under the
+    /// invariant layer, a scan confirms a "no".
+    fn due_at(&self, now: Cycle) -> bool {
+        let due = self.min <= now;
+        #[cfg(feature = "check-invariants")]
+        assert!(
+            due || self.scan() > now,
+            "invariant violation (scheduler): a stage skipped at cycle {now} has an entry due"
+        );
+        due
     }
 
     /// The minimum entry, by a scan.
@@ -468,40 +482,45 @@ impl System {
         //    completion, delayed load issue) has matured. Its entry is the
         //    earliest of these, and every sender lowers it to the head it
         //    pushed, so a due core always has one of them. Each stage's
-        //    loop refolds its running minimum over every entry it reads.
-        self.due_core.min = Cycle::MAX;
-        for i in 0..self.cores.len() {
-            let mut due = self.due_core.due[i];
-            if due <= now {
-                let act = self.phase_core(now, i);
-                let c = &self.cores[i];
-                let wake = if act {
-                    now + 1
-                } else if c.finished() {
-                    Cycle::MAX
-                } else {
-                    c.wake_at().unwrap_or(Cycle::MAX)
-                };
-                due = wake.min(self.l1_to_core[i].head());
-                self.due_core.due[i] = due;
+        //    loop refolds its running minimum over every entry it reads,
+        //    and runs only if that minimum is due.
+        if self.due_core.due_at(now) {
+            self.due_core.min = Cycle::MAX;
+            for i in 0..self.cores.len() {
+                let mut due = self.due_core.due[i];
+                if due <= now {
+                    let act = self.phase_core(now, i);
+                    let c = &self.cores[i];
+                    let wake = if act {
+                        now + 1
+                    } else if c.finished() {
+                        Cycle::MAX
+                    } else {
+                        c.wake_at().unwrap_or(Cycle::MAX)
+                    };
+                    due = wake.min(self.l1_to_core[i].head());
+                    self.due_core.due[i] = due;
+                }
+                self.due_core.min = self.due_core.min.min(due);
             }
-            self.due_core.min = self.due_core.min.min(due);
         }
 
         // 2. L1s are purely message-driven: no input, no work. A refused
         //    core request blocks its queue until an LLC message (a fill)
         //    frees an MSHR, so only LLC input wakes a refused L1.
-        self.due_l1.min = Cycle::MAX;
-        for i in 0..self.l1s.len() {
-            let mut due = self.due_l1.due[i];
-            if due <= now {
-                if self.l1_inbox(i) <= now {
-                    self.l1_refused[i] = self.phase_l1(now, i);
+        if self.due_l1.due_at(now) {
+            self.due_l1.min = Cycle::MAX;
+            for i in 0..self.l1s.len() {
+                let mut due = self.due_l1.due[i];
+                if due <= now {
+                    if self.l1_inbox(i) <= now {
+                        self.l1_refused[i] = self.phase_l1(now, i);
+                    }
+                    due = self.l1_inbox(i);
+                    self.due_l1.due[i] = due;
                 }
-                due = self.l1_inbox(i);
-                self.due_l1.due[i] = due;
+                self.due_l1.min = self.due_l1.min.min(due);
             }
-            self.due_l1.min = self.due_l1.min.min(due);
         }
 
         // 3. LLC: deferred replays or any deliverable input, except a
@@ -529,27 +548,31 @@ impl System {
         //    input stays at the head of the controller's queue, so it
         //    keeps the controller due and its input-stall count exact. A
         //    controller's send to another one lowers that entry while this
-        //    loop runs, which `Stage::lower` keeps exact.
+        //    loop runs, which `Stage::lower` keeps exact. With no
+        //    controller due, none runs: a controller that is not due runs
+        //    only after another one ran.
         let mut mc_ran = false;
-        self.due_mc.min = Cycle::MAX;
-        for i in 0..self.mcs.len() {
-            let due = self.due_mc.due[i] <= now;
-            let run = if due {
-                self.mc_wake[i] <= now
-                    || self.to_mc[i].head() <= now
-                    || self.engine.needs_tick(i)
-            } else {
-                mc_ran && self.engine.needs_tick(i)
-            };
-            if run {
-                self.phase_mc(now, i);
-                self.mc_wake[i] = self.mcs[i].readiness().unwrap_or(now + 1);
-                mc_ran = true;
+        if self.due_mc.due_at(now) {
+            self.due_mc.min = Cycle::MAX;
+            for i in 0..self.mcs.len() {
+                let due = self.due_mc.due[i] <= now;
+                let run = if due {
+                    self.mc_wake[i] <= now
+                        || self.to_mc[i].head() <= now
+                        || self.engine.needs_tick(i)
+                } else {
+                    mc_ran && self.engine.needs_tick(i)
+                };
+                if run {
+                    self.phase_mc(now, i);
+                    self.mc_wake[i] = self.mcs[i].readiness().unwrap_or(now + 1);
+                    mc_ran = true;
+                }
+                if due || run {
+                    self.due_mc.due[i] = self.mc_wake[i].min(self.to_mc[i].head());
+                }
+                self.due_mc.min = self.due_mc.min.min(self.due_mc.due[i]);
             }
-            if due || run {
-                self.due_mc.due[i] = self.mc_wake[i].min(self.to_mc[i].head());
-            }
-            self.due_mc.min = self.due_mc.min.min(self.due_mc.due[i]);
         }
         if mc_ran {
             for i in 0..self.mcs.len() {
